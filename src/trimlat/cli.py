@@ -50,8 +50,8 @@ def _fmt_set(s) -> str:
     return "{" + ",".join(map(str, sorted(s))) + "}"
 
 
-def _load_lattice(path: str):
-    return lattice_from_json(load_json_path(path))
+def _load_lattice(args):
+    return lattice_from_json(load_json_path(args.path), args.max_elements)
 
 
 def _emit(obj, as_json: bool, human: str) -> None:
@@ -126,7 +126,7 @@ def _property_matrix(l) -> dict:
 
 
 def cmd_check(args) -> int:
-    l = _load_lattice(args.path)
+    l = _load_lattice(args)
     if not args.all:
         _emit({"elements": l.n, "length": length(l), "lattice": True},
               args.json, f"ok: lattice with {l.n} elements, length {length(l)}")
@@ -146,7 +146,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_galois(args) -> int:
-    l = _load_lattice(args.path)
+    l = _load_lattice(args)
     idx = index_irreducibles(l)
     g = galois_graph(l, idx)
     if args.json:
@@ -162,7 +162,7 @@ def cmd_galois(args) -> int:
 
 
 def cmd_rowmotion(args) -> int:
-    l = _load_lattice(args.path)
+    l = _load_lattice(args)
     labelling = _labelling_for(l)
     if args.trace:
         return _run_trace(l, labelling, args)
@@ -204,7 +204,7 @@ def _run_trace(l, labelling, args) -> int:
 
 
 def cmd_complex(args) -> int:
-    l = _load_lattice(args.path)
+    l = _load_lattice(args)
     if not is_trim(l):
         raise NotTrim("the independence complex needs a trim lattice")
     comp = independence_complex(l)
@@ -242,7 +242,7 @@ def cmd_verify_figures(args) -> int:
 
 
 def cmd_export(args) -> int:
-    l = _load_lattice(args.path)
+    l = _load_lattice(args)
     if args.dot == "hasse":
         sys.stdout.write(dot_hasse(l))
     elif args.dot == "galois":
@@ -265,7 +265,7 @@ def _add_common(p: argparse.ArgumentParser, suppress: bool) -> None:
     # copies use SUPPRESS so an omitted flag keeps the top-level value
     defaults = (argparse.SUPPRESS,) * 3 if suppress else (DEFAULT_MAX_ELEMENTS, False, 1)
     p.add_argument("--max-elements", type=int, default=defaults[0],
-                   help="element cap for enumerations (default 100000)")
+                   help="element cap for enumerations and JSON input (default 100000)")
     p.add_argument("--json", action="store_true", default=defaults[1],
                    help="machine-readable JSON output")
     p.add_argument("--jobs", type=int, default=defaults[2],

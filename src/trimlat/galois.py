@@ -11,15 +11,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     NotACover,
     NotExtremal,
     NotTrim,
     SizeLimitExceeded,
 )
-from .lattice import Chain, Lattice, interval, is_extremal, is_trim, maximal_length_chain
+from .lattice import (
+    Chain,
+    Lattice,
+    _containment,
+    _pack,
+    _tables,
+    interval,
+    is_extremal,
+    is_trim,
+    maximal_length_chain,
+)
 from .poset import DEFAULT_MAX_ELEMENTS, Poset, _bits, poset_from_relations
 
 
@@ -252,33 +260,22 @@ def lattice_from_graph(g: GaloisGraph,
     out, inn = _closure_tables(g)
     x_masks = _closed_x_masks(g, max_elements)
     y_masks = [orth_complete_y(g, xm, out) for xm in x_masks]
-    index = {xm: i for i, xm in enumerate(x_masks)}
     n = len(x_masks)
 
-    up = [0] * n
-    down = [0] * n
-    for a in range(n):
-        for b in range(n):
-            if x_masks[a] & ~x_masks[b] == 0:
-                up[a] |= 1 << b
-                down[b] |= 1 << a
+    x_keys = _pack(x_masks, g.n)
+    meet, join, _ = _tables(x_keys, _pack(y_masks, g.n))
+    up, down = _containment(x_keys)
     covers = []
     for a in range(n):
-        strict = up[a] ^ (1 << a)
-        for b in _bits(strict):
-            if strict & down[b] & ~(1 << b) == 0:
-                covers.append((a, b))
+        # x_masks are sorted by size, so the index order is a linear
+        # extension and the lowest element left above a is an upper cover
+        rest = up[a] ^ (1 << a)
+        while rest:
+            b = (rest & -rest).bit_length() - 1
+            covers.append((a, b))
+            rest &= ~up[b]
     poset = Poset(n, covers, up, down)
 
-    meet = np.empty((n, n), dtype=np.int32)
-    join = np.empty((n, n), dtype=np.int32)
-    y_index = {ym: i for i, ym in enumerate(y_masks)}
-    for a in range(n):
-        for b in range(a, n):
-            m = index[x_masks[a] & x_masks[b]]
-            j = y_index[y_masks[a] & y_masks[b]]
-            meet[a, b] = meet[b, a] = m
-            join[a, b] = join[b, a] = j
     pairs = tuple(MaxOrthPair(
         frozenset(i + 1 for i in _bits(xm)),
         frozenset(k + 1 for k in _bits(ym)),

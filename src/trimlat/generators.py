@@ -16,7 +16,7 @@ from math import gcd
 from .errors import InputError, SizeLimitExceeded
 from .galois import GaloisGraph, lattice_from_graph
 from .io import galois_from_json, lattice_from_json
-from .lattice import Lattice, lattice_from_poset
+from .lattice import Lattice, _containment, _pack, lattice_from_poset
 from .poset import (
     DEFAULT_MAX_ELEMENTS,
     Poset,
@@ -187,15 +187,8 @@ def weak_order_S(n: int, cap: int = WEAK_ORDER_CAP) -> Lattice:
             if p[k] < p[k + 1]:
                 q = p[:k] + (p[k + 1], p[k]) + p[k + 2:]
                 covers.append((index[p], index[q]))
-    m = len(perms)
-    up = [0] * m
-    down = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if inv[i] & ~inv[j] == 0:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    poset = Poset(m, covers, up, down)
+    up, down = _containment(_pack(inv, len(pair_index)))
+    poset = Poset(len(perms), covers, up, down)
     names = tuple("".join(str(v + 1) for v in p) for p in perms)
     return lattice_from_poset(poset, names=names)
 

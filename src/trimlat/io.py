@@ -8,10 +8,10 @@ from __future__ import annotations
 import json
 
 from .complexes import SimpleGraph
-from .errors import InputError
+from .errors import InputError, SizeLimitExceeded
 from .galois import GaloisGraph
 from .lattice import Lattice, lattice_from_poset
-from .poset import Poset, poset_from_relations
+from .poset import DEFAULT_MAX_ELEMENTS, Poset, poset_from_relations
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -41,9 +41,13 @@ def poset_to_json(p: Poset) -> dict:
     return {"n": p.n, "covers": [list(c) for c in p.covers]}
 
 
-def lattice_from_json(obj) -> Lattice:
+def lattice_from_json(obj, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
     """Same wire format as posets; additionally validates the lattice
-    axioms (unique meets and joins)."""
+    axioms (unique meets and joins).  Raises SizeLimitExceeded before
+    building anything when 'n' exceeds max_elements."""
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if isinstance(n, int) and n > max_elements:
+        raise SizeLimitExceeded(n, max_elements, "lattice elements")
     return lattice_from_poset(poset_from_json(obj))
 
 

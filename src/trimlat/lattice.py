@@ -2,8 +2,32 @@
 structural predicates (distributive, extremal, left modular, semidistributive,
 trim), plus congruence validation and quotients.
 
-Meet and join tables are dense n-by-n numpy arrays computed once at
-construction; all predicates are exact table scans, no sampling.
+Meet and join tables are dense n-by-n int32 arrays, read-only once built;
+all predicates are exact table scans, no sampling.
+
+Every constructor fills its tables through one kernel, :func:`_tables`.
+In a finite lattice x |-> J(x), the set of join-irreducibles below x, is
+injective and sends meets to intersections; x |-> M(x), the
+meet-irreducibles above x, does the same for joins (Markowsky).  Each
+element's key is its J or M set packed into uint64 words (a np.void view
+when wider than 64 bits); meet[x, y] is the element whose J-key equals
+J(x) & J(y), found by binary search in the sorted keys, and join[x, y]
+dually.  Order ideals and their complements, the X and Y masks of maximal
+orthogonal pairs, and the up/down masks restricted to the irreducibles
+are such keys.  The order itself comes from the same AND: a <= b iff
+key(a) & key(b) == key(a).
+
+Posets from outside are checked, not trusted.  When every M-key AND
+matches a key, join[x, x] == x and join[x, y] >= x for all x, y, every
+join[x, y] is the least upper bound (proof in :func:`_joins_are_least`).
+A bounded poset with all joins is a lattice, so the J-key meets are then
+exact too.  When the check fails, a scalar search names the first pair
+without a join or meet, as the pairwise scan it replaced did.
+
+Rows are processed in blocks of about 2**14 cells, so temporaries stay
+small next to the tables; the largest other array is the n-by-n boolean
+order matrix of a checked poset, an eighth of the two tables.  The kernel
+uses no floats and no BLAS.
 """
 
 from __future__ import annotations
@@ -120,8 +144,9 @@ class Lattice:
 
 
 def lattice_from_poset(p: Poset, names=None) -> Lattice:
-    """Compute meet/join tables for p; raises NotALattice(x, y) naming a
-    pair with no unique meet or join."""
+    """Compute meet/join tables for p; raises NotALattice(x, y, kind) naming
+    the first incomparable pair (x < y, row-major) with no unique join, or
+    else no unique meet."""
     n = p.n
     if n == 0:
         raise NotALattice(0, 0, "bottom")
@@ -133,49 +158,14 @@ def lattice_from_poset(p: Poset, names=None) -> Lattice:
         raise NotALattice(maxs[0], maxs[1], "join")
     bottom, top = mins[0], maxs[0]
 
-    # Work in a topologically sorted label space so the least element of any
-    # candidate mask is its lowest set bit.
-    order = canonical_extension(p)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-
-    def to_topo(mask: int) -> int:
-        out = 0
-        for v in _bits(mask):
-            out |= 1 << pos[v]
-        return out
-
-    up_t = [0] * n
-    down_t = [0] * n
-    for v in range(n):
-        up_t[v] = to_topo(p.up_mask(v))
-        down_t[v] = to_topo(p.down_mask(v))
-
-    join = np.zeros((n, n), dtype=np.int32)
-    meet = np.zeros((n, n), dtype=np.int32)
-    for x in range(n):
-        for y in range(x, n):
-            if p.leq(x, y):
-                j, m = y, x
-            elif p.leq(y, x):
-                j, m = x, y
-            else:
-                common_up = up_t[x] & up_t[y]
-                if common_up == 0:
-                    raise NotALattice(x, y, "join")
-                low = common_up & -common_up
-                j = order[low.bit_length() - 1]
-                if common_up & ~up_t[j]:
-                    raise NotALattice(x, y, "join")
-                common_down = down_t[x] & down_t[y]
-                if common_down == 0:
-                    raise NotALattice(x, y, "meet")
-                m = order[common_down.bit_length() - 1]
-                if common_down & ~down_t[m]:
-                    raise NotALattice(x, y, "meet")
-            join[x, y] = join[y, x] = j
-            meet[x, y] = meet[y, x] = m
+    le = _order_matrix(p)
+    jirr = np.array([x for x in range(n)
+                     if x != bottom and len(p.lower_covers(x)) == 1], dtype=np.intp)
+    mirr = np.array([x for x in range(n)
+                     if x != top and len(p.upper_covers(x)) == 1], dtype=np.intp)
+    meet, join, hit = _tables(_pack_bool(le[jirr].T), _pack_bool(le[:, mirr]))
+    if not (hit and _joins_are_least(le, join)):
+        raise _lattice_witness(p)
     return Lattice(p, meet, join, bottom, top, names=names)
 
 
@@ -191,25 +181,156 @@ def lattice_from_ideal_masks(q: Poset, masks: tuple[int, ...]) -> Lattice:
         for x in _bits(free):
             if strict_down[x] & ~ideal == 0:
                 covers.append((i, index[ideal | (1 << x)]))
-    up = [0] * n
-    down = [0] * n
-    for i, a in enumerate(masks):
-        for j, b in enumerate(masks):
-            if a & ~b == 0:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
+    full = (1 << q.n) - 1
+    ideals = _pack(masks, q.n)
+    meet, join, _ = _tables(ideals, _pack([full ^ m for m in masks], q.n))
+    up, down = _containment(ideals)
     poset = Poset(n, covers, up, down)
-    meet = np.empty((n, n), dtype=np.int32)
-    join = np.empty((n, n), dtype=np.int32)
-    for i, a in enumerate(masks):
-        for j in range(i, n):
-            b = masks[j]
-            mi = index[a & b]
-            jo = index[a | b]
-            meet[i, j] = meet[j, i] = mi
-            join[i, j] = join[j, i] = jo
     names = tuple("{" + ",".join(map(str, _bits(m))) + "}" for m in masks)
     return Lattice(poset, meet, join, 0, n - 1, names=names)
+
+
+# ---------------------------------------------------------------------------
+# the table kernel
+# ---------------------------------------------------------------------------
+
+# Rows of a table are processed in blocks whose temporaries hold about this
+# many cells, so memory beyond the tables themselves stays bounded.
+_BLOCK_CELLS = 1 << 14
+
+
+def _row_blocks(rows: int, width: int):
+    step = max(1, _BLOCK_CELLS // max(1, width))
+    for r0 in range(0, rows, step):
+        yield r0, min(rows, r0 + step)
+
+
+def _pack(masks, nbits: int) -> np.ndarray:
+    """Python-int bitmasks of nbits bits as an (len(masks), w) uint64 array
+    of keys, w >= 1."""
+    w = max(1, -(-nbits // 64))
+    buf = b"".join(m.to_bytes(8 * w, "little") for m in masks)
+    return np.frombuffer(buf, dtype="<u8").reshape(len(masks), w)
+
+
+def _pack_bool(rows: np.ndarray) -> np.ndarray:
+    """An (n, k) boolean array as (n, w) uint64 keys, w >= 1, one bit per
+    column."""
+    n, k = rows.shape
+    w = max(1, -(-k // 64))
+    out = np.zeros((n, 8 * w), dtype=np.uint8)
+    out[:, :-(-k // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def _flat(keys: np.ndarray) -> np.ndarray:
+    """View (..., w) keys as one sortable item per key (a np.void of 8w
+    bytes when w > 1)."""
+    if keys.shape[-1] == 1:
+        return keys[..., 0]
+    keys = np.ascontiguousarray(keys)
+    return keys.view(np.dtype((np.void, 8 * keys.shape[-1])))[..., 0]
+
+
+def _tables(jkey: np.ndarray, mkey: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Meet and join tables from per-element keys.
+
+    meet[x, y] is the element whose J-key is jkey[x] & jkey[y], and
+    join[x, y] the element whose M-key is mkey[x] & mkey[y], both found by
+    binary search in the sorted keys.  Only y >= x is looked up; the rest
+    is copied across the diagonal.  The third value is False when some AND
+    matches no key, which keys taken from a lattice never do.
+    """
+    n = len(jkey)
+    tables = []
+    hit = True
+    for key in (jkey, mkey):
+        flat = _flat(key)
+        order = np.argsort(flat, kind="stable").astype(np.int32)
+        ranked = flat[order]
+        table = np.empty((n, n), dtype=np.int32)
+        for r0, r1 in _row_blocks(n, n * key.shape[1]):
+            want = _flat(key[r0:r1, None, :] & key[None, r0:, :])
+            pos = np.minimum(np.searchsorted(ranked, want), n - 1)
+            hit = hit and bool((ranked[pos] == want).all())
+            table[r0:r1, r0:] = order[pos]
+            table[r0:r1, :r0] = table[:r0, r0:r1].T
+        tables.append(table)
+    return tables[0], tables[1], hit
+
+
+def _containment(keys: np.ndarray) -> tuple[list[int], list[int]]:
+    """Up and down bitmasks of the order a <= b iff keys[a] is contained in
+    keys[b], that is keys[a] & keys[b] == keys[a]."""
+    up: list[int] = []
+    down: list[int] = []
+    for r0, r1 in _row_blocks(len(keys), len(keys) * keys.shape[1]):
+        block = keys[r0:r1, None, :]
+        common = block & keys[None, :, :]
+        for masks, rows in ((up, common == block), (down, common == keys[None])):
+            packed = np.packbits(rows.all(axis=2), axis=1, bitorder="little")
+            masks.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
+    return up, down
+
+
+def _order_matrix(p: Poset) -> np.ndarray:
+    """The n-by-n boolean matrix of a <= b."""
+    bits = _pack([p.up_mask(x) for x in range(p.n)], p.n).view(np.uint8)
+    return np.unpackbits(bits, axis=1, count=p.n, bitorder="little").view(bool)
+
+
+def _joins_are_least(le: np.ndarray, join: np.ndarray) -> bool:
+    """True iff every join[x, y] is the least upper bound of x and y, for a
+    join table that :func:`_tables` built from M-keys with every lookup hit.
+
+    Two tests: join[x, x] == x, and join[x, y] >= x (so also >= y, as the
+    table is symmetric).  Write e(K) for the element the lookup returns for
+    key K, so join[x, y] = e(M(x) & M(y)).  Let z = join[x, y] and u be any
+    upper bound of x and y.  Then M(u) is contained in M(x) & M(y) = M(z),
+    so join[u, z] = e(M(u)) = join[u, u], which is u by the first test; the
+    second gives u = join[u, z] >= z.
+    """
+    n = len(join)
+    cols = np.arange(n)
+    if not (join[cols, cols] == cols).all():
+        return False
+    for r0, r1 in _row_blocks(n, n):
+        if not le[cols[r0:r1, None], join[r0:r1]].all():
+            return False
+    return True
+
+
+def _lattice_witness(p: Poset) -> NotALattice:
+    """The first incomparable pair x < y, in row-major order, whose upper
+    bounds have no least element ("join"), or else whose lower bounds have
+    no greatest element ("meet").  A scalar search, run only once the table
+    check has failed; p must have a bottom and a top."""
+    # in a topologically sorted label space the lowest set bit of a set of
+    # bounds is a minimal one, the only candidate for its least element
+    order = canonical_extension(p)
+    pos = [0] * p.n
+    for i, v in enumerate(order):
+        pos[v] = i
+
+    def to_topo(mask: int) -> int:
+        out = 0
+        for v in _bits(mask):
+            out |= 1 << pos[v]
+        return out
+
+    up_t = [to_topo(p.up_mask(v)) for v in range(p.n)]
+    down_t = [to_topo(p.down_mask(v)) for v in range(p.n)]
+    for x in range(p.n):
+        for y in range(x + 1, p.n):
+            if p.leq(x, y) or p.leq(y, x):
+                continue
+            common = up_t[x] & up_t[y]
+            if common & ~up_t[order[(common & -common).bit_length() - 1]]:
+                return NotALattice(x, y, "join")
+            common = down_t[x] & down_t[y]
+            if common & ~down_t[order[common.bit_length() - 1]]:
+                return NotALattice(x, y, "meet")
+    raise AssertionError("the table check rejected a lattice")
 
 
 def _heights(l: Lattice) -> list[int]:
@@ -353,28 +474,21 @@ def interval(l: Lattice, a: int, b: int) -> tuple[Lattice, tuple[int, ...]]:
     l (sublattice element i is original element map[i])."""
     if not l.leq(a, b):
         raise NotComparable(a, b)
-    members = tuple(sorted(_bits(l.poset.up_mask(a) & l.poset.down_mask(b))))
+    members = tuple(_bits(l.poset.up_mask(a) & l.poset.down_mask(b)))
     index = {x: i for i, x in enumerate(members)}
-    k = len(members)
     # covers of an interval of a lattice are exactly the restricted covers
     covers = [(index[y], index[z]) for y, z in l.covers
               if y in index and z in index]
-    up = [0] * k
-    down = [0] * k
-    for i, x in enumerate(members):
-        for j, y in enumerate(members):
-            if l.leq(x, y):
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    poset = Poset(k, covers, up, down)
-    meet = np.empty((k, k), dtype=np.int32)
-    join = np.empty((k, k), dtype=np.int32)
-    for i, x in enumerate(members):
-        for j, y in enumerate(members):
-            meet[i, j] = index[int(l.meet[x, y])]
-            join[i, j] = index[int(l.join[x, y])]
+    # principal down-sets are keys whose containment is the order
+    up, down = _containment(_pack([l.poset.down_mask(x) for x in members], l.n))
+    poset = Poset(len(members), covers, up, down)
+    rows = np.array(members, dtype=np.intp)
+    back = np.full(l.n, -1, dtype=np.int32)
+    back[rows] = np.arange(len(members))
+    sub_meet = back[l.meet[np.ix_(rows, rows)]]
+    sub_join = back[l.join[np.ix_(rows, rows)]]
     names = tuple(l.name_of(x) for x in members) if l.names else None
-    sub = Lattice(poset, meet, join, index[a], index[b], names=names)
+    sub = Lattice(poset, sub_meet, sub_join, index[a], index[b], names=names)
     return sub, members
 
 

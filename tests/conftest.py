@@ -1,4 +1,5 @@
-"""Shared test collections and independent brute-force oracles.
+"""Shared test collections, independent brute-force oracles, and the
+pure-Python table builders that the vectorised table kernel replaced.
 
 The sweep collections are deliberately exhaustive at desk scale: all posets
 on <= 5 elements up to relabelling (enumerated as the transitively closed
@@ -8,8 +9,9 @@ appears), and all Galois graphs on <= 5 vertices.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from trimlat import (
@@ -21,7 +23,11 @@ from trimlat import (
     poset_from_relations,
     tamari,
 )
+from trimlat.errors import NotALattice
+from trimlat.galois import MaxOrthPair, _closed_x_masks, _closure_tables, orth_complete_y
+from trimlat.generators import _inversion_mask
 from trimlat.lattice import Lattice, is_trim
+from trimlat.poset import _bits, canonical_extension
 
 
 def naturally_labeled_posets(n: int) -> list[Poset]:
@@ -168,3 +174,188 @@ def brute_independent_sets(n: int, undirected_edges) -> set[frozenset[int]]:
                        for a, b in combinations(combo, 2)):
                 out.add(frozenset(combo))
     return out
+
+
+# ---------------------------------------------------------------------------
+# pure-Python table builders: the loops the table kernel replaced, kept as
+# oracles that the kernel must match exactly
+# ---------------------------------------------------------------------------
+
+def oracle_lattice_from_poset(p: Poset, names=None) -> Lattice:
+    """Scan every pair: the least upper bound is the lowest common upper
+    bound in a topological order, if it lies below all the others."""
+    n = p.n
+    if n == 0:
+        raise NotALattice(0, 0, "bottom")
+    mins = p.minimal_elements()
+    maxs = p.maximal_elements()
+    if len(mins) > 1:
+        raise NotALattice(mins[0], mins[1], "meet")
+    if len(maxs) > 1:
+        raise NotALattice(maxs[0], maxs[1], "join")
+    bottom, top = mins[0], maxs[0]
+    order = canonical_extension(p)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+
+    def to_topo(mask: int) -> int:
+        out = 0
+        for v in _bits(mask):
+            out |= 1 << pos[v]
+        return out
+
+    up_t = [to_topo(p.up_mask(v)) for v in range(n)]
+    down_t = [to_topo(p.down_mask(v)) for v in range(n)]
+    join = np.zeros((n, n), dtype=np.int32)
+    meet = np.zeros((n, n), dtype=np.int32)
+    for x in range(n):
+        for y in range(x, n):
+            if p.leq(x, y):
+                j, m = y, x
+            elif p.leq(y, x):
+                j, m = x, y
+            else:
+                common_up = up_t[x] & up_t[y]
+                if common_up == 0:
+                    raise NotALattice(x, y, "join")
+                low = common_up & -common_up
+                j = order[low.bit_length() - 1]
+                if common_up & ~up_t[j]:
+                    raise NotALattice(x, y, "join")
+                common_down = down_t[x] & down_t[y]
+                if common_down == 0:
+                    raise NotALattice(x, y, "meet")
+                m = order[common_down.bit_length() - 1]
+                if common_down & ~down_t[m]:
+                    raise NotALattice(x, y, "meet")
+            join[x, y] = join[y, x] = j
+            meet[x, y] = meet[y, x] = m
+    return Lattice(p, meet, join, bottom, top, names=names)
+
+
+def _containment_masks(keys) -> tuple[list[int], list[int]]:
+    n = len(keys)
+    up = [0] * n
+    down = [0] * n
+    for i, a in enumerate(keys):
+        for j, b in enumerate(keys):
+            if a & ~b == 0:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return up, down
+
+
+def oracle_lattice_from_ideal_masks(q: Poset, masks) -> Lattice:
+    """Meet and join of ideals by intersection and union, looked up in a
+    dict, one pair at a time."""
+    index = {m: i for i, m in enumerate(masks)}
+    n = len(masks)
+    covers = []
+    strict_down = [q.down_mask(x) ^ (1 << x) for x in range(q.n)]
+    for i, ideal in enumerate(masks):
+        free = ~ideal & ((1 << q.n) - 1)
+        for x in _bits(free):
+            if strict_down[x] & ~ideal == 0:
+                covers.append((i, index[ideal | (1 << x)]))
+    up, down = _containment_masks(masks)
+    meet = np.empty((n, n), dtype=np.int32)
+    join = np.empty((n, n), dtype=np.int32)
+    for i, a in enumerate(masks):
+        for j in range(i, n):
+            b = masks[j]
+            meet[i, j] = meet[j, i] = index[a & b]
+            join[i, j] = join[j, i] = index[a | b]
+    names = tuple("{" + ",".join(map(str, _bits(m))) + "}" for m in masks)
+    return Lattice(Poset(n, covers, up, down), meet, join, 0, n - 1, names=names)
+
+
+def oracle_lattice_from_graph(g: GaloisGraph) -> Lattice:
+    """Maximal orthogonal pairs; meets intersect the X sides and joins the
+    Y sides, looked up in dicts one pair at a time."""
+    out, _ = _closure_tables(g)
+    x_masks = _closed_x_masks(g, 10 ** 6)
+    y_masks = [orth_complete_y(g, xm, out) for xm in x_masks]
+    index = {xm: i for i, xm in enumerate(x_masks)}
+    y_index = {ym: i for i, ym in enumerate(y_masks)}
+    n = len(x_masks)
+    up, down = _containment_masks(x_masks)
+    covers = []
+    for a in range(n):
+        strict = up[a] ^ (1 << a)
+        for b in _bits(strict):
+            if strict & down[b] & ~(1 << b) == 0:
+                covers.append((a, b))
+    meet = np.empty((n, n), dtype=np.int32)
+    join = np.empty((n, n), dtype=np.int32)
+    for a in range(n):
+        for b in range(a, n):
+            meet[a, b] = meet[b, a] = index[x_masks[a] & x_masks[b]]
+            join[a, b] = join[b, a] = y_index[y_masks[a] & y_masks[b]]
+    pairs = [MaxOrthPair(frozenset(i + 1 for i in _bits(xm)),
+                         frozenset(k + 1 for k in _bits(ym)))
+             for xm, ym in zip(x_masks, y_masks)]
+    names = tuple(
+        "({" + ",".join(map(str, sorted(p.X))) + "},{"
+        + ",".join(map(str, sorted(p.Y))) + "})" for p in pairs)
+    return Lattice(Poset(n, covers, up, down), meet, join, 0, n - 1, names=names)
+
+
+def oracle_interval(l: Lattice, a: int, b: int) -> tuple[Lattice, tuple[int, ...]]:
+    """The interval [a, b] with its order and tables copied one pair at a
+    time."""
+    members = tuple(sorted(_bits(l.poset.up_mask(a) & l.poset.down_mask(b))))
+    index = {x: i for i, x in enumerate(members)}
+    k = len(members)
+    covers = [(index[y], index[z]) for y, z in l.covers
+              if y in index and z in index]
+    up = [0] * k
+    down = [0] * k
+    for i, x in enumerate(members):
+        for j, y in enumerate(members):
+            if l.leq(x, y):
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    meet = np.empty((k, k), dtype=np.int32)
+    join = np.empty((k, k), dtype=np.int32)
+    for i, x in enumerate(members):
+        for j, y in enumerate(members):
+            meet[i, j] = index[int(l.meet[x, y])]
+            join[i, j] = index[int(l.join[x, y])]
+    names = tuple(l.name_of(x) for x in members) if l.names else None
+    return Lattice(Poset(k, covers, up, down), meet, join, index[a], index[b],
+                   names=names), members
+
+
+def oracle_weak_order_S(n: int) -> Lattice:
+    """Weak order on S_n with the order read off inversion sets one pair at
+    a time and the tables from :func:`oracle_lattice_from_poset`."""
+    perms = sorted(permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    pair_index = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
+    inv = [_inversion_mask(p, pair_index) for p in perms]
+    covers = []
+    for p in perms:
+        for k in range(n - 1):
+            if p[k] < p[k + 1]:
+                q = p[:k] + (p[k + 1], p[k]) + p[k + 2:]
+                covers.append((index[p], index[q]))
+    up, down = _containment_masks(inv)
+    names = tuple("".join(str(v + 1) for v in p) for p in perms)
+    return oracle_lattice_from_poset(Poset(len(perms), covers, up, down), names=names)
+
+
+def assert_same_lattice(got: Lattice, want: Lattice) -> None:
+    """Identical order (covers, up and down masks), tables, bounds,
+    irreducibles and names."""
+    assert got.n == want.n
+    assert got.covers == want.covers
+    for x in range(want.n):
+        assert got.poset.up_mask(x) == want.poset.up_mask(x)
+        assert got.poset.down_mask(x) == want.poset.down_mask(x)
+    assert got.meet.dtype == want.meet.dtype and got.join.dtype == want.join.dtype
+    assert np.array_equal(got.meet, want.meet)
+    assert np.array_equal(got.join, want.join)
+    assert (got.bottom, got.top) == (want.bottom, want.top)
+    assert (got.join_irr, got.meet_irr) == (want.join_irr, want.meet_irr)
+    assert got.names == want.names

@@ -167,6 +167,25 @@ def test_cli_error_codes():
     assert code == 2
 
 
+def test_cli_json_input_honours_max_elements():
+    chain12 = json.dumps({"n": 12, "covers": [[i, i + 1] for i in range(11)]})
+    code, out, err = run_cli("--max-elements", "10", "check", "-", stdin=chain12)
+    assert code == 3 and out == "" and "12 > 10" in err
+    code, _, _ = run_cli("check", "-", "--max-elements", "12", stdin=chain12)
+    assert code == 0
+
+
+def test_lattice_json_cap_before_building():
+    from trimlat import SizeLimitExceeded
+
+    # a billion elements would take minutes and gigabytes to build
+    with pytest.raises(SizeLimitExceeded):
+        lattice_from_json({"n": 10 ** 9, "covers": []})
+    with pytest.raises(SizeLimitExceeded):
+        lattice_from_json({"n": 12, "covers": []}, max_elements=10)
+    assert lattice_from_json({"n": 1, "covers": []}, max_elements=1).n == 1
+
+
 def test_cli_gen_from_files(tmp_path):
     poset_file = tmp_path / "poset.json"
     poset_file.write_text('{"n": 3, "covers": [[0, 2], [1, 2]]}')
