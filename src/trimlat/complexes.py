@@ -10,13 +10,20 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import NotExtremal, NotSemidistributive, NotTrim, SizeLimitExceeded
-from .galois import GaloisGraph, galois_graph, index_irreducibles
+from .galois import (
+    GaloisGraph,
+    IrreducibleIndexing,
+    _overlaps,
+    galois_graph,
+    index_irreducibles,
+)
 from .labelling import (
+    _single_labels,
     down_up_labels,
     left_modular_labelling,
     semidistributive_labelling,
 )
-from .lattice import Lattice, is_extremal, is_semidistributive, is_trim
+from .lattice import Lattice, is_extremal, is_semidistributive
 from .poset import DEFAULT_MAX_ELEMENTS
 
 
@@ -64,13 +71,27 @@ def complement_graph(g: SimpleGraph) -> SimpleGraph:
     )
 
 
-def independence_complex(l: Lattice) -> SimplicialComplex:
-    """The complex of down-label sets of a trim lattice; checked on the fly
-    to equal the family of up-label sets and to be closed under subsets."""
-    if not is_trim(l):
-        raise NotTrim("the independence complex is defined for trim lattices")
-    gamma = left_modular_labelling(l)
-    sets = down_up_labels(l, gamma)
+def _trim_labels(l: Lattice, what: str) -> tuple[IrreducibleIndexing, dict]:
+    """The default indexing and left-modular labels of a trim lattice, both
+    from one indexing and one set of pair masks; raises NotTrim(what) when
+    l is not trim."""
+    if is_extremal(l):
+        idx = index_irreducibles(l)
+        overlap = _overlaps(l, idx)
+        if all(overlap):
+            labels = _single_labels(l.covers, overlap)
+            if labels is None:
+                # several overlap labels on one cover never occur in a trim
+                # lattice; the full labelling reports the cover
+                labels = left_modular_labelling(l).labels
+            return idx, labels
+    raise NotTrim(what)
+
+
+def _label_complex(l: Lattice, labels) -> SimplicialComplex:
+    """The complex of down-label sets, checked to equal the family of
+    up-label sets and to be closed under subsets."""
+    sets = down_up_labels(l, labels)
     faces = frozenset(sets.down)
     assert faces == frozenset(sets.up), "down/up label families differ"
     for f in faces:
@@ -78,6 +99,13 @@ def independence_complex(l: Lattice) -> SimplicialComplex:
             assert f - {v} in faces, "label family not closed under subsets"
     n = len(l.join_irr)
     return SimplicialComplex(frozenset(range(1, n + 1)), faces)
+
+
+def independence_complex(l: Lattice) -> SimplicialComplex:
+    """The complex of down-label sets of a trim lattice; checked on the fly
+    to equal the family of up-label sets and to be closed under subsets."""
+    _, labels = _trim_labels(l, "the independence complex is defined for trim lattices")
+    return _label_complex(l, labels)
 
 
 def is_flag(c: SimplicialComplex) -> bool:
@@ -132,10 +160,9 @@ def independent_sets(g: SimpleGraph,
 def complement_check(l: Lattice) -> bool:
     """Whether the undirected Galois graph and the independence graph of a
     trim lattice partition the edges of the complete graph."""
-    if not is_trim(l):
-        raise NotTrim("complement check is defined for trim lattices")
-    gal = undirected(galois_graph(l))
-    indep = independence_complex(l).skeleton_edges()
+    idx, labels = _trim_labels(l, "complement check is defined for trim lattices")
+    gal = undirected(galois_graph(l, idx))
+    indep = _label_complex(l, labels).skeleton_edges()
     if gal.edges & indep:
         return False
     return gal.edges | indep == complete_graph(gal.n).edges

@@ -20,13 +20,16 @@ from .errors import (
 from .lattice import (
     Chain,
     Lattice,
+    _bool_rows,
+    _coheights,
     _containment,
+    _ints,
+    _longest_chain,
     _pack,
+    _pack_bool,
     _tables,
     interval,
-    is_extremal,
     is_trim,
-    maximal_length_chain,
 )
 from .poset import DEFAULT_MAX_ELEMENTS, Poset, _bits, poset_from_relations
 
@@ -95,30 +98,34 @@ def index_irreducibles(l: Lattice, chain: Chain | None = None) -> IrreducibleInd
     chain (default: the deterministic one).  Each chain step introduces
     exactly one new join-irreducible from below and retires exactly one
     meet-irreducible from above."""
-    if not is_extremal(l):
+    # one pass of coheights gives the length, hence extremality, and the
+    # default chain
+    co = _coheights(l)
+    if not len(l.join_irr) == len(l.meet_irr) == co[l.bottom]:
         raise NotExtremal("irreducible indexing requires an extremal lattice")
     if chain is None:
-        chain = maximal_length_chain(l)
+        chain = _longest_chain(l, co)
     xs = chain.elements
     if xs[0] != l.bottom or xs[-1] != l.top or any(
             xs[i + 1] not in l.upper_covers(xs[i]) for i in range(len(xs) - 1)):
         raise ValueError("chain must be saturated from bottom to top")
     n = len(xs) - 1
+    p = l.poset
+    jirr = sum(1 << t for t in l.join_irr)
+    mirr = sum(1 << t for t in l.meet_irr)
     j: list[int] = []
     m: list[int] = []
     for i in range(1, n + 1):
-        new_j = [t for t in l.join_irr
-                 if l.leq(t, xs[i]) and not l.leq(t, xs[i - 1])]
-        if len(new_j) != 1:
+        new_j = jirr & p.down_mask(xs[i]) & ~p.down_mask(xs[i - 1])
+        if new_j.bit_count() != 1:
             raise NotExtremal(
-                f"chain step {i} introduces {len(new_j)} join-irreducibles")
-        j.append(new_j[0])
-        new_m = [t for t in l.meet_irr
-                 if l.leq(xs[i - 1], t) and not l.leq(xs[i], t)]
-        if len(new_m) != 1:
+                f"chain step {i} introduces {new_j.bit_count()} join-irreducibles")
+        j.append(new_j.bit_length() - 1)
+        new_m = mirr & p.up_mask(xs[i - 1]) & ~p.up_mask(xs[i])
+        if new_m.bit_count() != 1:
             raise NotExtremal(
-                f"chain step {i} retires {len(new_m)} meet-irreducibles")
-        m.append(new_m[0])
+                f"chain step {i} retires {new_m.bit_count()} meet-irreducibles")
+        m.append(new_m.bit_length() - 1)
     acc = l.bottom
     for i in range(n):
         acc = l.join_of(acc, j[i])
@@ -133,20 +140,21 @@ def index_irreducibles(l: Lattice, chain: Chain | None = None) -> IrreducibleInd
 
 def pair_masks(l: Lattice, idx: IrreducibleIndexing) -> tuple[list[int], list[int]]:
     """Per element x: bitmask of {i : j_i <= x} and of {k : m_k >= x}
-    (bit i-1 is label i)."""
-    n = idx.n
-    xj = [0] * l.n
-    ym = [0] * l.n
-    for x in range(l.n):
-        a = b = 0
-        for i in range(n):
-            if l.leq(idx.j[i], x):
-                a |= 1 << i
-            if l.leq(x, idx.m[i]):
-                b |= 1 << i
-        xj[x] = a
-        ym[x] = b
-    return xj, ym
+    (bit i-1 is label i).
+
+    The up-sets of the j_i and the down-sets of the m_k, unpacked to
+    rank-by-n bits, transposed and packed again per element."""
+    p = l.poset
+    below = _bool_rows([p.up_mask(t) for t in idx.j], l.n)
+    above = _bool_rows([p.down_mask(t) for t in idx.m], l.n)
+    return _ints(_pack_bool(below.T)), _ints(_pack_bool(above.T))
+
+
+def _overlaps(l: Lattice, idx: IrreducibleIndexing) -> list[int]:
+    """Per cover y covered-by z, in ``l.covers`` order, the label set
+    y_M & z_J as a bitmask (bit i-1 is label i)."""
+    xj, ym = pair_masks(l, idx)
+    return [ym[y] & xj[z] for y, z in l.covers]
 
 
 def element_pair(l: Lattice, x: int,

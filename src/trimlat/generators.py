@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations, permutations
-from math import gcd
+from math import factorial, gcd
 
 from .errors import InputError, SizeLimitExceeded
 from .galois import GaloisGraph, lattice_from_graph
@@ -168,15 +168,18 @@ def _inversion_mask(perm, pair_index) -> int:
     return mask
 
 
-def weak_order_S(n: int, cap: int = WEAK_ORDER_CAP) -> Lattice:
+def weak_order_S(n: int, cap: int = WEAK_ORDER_CAP,
+                 max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
     """Right weak order on the symmetric group S_n: permutations ordered by
-    containment of inversion sets; covers are adjacent transpositions."""
+    containment of inversion sets; covers are adjacent transpositions.
+    Raises SizeLimitExceeded before building when n > cap or n! exceeds
+    max_elements."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > cap:
-        import math
-
-        raise SizeLimitExceeded(math.factorial(n), cap, f"weak order S_{n} (cap n <= {cap})")
+        raise SizeLimitExceeded(factorial(n), cap, f"weak order S_{n} (cap n <= {cap})")
+    if factorial(n) > max_elements:
+        raise SizeLimitExceeded(factorial(n), max_elements, f"weak order S_{n}")
     perms = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     pair_index = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
@@ -285,12 +288,18 @@ def build_family(spec: FamilySpec, max_elements: int = DEFAULT_MAX_ELEMENTS) -> 
             return rational_dyck(a, b, max_elements)
         if fam == "weak-order":
             (n,) = params
-            return weak_order_S(n)
+            return weak_order_S(n, max_elements=max_elements)
         if fam == "order-ideals":
             (path,) = params
             from .io import load_json_path, poset_from_json
 
-            return order_ideals(poset_from_json(load_json_path(path)), max_elements)
+            obj = load_json_path(path)
+            # J(P) has at least n + 1 ideals (the chain of its prefixes
+            # along a linear extension), so refuse before building P
+            n = obj.get("n") if isinstance(obj, dict) else None
+            if isinstance(n, int) and n + 1 > max_elements:
+                raise SizeLimitExceeded(n + 1, max_elements, "order ideals")
+            return order_ideals(poset_from_json(obj), max_elements)
         if fam == "galois-file":
             (path,) = params
             from .io import load_json_path

@@ -1,7 +1,13 @@
-"""Cover labellings: the left-modular labelling (three equivalent formulas,
-asserted equal), descriptive/EL/interpolating predicates, down/up label sets,
-semidistributive labellings with the kappa bijection, and canonical join and
-meet representations.
+"""Cover labellings: the left-modular labelling, descriptive/EL/interpolating
+predicates, down/up label sets, semidistributive labellings with the kappa
+bijection, and canonical join and meet representations.
+
+The left-modular labelling has one formula on the fast path: on a trim
+lattice the label of a cover y covered-by z is the single label in
+y_M & z_J, one AND of two pair masks.  Every other lattice, and
+``verify=True`` on any lattice, runs three equivalent formulas on every
+cover and asserts them equal (and equal to the overlap label when the
+lattice is trim).
 
 A labelling is a map from Hasse edges (y, z) to hashable labels, distinct
 around each element.  Left-modular labellings use integer labels 1..n carrying
@@ -18,7 +24,7 @@ from .errors import (
     NotSemidistributive,
     ThreeWayMismatch,
 )
-from .galois import galois_graph, galois_poset, index_irreducibles, pair_masks
+from .galois import _overlaps, galois_graph, galois_poset, index_irreducibles
 from .lattice import Chain, Lattice, is_extremal, is_left_modular_lattice
 from .poset import Poset
 
@@ -63,18 +69,30 @@ def down_up_labels(l: Lattice, labelling) -> LabelSets:
     return LabelSets(tuple(map(frozenset, down)), tuple(map(frozenset, up)))
 
 
-def left_modular_labelling(l: Lattice, chain: Chain | None = None) -> CoverLabelling:
+def left_modular_labelling(l: Lattice, chain: Chain | None = None,
+                           verify: bool = False) -> CoverLabelling:
     """The label of each cover y covered-by z along a left-modular chain
-    x_0 < ... < x_n, computed three ways and asserted equal:
-
-    1. min over join-irreducibles j with y v j = z of beta_J(j),
-    2. min i with y v (x_i ^ z) = z,
-    3. max over meet-irreducibles m with z ^ m = y of beta_M(m).
+    x_0 < ... < x_n.
 
     When no chain is supplied, the deterministic maximal-length chain is used
     for extremal lattices; otherwise a chain of left-modular elements is
-    searched for.  For trim lattices the label is also checked against the
-    unique overlap label of the cover.
+    searched for.
+
+    Fast path: when the lattice is extremal and every cover overlaps (so it
+    is trim), the label is the unique overlap label, the one i in
+    y_M & z_J, one AND of the pair masks per cover (Thomas-Williams).  A
+    cover whose overlap is not a single label sends the call to the full
+    path, which raises the same error it always did.
+
+    Full path (every other lattice, and ``verify=True``): three formulas,
+    asserted equal on every cover,
+
+    1. min over join-irreducibles j with y v j = z of beta_J(j),
+    2. min i with y v (x_i ^ z) = z,
+    3. max over meet-irreducibles m with z ^ m = y of beta_M(m),
+
+    plus, for trim lattices, the check that the overlap label is unique and
+    equal to them.
     """
     extremal = is_extremal(l)
     idx = None
@@ -88,6 +106,8 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None) -> CoverLabel
                 raise NotLeftModular("no maximal chain of left-modular elements")
     xs = chain.elements
     n = len(xs) - 1
+    # computed on both paths, so that a chain that does not run from bottom
+    # to top fails with the same error on both
     beta_j = {}
     for j in l.join_irr:
         beta_j[j] = min(i for i in range(1, n + 1) if l.leq(j, xs[i]))
@@ -97,25 +117,17 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None) -> CoverLabel
 
     if extremal and idx is None:
         idx = index_irreducibles(l, chain)
-    check_overlap = False
+    overlap = None
     if idx is not None:
-        xj, ym = pair_masks(l, idx)
+        overlap = _overlaps(l, idx)
         # all covers overlapping means trim, where overlap labels apply
-        check_overlap = all(ym[y] & xj[z] for y, z in l.covers)
-
-    labels: dict[tuple[int, int], int] = {}
-    for y, z in l.covers:
-        v1 = min(beta_j[j] for j in l.join_irr if l.join_of(y, j) == z)
-        v2 = min(i for i in range(1, n + 1)
-                 if l.join_of(y, l.meet_of(xs[i], z)) == z)
-        v3 = max(beta_m[m] for m in l.meet_irr if l.meet_of(z, m) == y)
-        if not (v1 == v2 == v3):
-            raise ThreeWayMismatch((y, z), (v1, v2, v3))
-        if check_overlap:
-            inter = ym[y] & xj[z]
-            if inter & (inter - 1) or inter.bit_length() != v1:
-                raise ThreeWayMismatch((y, z), (v1, v1, inter.bit_length()))
-        labels[(y, z)] = v1
+        if not all(overlap):
+            overlap = None
+    labels = None
+    if overlap is not None and not verify:
+        labels = _single_labels(l.covers, overlap)
+    if labels is None:
+        labels = _three_formula_labels(l, xs, beta_j, beta_m, overlap)
 
     if extremal:
         label_poset = galois_poset(galois_graph(l, idx))
@@ -123,6 +135,35 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None) -> CoverLabel
         label_poset = Poset(n, (), tuple(1 << i for i in range(n)),
                             tuple(1 << i for i in range(n)))
     return CoverLabelling(labels, label_poset)
+
+
+def _single_labels(covers, overlap) -> dict | None:
+    """The overlap label of each cover, or None when some cover's overlap
+    (a bitmask, one per cover) is not a single label."""
+    if any(v & (v - 1) for v in overlap):
+        return None
+    return {c: v.bit_length() for c, v in zip(covers, overlap)}
+
+
+def _three_formula_labels(l: Lattice, xs, beta_j, beta_m, overlap) -> dict:
+    """The three label formulas on every cover, raising ThreeWayMismatch
+    where they disagree, or where the overlap label (if given, one per
+    cover) is not the one label they agree on."""
+    n = len(xs) - 1
+    labels: dict[tuple[int, int], int] = {}
+    for c, (y, z) in enumerate(l.covers):
+        v1 = min(beta_j[j] for j in l.join_irr if l.join_of(y, j) == z)
+        v2 = min(i for i in range(1, n + 1)
+                 if l.join_of(y, l.meet_of(xs[i], z)) == z)
+        v3 = max(beta_m[m] for m in l.meet_irr if l.meet_of(z, m) == y)
+        if not (v1 == v2 == v3):
+            raise ThreeWayMismatch((y, z), (v1, v2, v3))
+        if overlap is not None:
+            inter = overlap[c]
+            if inter & (inter - 1) or inter.bit_length() != v1:
+                raise ThreeWayMismatch((y, z), (v1, v1, inter.bit_length()))
+        labels[(y, z)] = v1
+    return labels
 
 
 def is_descriptive(l: Lattice, labelling) -> bool:

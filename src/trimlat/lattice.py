@@ -273,10 +273,23 @@ def _containment(keys: np.ndarray) -> tuple[list[int], list[int]]:
     return up, down
 
 
+def _bool_rows(masks, nbits: int) -> np.ndarray:
+    """Python-int bitmasks as a (len(masks), nbits) boolean array, the
+    inverse of :func:`_pack_bool`."""
+    bits = _pack(masks, nbits).view(np.uint8)
+    return np.unpackbits(bits, axis=1, count=nbits, bitorder="little").view(bool)
+
+
+def _ints(keys: np.ndarray) -> list[int]:
+    """(n, w) uint64 keys as Python-int bitmasks."""
+    if keys.shape[1] == 1:
+        return keys[:, 0].tolist()
+    return [int.from_bytes(row.tobytes(), "little") for row in keys]
+
+
 def _order_matrix(p: Poset) -> np.ndarray:
     """The n-by-n boolean matrix of a <= b."""
-    bits = _pack([p.up_mask(x) for x in range(p.n)], p.n).view(np.uint8)
-    return np.unpackbits(bits, axis=1, count=p.n, bitorder="little").view(bool)
+    return _bool_rows([p.up_mask(x) for x in range(p.n)], p.n)
 
 
 def _joins_are_least(le: np.ndarray, join: np.ndarray) -> bool:
@@ -335,19 +348,29 @@ def _lattice_witness(p: Poset) -> NotALattice:
 
 def _heights(l: Lattice) -> list[int]:
     """Longest-path distance from bottom, per element."""
-    h = [0] * l.n
-    for v in canonical_extension(l.poset):
-        for w in l.upper_covers(v):
-            h[w] = max(h[w], h[v] + 1)
-    return h
+    return _longest_paths(l.n, l.poset.lower_covers, l.poset.upper_covers)
 
 
 def _coheights(l: Lattice) -> list[int]:
-    co = [0] * l.n
-    for v in reversed(canonical_extension(l.poset)):
-        for w in l.lower_covers(v):
-            co[w] = max(co[w], co[v] + 1)
-    return co
+    """Longest-path distance to top, per element."""
+    return _longest_paths(l.n, l.poset.upper_covers, l.poset.lower_covers)
+
+
+def _longest_paths(n: int, below, above) -> list[int]:
+    """Longest path from a minimal element to each element, following
+    ``above``; Kahn's algorithm over the covers, O(n + covers)."""
+    missing = [len(below(x)) for x in range(n)]
+    order = [x for x in range(n) if not missing[x]]
+    h = [0] * n
+    for v in order:  # grows while it is walked
+        hv = h[v] + 1
+        for w in above(v):
+            if h[w] < hv:
+                h[w] = hv
+            missing[w] -= 1
+            if not missing[w]:
+                order.append(w)
+    return h
 
 
 def length(l: Lattice) -> int:
@@ -358,7 +381,11 @@ def length(l: Lattice) -> int:
 def maximal_length_chain(l: Lattice) -> Chain:
     """The deterministic maximal-length chain: follow covers that stay on a
     longest bottom-to-top path, tie-breaking on smallest element index."""
-    co = _coheights(l)
+    return _longest_chain(l, _coheights(l))
+
+
+def _longest_chain(l: Lattice, co: list[int]) -> Chain:
+    """:func:`maximal_length_chain` from the coheights ``co``."""
     chain = [l.bottom]
     cur = l.bottom
     while cur != l.top:
@@ -434,13 +461,9 @@ def is_trim(l: Lattice) -> bool:
     The definitional route (extremal and some maximal chain is left modular)
     is available as :func:`is_trim_definitional`; the two must agree.
     """
-    from .galois import index_irreducibles, pair_masks
+    from .galois import _overlaps, index_irreducibles
 
-    if not is_extremal(l):
-        return False
-    idx = index_irreducibles(l)
-    xj, ym = pair_masks(l, idx)
-    return all(ym[y] & xj[z] for y, z in l.covers)
+    return is_extremal(l) and all(_overlaps(l, index_irreducibles(l)))
 
 
 def is_trim_definitional(l: Lattice) -> bool:

@@ -10,6 +10,7 @@ in the algorithms here.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 
 from .errors import CycleDetected, SizeLimitExceeded
 
@@ -181,15 +182,20 @@ def _topological_order(n: int, succ) -> list[int]:
 
 def canonical_extension(q: Poset) -> tuple[int, ...]:
     """The deterministic linear extension: repeatedly remove the
-    smallest-index minimal element."""
-    remaining = (1 << q.n) - 1
+    smallest-index minimal element.
+
+    Kahn's algorithm over the covers with a min-heap of the elements whose
+    lower covers are all removed, O((n + covers) log n)."""
+    missing = [len(q.lower_covers(x)) for x in range(q.n)]
+    ready = [x for x in range(q.n) if not missing[x]]
     out = []
-    while remaining:
-        for x in _bits(remaining):
-            if q.down_mask(x) & remaining == 1 << x:
-                out.append(x)
-                remaining ^= 1 << x
-                break
+    while ready:
+        x = heappop(ready)
+        out.append(x)
+        for w in q.upper_covers(x):
+            missing[w] -= 1
+            if not missing[w]:
+                heappush(ready, w)
     return tuple(out)
 
 

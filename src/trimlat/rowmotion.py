@@ -102,7 +102,9 @@ def flip(l: Lattice, labelling, x: int, i) -> int:
 def _flip_tables(l: Lattice, labels) -> dict:
     tables: dict = {}
     for (y, z), lab in labels.items():
-        t = tables.setdefault(lab, list(range(l.n)))
+        t = tables.get(lab)
+        if t is None:
+            t = tables[lab] = list(range(l.n))
         t[y] = z
         t[z] = y
     return tables

@@ -359,3 +359,68 @@ def assert_same_lattice(got: Lattice, want: Lattice) -> None:
     assert (got.bottom, got.top) == (want.bottom, want.top)
     assert (got.join_irr, got.meet_irr) == (want.join_irr, want.meet_irr)
     assert got.names == want.names
+
+
+# ---------------------------------------------------------------------------
+# the per-element scans the trim pipeline replaced, kept as oracles that the
+# linear-time and vectorised paths must match exactly
+# ---------------------------------------------------------------------------
+
+def oracle_canonical_extension(q: Poset) -> tuple[int, ...]:
+    """Bit scan: repeatedly remove the smallest-index minimal element."""
+    remaining = (1 << q.n) - 1
+    out = []
+    while remaining:
+        for x in _bits(remaining):
+            if q.down_mask(x) & remaining == 1 << x:
+                out.append(x)
+                remaining ^= 1 << x
+                break
+    return tuple(out)
+
+
+def oracle_heights(l: Lattice) -> tuple[list[int], list[int]]:
+    """Heights and coheights relaxed along the oracle extension."""
+    order = oracle_canonical_extension(l.poset)
+    h = [0] * l.n
+    for v in order:
+        for w in l.upper_covers(v):
+            h[w] = max(h[w], h[v] + 1)
+    co = [0] * l.n
+    for v in reversed(order):
+        for w in l.lower_covers(v):
+            co[w] = max(co[w], co[v] + 1)
+    return h, co
+
+
+def oracle_index(l: Lattice, chain) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The irreducibles each chain step adds and retires, by scanning all
+    join- and meet-irreducibles with scalar order queries."""
+    xs = chain.elements
+    j = []
+    m = []
+    for i in range(1, len(xs)):
+        (new_j,) = [t for t in l.join_irr
+                    if l.leq(t, xs[i]) and not l.leq(t, xs[i - 1])]
+        (new_m,) = [t for t in l.meet_irr
+                    if l.leq(xs[i - 1], t) and not l.leq(xs[i], t)]
+        j.append(new_j)
+        m.append(new_m)
+    return tuple(j), tuple(m)
+
+
+def oracle_pair_masks(l: Lattice, idx) -> tuple[list[int], list[int]]:
+    """Per element x, the bitmasks {i : j_i <= x} and {k : m_k >= x} from
+    rank scalar order queries each."""
+    xj = [0] * l.n
+    ym = [0] * l.n
+    for x in range(l.n):
+        a = b = 0
+        for i in range(idx.n):
+            if l.leq(idx.j[i], x):
+                a |= 1 << i
+            if l.leq(x, idx.m[i]):
+                b |= 1 << i
+        xj[x] = a
+        ym[x] = b
+    return xj, ym

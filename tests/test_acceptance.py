@@ -220,10 +220,10 @@ def test_criterion_8_labelling_suite(trim_collection):
     t0 = time.perf_counter()
     for name, l in trim_collection:
         idx = index_irreducibles(l)
-        # the constructor itself certifies the three-way agreement of the
-        # label formulas (and the overlap label) on every cover
+        # verify=True certifies the three-way agreement of the label
+        # formulas (and the overlap label) on every cover
         try:
-            gamma = left_modular_labelling(l, idx.chain)
+            gamma = left_modular_labelling(l, idx.chain, verify=True)
         except ThreeWayMismatch as exc:  # pragma: no cover
             raise AssertionError(f"{name}: {exc}") from exc
         assert is_EL(l, gamma), name

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from types import ModuleType
 
 import pytest
 
@@ -195,6 +196,48 @@ def test_cli_gen_from_files(tmp_path):
     graph_file.write_text('{"n": 3, "edges": [[3, 1], [3, 2]]}')
     out = gen("galois-file", str(graph_file))
     assert json.loads(out)["n"] == 5
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the size cap should refuse before building")
+
+
+def test_cli_order_ideals_file_honours_max_elements(tmp_path, monkeypatch, capsys):
+    from trimlat import cli, io
+
+    poset_file = tmp_path / "poset.json"
+    poset_file.write_text('{"n": 50, "covers": []}')
+    # J(P) has at least n + 1 ideals: refused before the poset is built
+    monkeypatch.setattr(io, "poset_from_json", _never)
+    assert cli.main(["--max-elements", "10", "gen", "order-ideals", str(poset_file)]) == 3
+    assert "51 > 10" in capsys.readouterr().err
+    monkeypatch.undo()
+    small = tmp_path / "small.json"
+    small.write_text('{"n": 3, "covers": [[0, 2], [1, 2]]}')
+    assert cli.main(["gen", "order-ideals", str(small), "--max-elements", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 5
+
+
+def test_cli_weak_order_honours_max_elements(monkeypatch, capsys):
+    from trimlat import cli, generators
+
+    monkeypatch.setattr(generators, "permutations", _never)
+    monkeypatch.setattr(generators, "lattice_from_poset", _never)
+    assert cli.main(["gen", "weak-order", "5", "--max-elements", "100"]) == 3
+    assert "120 > 100" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert cli.main(["gen", "weak-order", "5", "--max-elements", "120"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 120
+
+
+def test_star_import_binds_no_modules():
+    import trimlat
+
+    namespace: dict = {}
+    exec("from trimlat import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(trimlat.__all__)
+    assert not [k for k, v in namespace.items() if isinstance(v, ModuleType)]
 
 
 def test_cli_export_hasse_and_indep():
