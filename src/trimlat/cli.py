@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Verbs: gen, check, galois, rowmotion, trace, complex, verify-figures, export.
+Verbs: gen, check, galois, rowmotion, complex, verify-figures, export.
 Lattices travel between commands as Hasse-diagram JSON on stdin/stdout, so
 invocations compose:  trimlat gen boolean 2 | trimlat check --all -
 
@@ -229,7 +229,7 @@ def cmd_complex(args) -> int:
 
 
 def cmd_verify_figures(args) -> int:
-    results = verify_figures(jobs=args.jobs)
+    results = verify_figures()
     bad = 0
     for name, failures in results:
         if failures:
@@ -263,13 +263,11 @@ def cmd_export(args) -> int:
 def _add_common(p: argparse.ArgumentParser, suppress: bool) -> None:
     # the flags are accepted both before and after the verb; the subparser
     # copies use SUPPRESS so an omitted flag keeps the top-level value
-    defaults = (argparse.SUPPRESS,) * 3 if suppress else (DEFAULT_MAX_ELEMENTS, False, 1)
+    defaults = (argparse.SUPPRESS,) * 2 if suppress else (DEFAULT_MAX_ELEMENTS, False)
     p.add_argument("--max-elements", type=int, default=defaults[0],
                    help="element cap for enumerations and JSON input (default 100000)")
     p.add_argument("--json", action="store_true", default=defaults[1],
                    help="machine-readable JSON output")
-    p.add_argument("--jobs", type=int, default=defaults[2],
-                   help="parallel jobs for sweeps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,12 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element", type=int, default=None)
     p.add_argument("--ext", type=str, default=None, help="comma-separated label order")
     p.set_defaults(func=cmd_rowmotion)
-
-    p = add_parser("trace", help="slow-motion walk (same as rowmotion --trace)")
-    p.add_argument("path", nargs="?", default="-")
-    p.add_argument("--element", type=int, required=True)
-    p.add_argument("--ext", type=str, required=True)
-    p.set_defaults(func=cmd_rowmotion, trace=True, orbits=False, order=False)
 
     p = add_parser("complex", help="independence complex of a trim lattice")
     p.add_argument("path", nargs="?", default="-")

@@ -7,7 +7,7 @@ independence graph and the Galois graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import NotExtremal, NotSemidistributive, NotTrim, SizeLimitExceeded
 from .galois import (
@@ -184,34 +184,3 @@ def canonical_join_graph(l: Lattice) -> SimpleGraph:
         for a, b in combinations(labs, 2):
             edges.add((a, b))
     return SimpleGraph(idx.n, frozenset(edges))
-
-
-def canonical_join_graph_elements(l: Lattice) -> SimpleGraph:
-    """Canonical join graph of any semidistributive lattice, with vertices
-    1..|J| numbering the join-irreducibles in element order (no Galois
-    indexing required)."""
-    if not is_semidistributive(l):
-        raise NotSemidistributive((l.bottom, l.top), "lattice", ())
-    sdl = semidistributive_labelling(l)
-    sets = down_up_labels(l, sdl.gamma_j)
-    label = {j: i + 1 for i, j in enumerate(l.join_irr)}
-    edges = set()
-    for d in sets.down:
-        labs = sorted(label[j] for j in d)
-        for a, b in combinations(labs, 2):
-            edges.add((a, b))
-    return SimpleGraph(len(l.join_irr), frozenset(edges))
-
-
-def graph_isomorphic(g1: SimpleGraph, g2: SimpleGraph) -> bool:
-    """Brute-force undirected graph isomorphism (intended for n <= 12)."""
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return False
-    verts = list(range(1, g1.n + 1))
-    target = g2.edges
-    for perm in permutations(verts):
-        relabel = dict(zip(verts, perm))
-        if all((min(relabel[a], relabel[b]), max(relabel[a], relabel[b])) in target
-               for a, b in g1.edges):
-            return True
-    return False

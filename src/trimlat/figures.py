@@ -253,14 +253,8 @@ FIGURE_CHECKS = {
 }
 
 
-def verify_figures(names=None, jobs: int = 1) -> list[tuple[str, list[str]]]:
+def verify_figures(names=None) -> list[tuple[str, list[str]]]:
     """Run the figure replays (all by default); returns (name, failures)
     pairs in name order."""
     selected = sorted(FIGURE_CHECKS) if names is None else list(names)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda n: FIGURE_CHECKS[n](), selected))
-        return list(zip(selected, results))
     return [(name, FIGURE_CHECKS[name]()) for name in selected]

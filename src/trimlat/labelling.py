@@ -19,13 +19,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     NotLeftModular,
     NotSemidistributive,
     ThreeWayMismatch,
 )
 from .galois import _overlaps, galois_graph, galois_poset, index_irreducibles
-from .lattice import Chain, Lattice, is_extremal, is_left_modular_lattice
+from .lattice import (
+    Chain,
+    Lattice,
+    _bool_rows,
+    _kappas,
+    _row_blocks,
+    is_extremal,
+    is_left_modular_lattice,
+)
 from .poset import Poset
 
 
@@ -283,55 +293,56 @@ class SemidistributiveLabelling:
         object.__setattr__(self, "kappa", dict(self.kappa))
 
 
-def _unique_min(l: Lattice, candidates: list[int], cover, side: str) -> int:
-    m = l.meet_all(candidates)
-    if m not in candidates:
-        mins = [c for c in candidates
-                if not any(l.lt(d, c) for d in candidates)]
-        raise NotSemidistributive(cover, side, tuple(mins))
-    return m
-
-
-def _unique_max(l: Lattice, candidates: list[int], cover, side: str) -> int:
-    j = l.join_all(candidates)
-    if j not in candidates:
-        maxs = [c for c in candidates
-                if not any(l.lt(c, d) for d in candidates)]
-        raise NotSemidistributive(cover, side, tuple(maxs))
-    return j
-
-
 def semidistributive_labelling(l: Lattice) -> SemidistributiveLabelling:
-    """Compute gamma_j, gamma_m and kappa; raises NotSemidistributive with
-    the defining witness whenever a min/max fails to be unique, so a
-    successful run certifies the covers it touched."""
-    gamma_j = {}
-    gamma_m = {}
-    for x, y in l.covers:
-        cand_j = [z for z in range(l.n) if l.join_of(x, z) == y]
-        gj = _unique_min(l, cand_j, (x, y), "minimal-join")
-        cand_m = [z for z in range(l.n) if l.meet_of(z, y) == x]
-        gm = _unique_max(l, cand_m, (x, y), "maximal-meet")
-        if gj not in l.join_irr:
-            raise NotSemidistributive((x, y), "join-irreducible", (gj,))
-        if gm not in l.meet_irr:
-            raise NotSemidistributive((x, y), "meet-irreducible", (gm,))
-        gamma_j[(x, y)] = gj
-        gamma_m[(x, y)] = gm
+    """Compute gamma_j, gamma_m and kappa.
 
-    kappa = {}
-    for j in l.join_irr:
-        j_star = l.lower_covers(j)[0]
-        cand = [z for z in range(l.n) if l.leq(j_star, z) and not l.leq(j, z)]
-        kappa[j] = _unique_max(l, cand, (j_star, j), "kappa")
-    if sorted(kappa.values()) != sorted(l.meet_irr):
-        raise NotSemidistributive((l.bottom, l.top), "kappa-bijection",
-                                  tuple(kappa.values()))
-    for e, gj in gamma_j.items():
-        if kappa[gj] != gamma_m[e]:
-            raise NotSemidistributive(e, "kappa-consistency",
-                                      (kappa[gj], gamma_m[e]))
-    return SemidistributiveLabelling(gamma_j, gamma_m, kappa)
+    When every kappa(j) and kappa^d(m) exists (:func:`trimlat.lattice._kappas`),
+    the lattice is semidistributive, gamma_j(x covered-by y) is the unique
+    join-irreducible j with j <= y, j not <= x and j_* <= x, and
+    gamma_m = kappa o gamma_j; gamma_j of all covers comes from one boolean
+    |J| x covers array (in blocks of covers) by argmax.  Otherwise the
+    per-cover scan names the failure (:func:`_labelling_error`).
+    """
+    kappa = _kappas(l)
+    if kappa is None:
+        raise _labelling_error(l)
+    irr = np.array(l.join_irr, dtype=np.intp)
+    up = _bool_rows([l.poset.up_mask(j) for j in l.join_irr], l.n)
+    up_star = _bool_rows([l.poset.up_mask(l.lower_covers(j)[0]) for j in l.join_irr], l.n)
+    xs, ys = np.array(l.covers, dtype=np.intp).reshape(-1, 2).T
+    pos = np.empty(len(xs), dtype=np.intp)
+    for c0, c1 in _row_blocks(len(xs), len(irr)):
+        x, y = xs[c0:c1], ys[c0:c1]
+        pos[c0:c1] = (up[:, y] & ~up[:, x] & up_star[:, x]).argmax(axis=0)
+    return SemidistributiveLabelling(dict(zip(l.covers, irr[pos].tolist())),
+                                     dict(zip(l.covers, np.array(kappa)[pos].tolist())),
+                                     dict(zip(l.join_irr, kappa)))
+
+
+def _labelling_error(l: Lattice) -> NotSemidistributive:
+    """The first failure of the per-cover scan on a lattice that is not
+    semidistributive: per cover x covered-by y, {z : x v z = y} with no
+    least element ("minimal-join", its minimal members), then
+    {z : z ^ y = x} with no greatest ("maximal-meet"); then per j in
+    l.join_irr, kappa(j)'s set {z >= j_*, not >= j} with no greatest
+    ("kappa").  On m covered-by m^* the first set is kappa^d(m)'s, so one
+    set fails exactly when the lattice is not semidistributive."""
+    def sets():
+        for x, y in l.covers:
+            yield (x, y), "minimal-join", [z for z in range(l.n) if l.join_of(x, z) == y]
+            yield (x, y), "maximal-meet", [z for z in range(l.n) if l.meet_of(z, y) == x]
+        for j in l.join_irr:
+            j_star = l.lower_covers(j)[0]
+            yield (j_star, j), "kappa", [z for z in range(l.n)
+                                         if l.leq(j_star, z) and not l.leq(j, z)]
+
+    for cover, side, cand in sets():
+        least = side == "minimal-join"
+        if (l.meet_all(cand) if least else l.join_all(cand)) not in cand:
+            return NotSemidistributive(cover, side, tuple(
+                c for c in cand
+                if not any(l.lt(d, c) if least else l.lt(c, d) for d in cand)))
+    raise AssertionError("the kappa test rejected a semidistributive lattice")
 
 
 def canonical_join_rep(l: Lattice, x: int,

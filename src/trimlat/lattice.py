@@ -2,8 +2,10 @@
 structural predicates (distributive, extremal, left modular, semidistributive,
 trim), plus congruence validation and quotients.
 
-Meet and join tables are dense n-by-n int32 arrays, read-only once built;
-all predicates are exact table scans, no sampling.
+Meet and join tables are dense n-by-n int32 arrays, read-only once built.
+The predicates are exact and decide through the irreducibles, not over all
+triples; when a test says False and a witness is wanted, the triple scan
+it replaced runs and names the same first witness.
 
 Every constructor fills its tables through one kernel, :func:`_tables`.
 In a finite lattice x |-> J(x), the set of join-irreducibles below x, is
@@ -33,6 +35,7 @@ uses no floats and no BLAS.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -401,17 +404,24 @@ def is_graded(l: Lattice) -> bool:
 
 
 def is_distributive(l: Lattice, witness: bool = False):
-    """Exact check of x ^ (y v z) == (x ^ y) v (x ^ z) over all triples."""
+    """Whether x ^ (y v z) == (x ^ y) v (x ^ z) for all x, y, z.
+
+    Birkhoff: exactly when J(x v y) == J(x) | J(y) for all x, y, J(x) being
+    the join-irreducibles below x, compared as packed keys in row blocks.
+    Only when that fails and a witness is wanted does the triple scan run,
+    for the first failing (x, y, z) in row-major order.
+    """
+    key = _pack_bool(_bool_rows([l.poset.up_mask(j) for j in l.join_irr], l.n).T)
+    ok = all((key[l.join[r0:r1]] == key[r0:r1, None] | key[None]).all()
+             for r0, r1 in _row_blocks(l.n, l.n * key.shape[1]))
+    if ok or not witness:
+        return (ok, None) if witness else ok
     M, J = l.meet, l.join
     for x in range(l.n):
-        lhs = M[x][J]
-        rhs = J[M[x][:, None], M[x][None, :]]
-        if not np.array_equal(lhs, rhs):
-            if witness:
-                ys, zs = np.nonzero(lhs != rhs)
-                return False, (x, int(ys[0]), int(zs[0]))
-            return False
-    return (True, None) if witness else True
+        ys, zs = np.nonzero(M[x][J] != J[M[x][:, None], M[x][None, :]])
+        if len(ys):
+            return False, (x, int(ys[0]), int(zs[0]))
+    raise AssertionError("the J-key test rejected a distributive lattice")
 
 
 def is_extremal(l: Lattice) -> bool:
@@ -419,28 +429,28 @@ def is_extremal(l: Lattice) -> bool:
     return len(l.join_irr) == n and len(l.meet_irr) == n
 
 
+def _left_modular_test(l: Lattice):
+    """x |-> whether (y v x) ^ z == y v (x ^ z) for every cover y covered-by
+    z (which suffices for all y <= z), one numpy pass over the covers."""
+    ys, zs = np.array(l.covers, dtype=np.intp).reshape(-1, 2).T
+    return lambda x: bool((l.meet[l.join[ys, x], zs] == l.join[ys, l.meet[x, zs]]).all())
+
+
 def is_left_modular_element(l: Lattice, x: int) -> bool:
-    """True iff (y v x) ^ z == y v (x ^ z) for every cover y covered-by z
-    (which suffices for all y <= z)."""
-    M, J = l.meet, l.join
-    for y, z in l.covers:
-        if M[J[y, x], z] != J[y, M[x, z]]:
-            return False
-    return True
+    """True iff (y v x) ^ z == y v (x ^ z) for all y <= z."""
+    return _left_modular_test(l)(x)
 
 
 def left_modular_elements(l: Lattice) -> tuple[int, ...]:
-    return tuple(x for x in range(l.n) if is_left_modular_element(l, x))
+    return tuple(filter(_left_modular_test(l), range(l.n)))
 
 
 def is_left_modular_lattice(l: Lattice) -> Chain | None:
     """A saturated bottom-to-top chain of left-modular elements if one
     exists, else None.  The search walks covers inside the set of
-    left-modular elements, smallest index first."""
-    lm = set(left_modular_elements(l))
-    if l.bottom not in lm or l.top not in lm:
-        return None
-    # DFS over covers restricted to left-modular elements
+    left-modular elements from the bottom (always one), smallest index
+    first, and tests each element only when it first reaches it."""
+    lm = cache(_left_modular_test(l))
     stack = [(l.bottom, (l.bottom,))]
     seen = set()
     while stack:
@@ -448,7 +458,7 @@ def is_left_modular_lattice(l: Lattice) -> Chain | None:
         if cur == l.top:
             return Chain(path, saturated=True)
         for w in sorted(l.upper_covers(cur), reverse=True):
-            if w in lm and (w, len(path)) not in seen:
+            if (w, len(path)) not in seen and lm(w):
                 seen.add((w, len(path)))
                 stack.append((w, path + (w,)))
     return None
@@ -470,26 +480,49 @@ def is_trim_definitional(l: Lattice) -> bool:
     return is_extremal(l) and is_left_modular_lattice(l) is not None
 
 
+def _kappas(l: Lattice) -> list[int] | None:
+    """kappa(j), the greatest element above j_* and not above j, for each j
+    in l.join_irr; None when some kappa(j), or dually some kappa^d(m), does
+    not exist.  kappa(j) exists iff the join of up(j_*) minus up(j) is not
+    above j; each such set is joined pairwise through the table in log2(n)
+    numpy steps (an odd middle column is joined with itself).
+    """
+    out = []
+    for table, unit, mask, irr, cover in (
+            (l.join, l.bottom, l.poset.up_mask, l.join_irr, l.lower_covers),
+            (l.meet, l.top, l.poset.down_mask, l.meet_irr, l.upper_covers)):
+        ends: list[int] = []
+        for r0, r1 in _row_blocks(len(irr), l.n):
+            inside = _bool_rows([mask(cover(x)[0]) & ~mask(x) for x in irr[r0:r1]], l.n)
+            vals = np.where(inside, np.arange(l.n, dtype=np.int32), np.int32(unit))
+            while vals.shape[1] > 1:
+                half = (vals.shape[1] + 1) // 2
+                vals = table[vals[:, :half], vals[:, -half:]]
+            ends.extend(vals[:, 0].tolist())
+        if any(mask(x) >> e & 1 for x, e in zip(irr, ends)):
+            return None
+        out.append(ends)
+    return out[0]
+
+
 def is_semidistributive(l: Lattice, witness: bool = False):
-    """Exact check of both cancellation implications over all triples."""
-    M, J = l.meet, l.join
+    """Whether x v y == x v z implies x v (y ^ z) == x v y, and dually.
+
+    Freese-Jezek-Nation (Free Lattices, Thm 2.56): exactly when every
+    kappa(j) and kappa^d(m) exists (:func:`_kappas`).  Only when one is
+    missing and a witness is wanted does the triple scan run, for the
+    first failing ("join" or "meet", x, y, z).
+    """
+    ok = _kappas(l) is not None
+    if ok or not witness:
+        return (ok, None) if witness else ok
     for x in range(l.n):
-        jx, mx = J[x], M[x]
-        eq = jx[:, None] == jx[None, :]
-        bad = eq & (jx[M] != jx[:, None])
-        if bad.any():
-            if witness:
-                ys, zs = np.nonzero(bad)
-                return False, ("join", x, int(ys[0]), int(zs[0]))
-            return False
-        eq = mx[:, None] == mx[None, :]
-        bad = eq & (mx[J] != mx[:, None])
-        if bad.any():
-            if witness:
-                ys, zs = np.nonzero(bad)
-                return False, ("meet", x, int(ys[0]), int(zs[0]))
-            return False
-    return (True, None) if witness else True
+        for side, outer, inner in (("join", l.join, l.meet), ("meet", l.meet, l.join)):
+            row = outer[x]
+            ys, zs = np.nonzero((row[:, None] == row[None, :]) & (row[inner] != row[:, None]))
+            if len(ys):
+                return False, (side, x, int(ys[0]), int(zs[0]))
+    raise AssertionError("the kappa test rejected a semidistributive lattice")
 
 
 def interval(l: Lattice, a: int, b: int) -> tuple[Lattice, tuple[int, ...]]:

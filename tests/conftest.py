@@ -1,5 +1,7 @@
-"""Shared test collections, independent brute-force oracles, and the
-pure-Python table builders that the vectorised table kernel replaced.
+"""Shared test collections, independent brute-force oracles, the
+pure-Python table builders that the vectorised table kernel replaced, the
+scans that the trim pipeline and the property predicates replaced, and
+graph helpers for the canonical join graph tests.
 
 The sweep collections are deliberately exhaustive at desk scale: all posets
 on <= 5 elements up to relabelling (enumerated as the transitively closed
@@ -17,16 +19,19 @@ import pytest
 from trimlat import (
     GaloisGraph,
     Poset,
+    SimpleGraph,
+    down_up_labels,
     fixture,
     lattice_from_graph,
     order_ideals,
     poset_from_relations,
+    semidistributive_labelling,
     tamari,
 )
-from trimlat.errors import NotALattice
+from trimlat.errors import NotALattice, NotSemidistributive
 from trimlat.galois import MaxOrthPair, _closed_x_masks, _closure_tables, orth_complete_y
 from trimlat.generators import _inversion_mask
-from trimlat.lattice import Lattice, is_trim
+from trimlat.lattice import Chain, Lattice, is_semidistributive, is_trim
 from trimlat.poset import _bits, canonical_extension
 
 
@@ -424,3 +429,141 @@ def oracle_pair_masks(l: Lattice, idx) -> tuple[list[int], list[int]]:
         xj[x] = a
         ym[x] = b
     return xj, ym
+
+
+# ---------------------------------------------------------------------------
+# the triple and per-cover scans the property predicates replaced, kept as
+# oracles that the irreducible tests must match exactly
+# ---------------------------------------------------------------------------
+
+def oracle_is_distributive(l: Lattice):
+    """(verdict, witness): the first triple (x, y, z), row-major, with
+    x ^ (y v z) != (x ^ y) v (x ^ z)."""
+    M, J = l.meet, l.join
+    for x in range(l.n):
+        lhs = M[x][J]
+        rhs = J[M[x][:, None], M[x][None, :]]
+        if not np.array_equal(lhs, rhs):
+            ys, zs = np.nonzero(lhs != rhs)
+            return False, (x, int(ys[0]), int(zs[0]))
+    return True, None
+
+
+def oracle_is_semidistributive(l: Lattice):
+    """(verdict, witness): per x, the first (y, z) breaking the join law,
+    then the meet law, over all triples."""
+    M, J = l.meet, l.join
+    for x in range(l.n):
+        jx, mx = J[x], M[x]
+        eq = jx[:, None] == jx[None, :]
+        bad = eq & (jx[M] != jx[:, None])
+        if bad.any():
+            ys, zs = np.nonzero(bad)
+            return False, ("join", x, int(ys[0]), int(zs[0]))
+        eq = mx[:, None] == mx[None, :]
+        bad = eq & (mx[J] != mx[:, None])
+        if bad.any():
+            ys, zs = np.nonzero(bad)
+            return False, ("meet", x, int(ys[0]), int(zs[0]))
+    return True, None
+
+
+def oracle_left_modular_elements(l: Lattice) -> tuple[int, ...]:
+    """The per-cover loop: scalar table lookups on every cover, per x."""
+    M, J = l.meet, l.join
+    return tuple(x for x in range(l.n)
+                 if all(M[J[y, x], z] == J[y, M[x, z]] for y, z in l.covers))
+
+
+def oracle_left_modular_chain(l: Lattice):
+    """Depth-first search over covers inside the precomputed set of
+    left-modular elements, smallest index first."""
+    lm = set(oracle_left_modular_elements(l))
+    if l.bottom not in lm or l.top not in lm:
+        return None
+    stack = [(l.bottom, (l.bottom,))]
+    seen = set()
+    while stack:
+        cur, path = stack.pop()
+        if cur == l.top:
+            return Chain(path, saturated=True)
+        for w in sorted(l.upper_covers(cur), reverse=True):
+            if w in lm and (w, len(path)) not in seen:
+                seen.add((w, len(path)))
+                stack.append((w, path + (w,)))
+    return None
+
+
+def _oracle_unique(l: Lattice, candidates, cover, side: str, dual: bool) -> int:
+    best = l.join_all(candidates) if dual else l.meet_all(candidates)
+    if best not in candidates:
+        ext = [c for c in candidates
+               if not any(l.lt(c, d) if dual else l.lt(d, c) for d in candidates)]
+        raise NotSemidistributive(cover, side, tuple(ext))
+    return best
+
+
+def oracle_semidistributive_labelling(l: Lattice):
+    """(gamma_j, gamma_m, kappa) by scanning every element per cover and
+    per join-irreducible, raising NotSemidistributive as the labelling
+    does."""
+    gamma_j = {}
+    gamma_m = {}
+    for x, y in l.covers:
+        gj = _oracle_unique(l, [z for z in range(l.n) if l.join_of(x, z) == y],
+                            (x, y), "minimal-join", dual=False)
+        gm = _oracle_unique(l, [z for z in range(l.n) if l.meet_of(z, y) == x],
+                            (x, y), "maximal-meet", dual=True)
+        if gj not in l.join_irr:
+            raise NotSemidistributive((x, y), "join-irreducible", (gj,))
+        if gm not in l.meet_irr:
+            raise NotSemidistributive((x, y), "meet-irreducible", (gm,))
+        gamma_j[(x, y)] = gj
+        gamma_m[(x, y)] = gm
+    kappa = {}
+    for j in l.join_irr:
+        j_star = l.lower_covers(j)[0]
+        cand = [z for z in range(l.n) if l.leq(j_star, z) and not l.leq(j, z)]
+        kappa[j] = _oracle_unique(l, cand, (j_star, j), "kappa", dual=True)
+    if sorted(kappa.values()) != sorted(l.meet_irr):
+        raise NotSemidistributive((l.bottom, l.top), "kappa-bijection",
+                                  tuple(kappa.values()))
+    for e, gj in gamma_j.items():
+        if kappa[gj] != gamma_m[e]:
+            raise NotSemidistributive(e, "kappa-consistency", (kappa[gj], gamma_m[e]))
+    return gamma_j, gamma_m, kappa
+
+
+# ---------------------------------------------------------------------------
+# graph helpers for the canonical join graph tests
+# ---------------------------------------------------------------------------
+
+def canonical_join_graph_elements(l: Lattice) -> SimpleGraph:
+    """Canonical join graph of any semidistributive lattice, with vertices
+    1..|J| numbering the join-irreducibles in element order (no Galois
+    indexing required)."""
+    if not is_semidistributive(l):
+        raise NotSemidistributive((l.bottom, l.top), "lattice", ())
+    sdl = semidistributive_labelling(l)
+    sets = down_up_labels(l, sdl.gamma_j)
+    label = {j: i + 1 for i, j in enumerate(l.join_irr)}
+    edges = set()
+    for d in sets.down:
+        labs = sorted(label[j] for j in d)
+        for a, b in combinations(labs, 2):
+            edges.add((a, b))
+    return SimpleGraph(len(l.join_irr), frozenset(edges))
+
+
+def graph_isomorphic(g1: SimpleGraph, g2: SimpleGraph) -> bool:
+    """Brute-force undirected graph isomorphism (intended for n <= 12)."""
+    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
+        return False
+    verts = list(range(1, g1.n + 1))
+    target = g2.edges
+    for perm in permutations(verts):
+        relabel = dict(zip(verts, perm))
+        if all((min(relabel[a], relabel[b]), max(relabel[a], relabel[b])) in target
+               for a, b in g1.edges):
+            return True
+    return False

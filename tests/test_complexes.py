@@ -27,8 +27,8 @@ from trimlat import (
     undirected,
     weak_order_S,
 )
-from trimlat.complexes import canonical_join_graph_elements, complement_graph, graph_isomorphic
-from conftest import brute_independent_sets
+from trimlat.complexes import complement_graph
+from conftest import brute_independent_sets, canonical_join_graph_elements, graph_isomorphic
 
 V_POSET = poset_from_relations(3, [(0, 2), (1, 2)])
 

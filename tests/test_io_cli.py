@@ -119,7 +119,7 @@ def test_cli_rowmotion_semidistributive_input():
 
 def test_cli_trace():
     lattice_json = gen("fixture", "fig1")
-    code, out, _ = run_cli("trace", "--element", "1", "--ext", "1,2,3", "-",
+    code, out, _ = run_cli("rowmotion", "--trace", "--element", "1", "--ext", "1,2,3", "-",
                            stdin=lattice_json)
     assert code == 0
     assert out.splitlines()[0].startswith("start:")
@@ -246,11 +246,6 @@ def test_cli_export_hasse_and_indep():
     assert code == 0 and "e0 -> e1;" in out
     code, out, _ = run_cli("export", "--dot", "indep", "-", stdin=lattice_json)
     assert code == 0 and "v5 -- v6;" in out
-
-
-def test_cli_verify_figures_jobs():
-    code, out, _ = run_cli("--jobs", "4", "verify-figures")
-    assert code == 0 and "7/7" in out
 
 
 def test_cli_flags_after_verb():
