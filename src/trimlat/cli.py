@@ -14,14 +14,16 @@ import json
 import sys
 
 from .complexes import (
+    SimpleGraph,
+    canonical_join_graph,
     complement_check,
     independence_complex,
     independent_sets,
     is_flag,
     undirected,
 )
-from .errors import InputError, NotTrim, SizeLimitExceeded, TrimlatError
-from .figures import first_non_overlapping_cover, verify_figures
+from .errors import InputError, SizeLimitExceeded, TrimlatError
+from .figures import _fmt_set, first_non_overlapping_cover, verify_figures
 from .galois import galois_graph, index_irreducibles
 from .generators import FAMILIES, FamilySpec, build_family
 from .io import (
@@ -33,8 +35,9 @@ from .io import (
     lattice_to_json,
     load_json_path,
 )
-from .labelling import left_modular_labelling, semidistributive_labelling
+from .labelling import _sd_labelling, left_modular_labelling
 from .lattice import (
+    _kappas,
     is_distributive,
     is_extremal,
     is_left_modular_lattice,
@@ -44,10 +47,6 @@ from .lattice import (
 )
 from .poset import DEFAULT_MAX_ELEMENTS
 from .rowmotion import rowmotion_global, slow_trace
-
-
-def _fmt_set(s) -> str:
-    return "{" + ",".join(map(str, sorted(s))) + "}"
 
 
 def _load_lattice(args):
@@ -66,8 +65,9 @@ def _labelling_for(l):
     otherwise; the label poset is only available in the trim case."""
     if is_trim(l):
         return left_modular_labelling(l)
-    if is_semidistributive(l):
-        return semidistributive_labelling(l).gamma_j
+    kappa = _kappas(l)
+    if kappa is not None:
+        return _sd_labelling(l, kappa).gamma_j
     raise InputError("rowmotion needs a trim or semidistributive lattice")
 
 
@@ -90,7 +90,8 @@ def _property_matrix(l) -> dict:
     semi, semi_wit = is_semidistributive(l, witness=True)
     ext = is_extremal(l)
     lm_chain = is_left_modular_lattice(l)
-    trim = is_trim(l)
+    non_overlap = first_non_overlapping_cover(l) if ext else None
+    trim = ext and non_overlap is None
     out = {
         "elements": l.n,
         "length": length(l),
@@ -113,12 +114,10 @@ def _property_matrix(l) -> dict:
                                f"join- and {out['meet_irreducibles']} meet-irreducibles")
     if lm_chain is None:
         witness["left_modular"] = "no maximal chain of left-modular elements"
-    if ext and not trim:
-        wit = first_non_overlapping_cover(l)
-        if wit is not None:
-            y, z, ym, zj = wit
-            witness["trim"] = (f"non-overlapping cover {y} -> {z}: "
-                               f"{_fmt_set(ym)} ∩ {_fmt_set(zj)} = ∅")
+    if non_overlap is not None:
+        y, z, ym, zj = non_overlap
+        witness["trim"] = (f"non-overlapping cover {y} -> {z}: "
+                           f"{_fmt_set(ym)} ∩ {_fmt_set(zj)} = ∅")
     elif not ext:
         witness["trim"] = "not extremal"
     out["witness"] = witness
@@ -205,8 +204,6 @@ def _run_trace(l, labelling, args) -> int:
 
 def cmd_complex(args) -> int:
     l = _load_lattice(args)
-    if not is_trim(l):
-        raise NotTrim("the independence complex needs a trim lattice")
     comp = independence_complex(l)
     g = galois_graph(l)
     ind = independent_sets(undirected(g), args.max_elements)
@@ -249,13 +246,9 @@ def cmd_export(args) -> int:
         sys.stdout.write(dot_galois(galois_graph(l)))
     elif args.dot == "indep":
         comp = independence_complex(l)
-        from .complexes import SimpleGraph
-
         g = SimpleGraph(len(l.join_irr), comp.skeleton_edges())
         sys.stdout.write(dot_simple(g, "independence"))
     elif args.dot == "cjg":
-        from .complexes import canonical_join_graph
-
         sys.stdout.write(dot_simple(canonical_join_graph(l), "canonical_join"))
     return 0
 

@@ -9,21 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NotExtremal, NotSemidistributive, NotTrim, SizeLimitExceeded
-from .galois import (
-    GaloisGraph,
-    IrreducibleIndexing,
-    _overlaps,
-    galois_graph,
-    index_irreducibles,
-)
-from .labelling import (
-    _single_labels,
-    down_up_labels,
-    left_modular_labelling,
-    semidistributive_labelling,
-)
-from .lattice import Lattice, is_extremal, is_semidistributive
+from .errors import NotExtremal, NotSemidistributive, SizeLimitExceeded
+from .galois import GaloisGraph, _trim_labels, galois_graph, index_irreducibles
+from .labelling import _sd_labelling, down_up_labels
+from .lattice import Lattice, _kappas, is_extremal
 from .poset import DEFAULT_MAX_ELEMENTS
 
 
@@ -71,23 +60,6 @@ def complement_graph(g: SimpleGraph) -> SimpleGraph:
     )
 
 
-def _trim_labels(l: Lattice, what: str) -> tuple[IrreducibleIndexing, dict]:
-    """The default indexing and left-modular labels of a trim lattice, both
-    from one indexing and one set of pair masks; raises NotTrim(what) when
-    l is not trim."""
-    if is_extremal(l):
-        idx = index_irreducibles(l)
-        overlap = _overlaps(l, idx)
-        if all(overlap):
-            labels = _single_labels(l.covers, overlap)
-            if labels is None:
-                # several overlap labels on one cover never occur in a trim
-                # lattice; the full labelling reports the cover
-                labels = left_modular_labelling(l).labels
-            return idx, labels
-    raise NotTrim(what)
-
-
 def _label_complex(l: Lattice, labels) -> SimplicialComplex:
     """The complex of down-label sets, checked to equal the family of
     up-label sets and to be closed under subsets."""
@@ -104,7 +76,7 @@ def _label_complex(l: Lattice, labels) -> SimplicialComplex:
 def independence_complex(l: Lattice) -> SimplicialComplex:
     """The complex of down-label sets of a trim lattice; checked on the fly
     to equal the family of up-label sets and to be closed under subsets."""
-    _, labels = _trim_labels(l, "the independence complex is defined for trim lattices")
+    _, labels = _trim_labels(l, "the independence complex needs a trim lattice")
     return _label_complex(l, labels)
 
 
@@ -171,13 +143,13 @@ def complement_check(l: Lattice) -> bool:
 def canonical_join_graph(l: Lattice) -> SimpleGraph:
     """Edges {a, b} of irreducible labels such that {j_a, j_b} is a canonical
     join representation, for an extremal semidistributive lattice."""
-    if not is_semidistributive(l):
+    kappa = _kappas(l)
+    if kappa is None:
         raise NotSemidistributive((l.bottom, l.top), "lattice", ())
     if not is_extremal(l):
         raise NotExtremal("canonical join graph here uses the Galois indexing")
     idx = index_irreducibles(l)
-    sdl = semidistributive_labelling(l)
-    sets = down_up_labels(l, sdl.gamma_j)
+    sets = down_up_labels(l, _sd_labelling(l, kappa).gamma_j)
     edges = set()
     for d in sets.down:
         labs = sorted(idx.beta_j(j) for j in d)

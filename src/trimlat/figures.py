@@ -13,6 +13,8 @@ from .complexes import (
     undirected,
 )
 from .galois import (
+    _label_set,
+    decompose,
     element_pair,
     galois_graph,
     index_irreducibles,
@@ -54,10 +56,8 @@ def first_non_overlapping_cover(l):
     lattice, as (y, z, y_M, z_J), or None."""
     idx = index_irreducibles(l)
     for y, z in l.covers:
-        py = element_pair(l, y, idx)
-        pz = element_pair(l, z, idx)
-        if not (py.Y & pz.X):
-            return y, z, py.Y, pz.X
+        if not idx.ym[y] & idx.xj[z]:
+            return y, z, _label_set(idx.ym[y]), _label_set(idx.xj[z])
     return None
 
 
@@ -170,8 +170,6 @@ def check_fig4() -> list[str]:
     _expect(f, len(g.edges) + len(drawn_indep) == 15 and complement_check(l),
             "Galois and independence graphs should partition the 15 edges of K6")
     _expect(f, _slow_equals_global(l), "slow motion differs from global rowmotion")
-    from .galois import decompose
-
     (l1, m1), (lu, mu) = decompose(l)
     _expect(f, len(m1) + len(mu) == 14, "decomposition does not partition the lattice")
     return f

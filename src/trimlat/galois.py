@@ -4,7 +4,10 @@ reconstruction, overlapping covers, and the two-interval decomposition of a
 trim lattice.
 
 Labels are 1..n throughout (n = lattice length); label sets are manipulated
-as bitmasks with bit i-1 standing for label i.
+as bitmasks with bit i-1 standing for label i.  The indexing carries each
+element's maximal orthogonal pair as two such masks, x_J and x_M, and the
+element pairs, the Galois edges, the overlap of each cover and so trimness
+and the trim labels are all read from them.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .lattice import (
     _pack_bool,
     _tables,
     interval,
-    is_trim,
+    is_extremal,
 )
 from .poset import DEFAULT_MAX_ELEMENTS, Poset, _bits, poset_from_relations
 
@@ -38,11 +41,15 @@ from .poset import DEFAULT_MAX_ELEMENTS, Poset, _bits, poset_from_relations
 class IrreducibleIndexing:
     """Join- and meet-irreducibles indexed along a maximal-length chain:
     chain[i] = j[0] v ... v j[i-1] = m[i] ^ ... ^ m[n-1] (labels are
-    1-based, so j[i-1] is the irreducible with label i)."""
+    1-based, so j[i-1] is the irreducible with label i), and the maximal
+    orthogonal pair of each element x as bitmasks: xj[x] of {i : j_i <= x}
+    and ym[x] of {k : x <= m_k} (bit i-1 is label i)."""
 
     chain: Chain
     j: tuple[int, ...]
     m: tuple[int, ...]
+    xj: tuple[int, ...]
+    ym: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -97,7 +104,9 @@ def index_irreducibles(l: Lattice, chain: Chain | None = None) -> IrreducibleInd
     """Index the irreducibles of an extremal lattice along a maximal-length
     chain (default: the deterministic one).  Each chain step introduces
     exactly one new join-irreducible from below and retires exactly one
-    meet-irreducible from above."""
+    meet-irreducible from above.  The pair masks are the up-sets of the j_i
+    and the down-sets of the m_k, unpacked to rank-by-n bits, transposed
+    and packed again per element."""
     # one pass of coheights gives the length, hence extremality, and the
     # default chain
     co = _coheights(l)
@@ -135,26 +144,52 @@ def index_irreducibles(l: Lattice, chain: Chain | None = None) -> IrreducibleInd
         assert acc == xs[i + 1], "meet-suffix identity failed"
         acc = l.meet_of(acc, m[i])
     assert acc == xs[0]
-    return IrreducibleIndexing(chain, tuple(j), tuple(m))
+    below = _bool_rows([p.up_mask(t) for t in j], l.n)
+    above = _bool_rows([p.down_mask(t) for t in m], l.n)
+    return IrreducibleIndexing(chain, tuple(j), tuple(m),
+                               tuple(_ints(_pack_bool(below.T))),
+                               tuple(_ints(_pack_bool(above.T))))
 
 
-def pair_masks(l: Lattice, idx: IrreducibleIndexing) -> tuple[list[int], list[int]]:
-    """Per element x: bitmask of {i : j_i <= x} and of {k : m_k >= x}
-    (bit i-1 is label i).
-
-    The up-sets of the j_i and the down-sets of the m_k, unpacked to
-    rank-by-n bits, transposed and packed again per element."""
-    p = l.poset
-    below = _bool_rows([p.up_mask(t) for t in idx.j], l.n)
-    above = _bool_rows([p.down_mask(t) for t in idx.m], l.n)
-    return _ints(_pack_bool(below.T)), _ints(_pack_bool(above.T))
+def _label_set(mask: int) -> frozenset[int]:
+    """The labels of a bitmask (bit i-1 is label i)."""
+    return frozenset(i + 1 for i in _bits(mask))
 
 
 def _overlaps(l: Lattice, idx: IrreducibleIndexing) -> list[int]:
     """Per cover y covered-by z, in ``l.covers`` order, the label set
-    y_M & z_J as a bitmask (bit i-1 is label i)."""
-    xj, ym = pair_masks(l, idx)
+    y_M & z_J as a bitmask (bit i-1 is label i).
+
+    In an extremal lattice it holds at most one label:
+
+    - for i < k, j_i <= x_i <= x_{k-1} <= m_k along the chain;
+    - x_J and x_M are disjoint, as j_i <= m_i would force
+      x_i = x_{i-1} v j_i <= m_i, yet step i retires m_i;
+    - so if i < k were both in y_M & z_J, j_i would not be below y (i is
+      in y_M), and z = y v j_i <= m_k would put k in both z_J and z_M.
+    """
+    xj, ym = idx.xj, idx.ym
     return [ym[y] & xj[z] for y, z in l.covers]
+
+
+def _overlap_labels(l: Lattice, idx: IrreducibleIndexing) -> dict | None:
+    """The overlap label of each cover, in ``l.covers`` order, or None when
+    some cover does not overlap (so l is not trim)."""
+    overlap = _overlaps(l, idx)
+    if not all(overlap):
+        return None
+    return {c: v.bit_length() for c, v in zip(l.covers, overlap)}
+
+
+def _trim_labels(l: Lattice, what: str) -> tuple[IrreducibleIndexing, dict]:
+    """The default indexing and the overlap labels of a trim lattice;
+    raises NotTrim(what) when l is not trim."""
+    if is_extremal(l):
+        idx = index_irreducibles(l)
+        labels = _overlap_labels(l, idx)
+        if labels is not None:
+            return idx, labels
+    raise NotTrim(what)
 
 
 def element_pair(l: Lattice, x: int,
@@ -162,25 +197,22 @@ def element_pair(l: Lattice, x: int,
     """The maximal orthogonal pair representing element x."""
     if idx is None:
         idx = index_irreducibles(l)
-    X = frozenset(i + 1 for i in range(idx.n) if l.leq(idx.j[i], x))
-    Y = frozenset(k + 1 for k in range(idx.n) if l.leq(x, idx.m[k]))
-    return MaxOrthPair(X, Y)
+    return MaxOrthPair(_label_set(idx.xj[x]), _label_set(idx.ym[x]))
 
 
 def galois_graph(l: Lattice, idx: IrreducibleIndexing | None = None) -> GaloisGraph:
-    """Digraph on 1..n with an edge i -> k when j_i is not below m_k."""
+    """Digraph on 1..n with an edge i -> k when j_i is not below m_k, that
+    is when bit i-1 is not in xj[m_k]."""
     if idx is None:
         idx = index_irreducibles(l)
-    n = idx.n
-    edges = set()
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            if i != k and not l.leq(idx.j[i - 1], idx.m[k - 1]):
-                if i < k:
-                    raise NotExtremal(
-                        f"indexing inconsistent: edge {i}->{k} with i < k")
-                edges.add((i, k))
-    return GaloisGraph(n, frozenset(edges))
+    full = (1 << idx.n) - 1
+    edges = {(i + 1, k + 1) for k, t in enumerate(idx.m)
+             for i in _bits(full & ~idx.xj[t] & ~(1 << k))}
+    wrong = min((e for e in edges if e[0] < e[1]), default=None)
+    if wrong is not None:
+        raise NotExtremal(
+            f"indexing inconsistent: edge {wrong[0]}->{wrong[1]} with i < k")
+    return GaloisGraph(idx.n, frozenset(edges))
 
 
 def galois_poset(g: GaloisGraph) -> Poset:
@@ -252,10 +284,7 @@ def max_orth_pairs(g: GaloisGraph,
     pairs = []
     for xm in _closed_x_masks(g, max_elements):
         ym = orth_complete_y(g, xm, out)
-        pairs.append(MaxOrthPair(
-            frozenset(i + 1 for i in _bits(xm)),
-            frozenset(k + 1 for k in _bits(ym)),
-        ))
+        pairs.append(MaxOrthPair(_label_set(xm), _label_set(ym)))
     return tuple(pairs)
 
 
@@ -284,10 +313,8 @@ def lattice_from_graph(g: GaloisGraph,
             rest &= ~up[b]
     poset = Poset(n, covers, up, down)
 
-    pairs = tuple(MaxOrthPair(
-        frozenset(i + 1 for i in _bits(xm)),
-        frozenset(k + 1 for k in _bits(ym)),
-    ) for xm, ym in zip(x_masks, y_masks))
+    pairs = tuple(MaxOrthPair(_label_set(xm), _label_set(ym))
+                  for xm, ym in zip(x_masks, y_masks))
     names = tuple(
         "({" + ",".join(map(str, sorted(p.X))) + "},{"
         + ",".join(map(str, sorted(p.Y))) + "})" for p in pairs)
@@ -306,23 +333,20 @@ def is_overlapping(l: Lattice, y: int, z: int,
         raise NotACover(y, z)
     if idx is None:
         idx = index_irreducibles(l)
-    xj, ym = pair_masks(l, idx)
-    return ym[y] & xj[z] != 0
+    return idx.ym[y] & idx.xj[z] != 0
 
 
 def overlap_label(l: Lattice, y: int, z: int,
                   idx: IrreducibleIndexing | None = None) -> int:
-    """The unique label in y_M intersect z_J (trim lattices only)."""
+    """The label in y_M intersect z_J, unique when there is one (see
+    :func:`_overlaps`)."""
     if z not in l.upper_covers(y):
         raise NotACover(y, z)
     if idx is None:
         idx = index_irreducibles(l)
-    xj, ym = pair_masks(l, idx)
-    inter = ym[y] & xj[z]
+    inter = idx.ym[y] & idx.xj[z]
     if inter == 0:
         raise NotTrim(f"cover ({y}, {z}) is non-overlapping")
-    if inter & (inter - 1):
-        raise NotTrim(f"cover ({y}, {z}) overlaps in more than one label")
     return inter.bit_length()
 
 
@@ -331,9 +355,7 @@ def decompose(l: Lattice) -> tuple[tuple[Lattice, tuple[int, ...]],
     """Split a trim lattice into the disjoint intervals [bottom, m_1] and
     [j_1, top].  Returns ((L1, map1), (L_up, map_up)) where the maps carry
     sublattice indices back to l."""
-    if not is_trim(l):
-        raise NotTrim("decomposition requires a trim lattice")
-    idx = index_irreducibles(l)
+    idx, _ = _trim_labels(l, "decomposition requires a trim lattice")
     lower = interval(l, l.bottom, idx.m[0])
     upper = interval(l, idx.j[0], l.top)
     members = set(lower[1]) | set(upper[1])

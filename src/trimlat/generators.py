@@ -31,10 +31,6 @@ def antichain_poset(n: int) -> Poset:
     return poset_from_relations(n, [])
 
 
-def chain_poset(n: int) -> Poset:
-    return poset_from_relations(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def boolean(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
     """The Boolean lattice B_n = J(antichain on n), with 2^n elements."""
     if n < 0:
@@ -168,16 +164,16 @@ def _inversion_mask(perm, pair_index) -> int:
     return mask
 
 
-def weak_order_S(n: int, cap: int = WEAK_ORDER_CAP,
-                 max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
+def weak_order_S(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
     """Right weak order on the symmetric group S_n: permutations ordered by
     containment of inversion sets; covers are adjacent transpositions.
-    Raises SizeLimitExceeded before building when n > cap or n! exceeds
-    max_elements."""
+    Raises SizeLimitExceeded before building when n > WEAK_ORDER_CAP or n!
+    exceeds max_elements."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise SizeLimitExceeded(factorial(n), cap, f"weak order S_{n} (cap n <= {cap})")
+    if n > WEAK_ORDER_CAP:
+        raise SizeLimitExceeded(factorial(n), WEAK_ORDER_CAP,
+                                f"weak order S_{n} (cap n <= {WEAK_ORDER_CAP})")
     if factorial(n) > max_elements:
         raise SizeLimitExceeded(factorial(n), max_elements, f"weak order S_{n}")
     perms = sorted(permutations(range(n)))

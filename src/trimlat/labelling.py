@@ -4,10 +4,10 @@ bijection, and canonical join and meet representations.
 
 The left-modular labelling has one formula on the fast path: on a trim
 lattice the label of a cover y covered-by z is the single label in
-y_M & z_J, one AND of two pair masks.  Every other lattice, and
-``verify=True`` on any lattice, runs three equivalent formulas on every
-cover and asserts them equal (and equal to the overlap label when the
-lattice is trim).
+y_M & z_J, one AND of the two pair masks the irreducible indexing carries.
+Every other lattice, and ``verify=True`` on any lattice, runs three
+equivalent formulas on every cover and asserts them equal (and equal to
+the overlap label when the lattice is trim).
 
 A labelling is a map from Hasse edges (y, z) to hashable labels, distinct
 around each element.  Left-modular labellings use integer labels 1..n carrying
@@ -26,7 +26,7 @@ from .errors import (
     NotSemidistributive,
     ThreeWayMismatch,
 )
-from .galois import _overlaps, galois_graph, galois_poset, index_irreducibles
+from .galois import _overlap_labels, galois_graph, galois_poset, index_irreducibles
 from .lattice import (
     Chain,
     Lattice,
@@ -89,10 +89,9 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None,
     searched for.
 
     Fast path: when the lattice is extremal and every cover overlaps (so it
-    is trim), the label is the unique overlap label, the one i in
-    y_M & z_J, one AND of the pair masks per cover (Thomas-Williams).  A
-    cover whose overlap is not a single label sends the call to the full
-    path, which raises the same error it always did.
+    is trim), the label is the overlap label, the one i in y_M & z_J, one
+    AND of the indexing's pair masks per cover (Thomas-Williams).  On an
+    extremal lattice the indexing also validates the chain.
 
     Full path (every other lattice, and ``verify=True``): three formulas,
     asserted equal on every cover,
@@ -101,77 +100,49 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None,
     2. min i with y v (x_i ^ z) = z,
     3. max over meet-irreducibles m with z ^ m = y of beta_M(m),
 
-    plus, for trim lattices, the check that the overlap label is unique and
-    equal to them.
+    plus, for trim lattices, the check that they equal the overlap label.
     """
     extremal = is_extremal(l)
-    idx = None
-    if chain is None:
-        if extremal:
-            idx = index_irreducibles(l)
-            chain = idx.chain
-        else:
-            chain = is_left_modular_lattice(l)
-            if chain is None:
-                raise NotLeftModular("no maximal chain of left-modular elements")
-    xs = chain.elements
-    n = len(xs) - 1
-    # computed on both paths, so that a chain that does not run from bottom
-    # to top fails with the same error on both
-    beta_j = {}
-    for j in l.join_irr:
-        beta_j[j] = min(i for i in range(1, n + 1) if l.leq(j, xs[i]))
-    beta_m = {}
-    for m in l.meet_irr:
-        beta_m[m] = max(i for i in range(1, n + 1) if l.leq(xs[i - 1], m))
-
-    if extremal and idx is None:
-        idx = index_irreducibles(l, chain)
-    overlap = None
-    if idx is not None:
-        overlap = _overlaps(l, idx)
-        # all covers overlapping means trim, where overlap labels apply
-        if not all(overlap):
-            overlap = None
     labels = None
-    if overlap is not None and not verify:
-        labels = _single_labels(l.covers, overlap)
-    if labels is None:
-        labels = _three_formula_labels(l, xs, beta_j, beta_m, overlap)
+    if extremal:
+        idx = index_irreducibles(l, chain)
+        chain = idx.chain
+        labels = _overlap_labels(l, idx)
+    elif chain is None:
+        chain = is_left_modular_lattice(l)
+        if chain is None:
+            raise NotLeftModular("no maximal chain of left-modular elements")
+    if labels is None or verify:
+        labels = _three_formula_labels(l, chain.elements, labels)
 
     if extremal:
         label_poset = galois_poset(galois_graph(l, idx))
     else:
+        n = chain.length
         label_poset = Poset(n, (), tuple(1 << i for i in range(n)),
                             tuple(1 << i for i in range(n)))
     return CoverLabelling(labels, label_poset)
 
 
-def _single_labels(covers, overlap) -> dict | None:
-    """The overlap label of each cover, or None when some cover's overlap
-    (a bitmask, one per cover) is not a single label."""
-    if any(v & (v - 1) for v in overlap):
-        return None
-    return {c: v.bit_length() for c, v in zip(covers, overlap)}
-
-
-def _three_formula_labels(l: Lattice, xs, beta_j, beta_m, overlap) -> dict:
-    """The three label formulas on every cover, raising ThreeWayMismatch
-    where they disagree, or where the overlap label (if given, one per
-    cover) is not the one label they agree on."""
+def _three_formula_labels(l: Lattice, xs, overlap) -> dict:
+    """The three label formulas on every cover along the chain xs, raising
+    ThreeWayMismatch where they disagree, or where the overlap label (if
+    given, a dict by cover) is not the label they agree on."""
     n = len(xs) - 1
+    beta_j = {j: min(i for i in range(1, n + 1) if l.leq(j, xs[i]))
+              for j in l.join_irr}
+    beta_m = {m: max(i for i in range(1, n + 1) if l.leq(xs[i - 1], m))
+              for m in l.meet_irr}
     labels: dict[tuple[int, int], int] = {}
-    for c, (y, z) in enumerate(l.covers):
+    for y, z in l.covers:
         v1 = min(beta_j[j] for j in l.join_irr if l.join_of(y, j) == z)
         v2 = min(i for i in range(1, n + 1)
                  if l.join_of(y, l.meet_of(xs[i], z)) == z)
         v3 = max(beta_m[m] for m in l.meet_irr if l.meet_of(z, m) == y)
         if not (v1 == v2 == v3):
             raise ThreeWayMismatch((y, z), (v1, v2, v3))
-        if overlap is not None:
-            inter = overlap[c]
-            if inter & (inter - 1) or inter.bit_length() != v1:
-                raise ThreeWayMismatch((y, z), (v1, v1, inter.bit_length()))
+        if overlap is not None and overlap[(y, z)] != v1:
+            raise ThreeWayMismatch((y, z), (v1, v1, overlap[(y, z)]))
         labels[(y, z)] = v1
     return labels
 
@@ -306,6 +277,12 @@ def semidistributive_labelling(l: Lattice) -> SemidistributiveLabelling:
     kappa = _kappas(l)
     if kappa is None:
         raise _labelling_error(l)
+    return _sd_labelling(l, kappa)
+
+
+def _sd_labelling(l: Lattice, kappa: list[int]) -> SemidistributiveLabelling:
+    """gamma_j by argmax and gamma_m = kappa o gamma_j, given the kappas of
+    a semidistributive lattice (:func:`semidistributive_labelling`)."""
     irr = np.array(l.join_irr, dtype=np.intp)
     up = _bool_rows([l.poset.up_mask(j) for j in l.join_irr], l.n)
     up_star = _bool_rows([l.poset.up_mask(l.lower_covers(j)[0]) for j in l.join_irr], l.n)

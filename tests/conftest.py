@@ -20,15 +20,23 @@ from trimlat import (
     GaloisGraph,
     Poset,
     SimpleGraph,
+    boolean,
+    chain_product,
     down_up_labels,
     fixture,
+    fixture_lattice,
+    fixture_names,
+    index_irreducibles,
     lattice_from_graph,
+    lattice_from_poset,
     order_ideals,
     poset_from_relations,
+    root_ideals,
     semidistributive_labelling,
     tamari,
+    weak_order_S,
 )
-from trimlat.errors import NotALattice, NotSemidistributive
+from trimlat.errors import NotALattice, NotExtremal, NotSemidistributive
 from trimlat.galois import MaxOrthPair, _closed_x_masks, _closure_tables, orth_complete_y
 from trimlat.generators import _inversion_mask
 from trimlat.lattice import Chain, Lattice, is_semidistributive, is_trim
@@ -98,6 +106,30 @@ def trim_collection(small_posets, graph_lattices, fixture_trim_lattices):
     out.extend((f"tamari({n})", tamari(n)) for n in range(1, 6))
     out.extend((f"L({sorted(g.edges)} on {g.n})", lat)
                for g, lat in graph_lattices if is_trim(lat))
+    return out
+
+
+@pytest.fixture(scope="session")
+def property_lattices(small_posets, graph_lattices):
+    """The n <= 5 sweeps, every lattice on 3 to 7 elements (a bottom and a
+    top put around each sweep poset; some are semidistributive on one side
+    only), every fixture, and the families up to the sizes the property
+    matrix runs, plus the one-element lattice."""
+    out = [(f"J(poset{i})", order_ideals(q)) for i, q in enumerate(small_posets)]
+    for i, q in enumerate(small_posets):
+        relations = [(a + 1, b + 1) for a, b in q.covers]
+        relations += [(0, x + 1) for x in range(q.n)] + [(x + 1, q.n + 1) for x in range(q.n)]
+        try:
+            out.append((f"bounded(poset{i})",
+                        lattice_from_poset(poset_from_relations(q.n + 2, relations))))
+        except NotALattice:
+            pass
+    out += [(f"L({sorted(g.edges)} on {g.n})", lat) for g, lat in graph_lattices]
+    out += [(name, fixture_lattice(name)) for name in fixture_names()]
+    out += [(f"boolean({k})", boolean(k)) for k in range(9)]
+    out += [(f"tamari({k})", tamari(k)) for k in range(1, 7)]
+    out += [(f"weak_order_S({k})", weak_order_S(k)) for k in range(1, 6)]
+    out += [("root_ideals(5)", root_ideals(5)), ("chain_product(5,5)", chain_product(5, 5))]
     return out
 
 
@@ -429,6 +461,40 @@ def oracle_pair_masks(l: Lattice, idx) -> tuple[list[int], list[int]]:
         xj[x] = a
         ym[x] = b
     return xj, ym
+
+
+def oracle_element_pair(l: Lattice, x: int, idx) -> MaxOrthPair:
+    """The maximal orthogonal pair of x from scalar order queries against
+    every j_i and m_k."""
+    return MaxOrthPair(
+        frozenset(i + 1 for i in range(idx.n) if l.leq(idx.j[i], x)),
+        frozenset(k + 1 for k in range(idx.n) if l.leq(x, idx.m[k])))
+
+
+def oracle_first_non_overlapping_cover(l: Lattice):
+    """The first cover y covered-by z, in cover order, with y_M & z_J
+    empty, as (y, z, y_M, z_J), or None; two scalar pairs per cover."""
+    idx = index_irreducibles(l)
+    for y, z in l.covers:
+        py = oracle_element_pair(l, y, idx)
+        pz = oracle_element_pair(l, z, idx)
+        if not (py.Y & pz.X):
+            return y, z, py.Y, pz.X
+    return None
+
+
+def oracle_galois_graph(l: Lattice, idx) -> GaloisGraph:
+    """Edges i -> k with j_i not below m_k, by one scalar order query per
+    pair of labels."""
+    edges = set()
+    for i in range(1, idx.n + 1):
+        for k in range(1, idx.n + 1):
+            if i != k and not l.leq(idx.j[i - 1], idx.m[k - 1]):
+                if i < k:
+                    raise NotExtremal(
+                        f"indexing inconsistent: edge {i}->{k} with i < k")
+                edges.add((i, k))
+    return GaloisGraph(idx.n, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------

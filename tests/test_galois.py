@@ -32,7 +32,6 @@ from trimlat import (
     poset_from_relations,
     spine,
 )
-from trimlat.galois import pair_masks
 from trimlat.lattice import Chain
 from trimlat.poset import ideal_masks
 from conftest import irreducible_pair_oracle
@@ -313,7 +312,7 @@ def _cover_irreducibles(l, idx):
 def test_spine_criterion_and_left_modularity(fixture_trim_lattices):
     for _, l in fixture_trim_lattices:
         idx = index_irreducibles(l)
-        xj, ym = pair_masks(l, idx)
+        xj, ym = idx.xj, idx.ym
         full = (1 << idx.n) - 1
         sp = set(spine(l))
         for x in range(l.n):
@@ -326,7 +325,7 @@ def test_spine_is_ideal_lattice_of_galois_poset(graph_lattices):
     order ideals of the Galois poset."""
     for g, l in graph_lattices[:200]:
         idx = index_irreducibles(l)
-        xj, _ = pair_masks(l, idx)
+        xj = idx.xj
         sp = spine(l)
         ideals = set(ideal_masks(galois_poset(g)))
         assert {xj[x] for x in sp} == ideals

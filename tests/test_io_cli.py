@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from types import ModuleType
 
 import pytest
 
+import trimlat
 from trimlat import InputError, fixture, left_modular_labelling
 from trimlat.io import (
     dot_galois,
@@ -71,10 +74,16 @@ def test_dot_outputs():
     assert "v3 -> v1;" in gal
 
 
+# the CLI children import the same trimlat as this test process
+SRC = str(Path(trimlat.__file__).resolve().parent.parent)
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+
+
 def run_cli(*argv, stdin: str | None = None):
     proc = subprocess.run(
         [sys.executable, "-m", "trimlat.cli", *argv],
-        input=stdin, capture_output=True, text=True)
+        input=stdin, capture_output=True, text=True, env=CHILD_ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -137,6 +146,14 @@ def test_cli_galois_and_complex_and_export():
     assert payload["independent_sets"] == payload["elements"] == 14
     code, out, _ = run_cli("export", "--dot", "galois", "-", stdin=lattice_json)
     assert code == 0 and "v6 -> v4;" in out
+
+
+def test_cli_weak_order_3_is_not_trim():
+    lattice_json = gen("weak-order", "3")
+    code, out, _ = run_cli("check", "--all", "-", stdin=lattice_json)
+    assert code == 0 and out.splitlines()[-1] == "trim: false  (not extremal)"
+    code, out, err = run_cli("complex", "-", stdin=lattice_json)
+    assert (code, out, err) == (2, "", "error: the independence complex needs a trim lattice\n")
 
 
 def test_cli_verify_figures():

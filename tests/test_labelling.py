@@ -32,7 +32,6 @@ from trimlat import (
     tamari,
     weak_order_S,
 )
-from trimlat.galois import pair_masks
 from trimlat.labelling import CoverLabelling
 from conftest import brute_canonical_join_rep
 
@@ -199,7 +198,7 @@ def test_prop_4_1_identities(fixture_trim_lattices):
         idx = index_irreducibles(l)
         gamma = left_modular_labelling(l)
         sets = down_up_labels(l, gamma)
-        xj, ym = pair_masks(l, idx)
+        xj, ym = idx.xj, idx.ym
         for x in range(l.n):
             assert l.join_all(idx.j[i - 1] for i in sets.down[x]) == x
             assert l.meet_all(idx.m[i - 1] for i in sets.up[x]) == x

@@ -7,17 +7,11 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from trimlat import (
     GaloisGraph,
-    NotALattice,
     NotSemidistributive,
-    boolean,
-    chain_product,
-    fixture_lattice,
-    fixture_names,
     is_distributive,
     is_extremal,
     is_left_modular_element,
@@ -25,13 +19,7 @@ from trimlat import (
     is_semidistributive,
     is_trim,
     lattice_from_graph,
-    lattice_from_poset,
-    order_ideals,
-    poset_from_relations,
-    root_ideals,
     semidistributive_labelling,
-    tamari,
-    weak_order_S,
 )
 from trimlat.lattice import left_modular_elements
 from conftest import (
@@ -41,30 +29,6 @@ from conftest import (
     oracle_left_modular_elements,
     oracle_semidistributive_labelling,
 )
-
-
-@pytest.fixture(scope="module")
-def property_lattices(small_posets, graph_lattices):
-    """The n <= 5 sweeps, every lattice on 3 to 7 elements (a bottom and a
-    top put around each sweep poset; some are semidistributive on one side
-    only), every fixture, and the families up to the sizes the property
-    matrix runs, plus the one-element lattice."""
-    out = [(f"J(poset{i})", order_ideals(q)) for i, q in enumerate(small_posets)]
-    for i, q in enumerate(small_posets):
-        relations = [(a + 1, b + 1) for a, b in q.covers]
-        relations += [(0, x + 1) for x in range(q.n)] + [(x + 1, q.n + 1) for x in range(q.n)]
-        try:
-            out.append((f"bounded(poset{i})",
-                        lattice_from_poset(poset_from_relations(q.n + 2, relations))))
-        except NotALattice:
-            pass
-    out += [(f"L({sorted(g.edges)} on {g.n})", lat) for g, lat in graph_lattices]
-    out += [(name, fixture_lattice(name)) for name in fixture_names()]
-    out += [(f"boolean({k})", boolean(k)) for k in range(9)]
-    out += [(f"tamari({k})", tamari(k)) for k in range(1, 7)]
-    out += [(f"weak_order_S({k})", weak_order_S(k)) for k in range(1, 6)]
-    out += [("root_ideals(5)", root_ideals(5)), ("chain_product(5,5)", chain_product(5, 5))]
-    return out
 
 
 def _labelling_outcome(fn, l):
