@@ -15,16 +15,17 @@ import sys
 
 from .complexes import (
     SimpleGraph,
+    _complementary,
+    _label_complex,
     canonical_join_graph,
-    complement_check,
     independence_complex,
     independent_sets,
     is_flag,
     undirected,
 )
-from .errors import InputError, SizeLimitExceeded, TrimlatError
+from .errors import InputError, NotTrim, SizeLimitExceeded, TrimlatError
 from .figures import _fmt_set, first_non_overlapping_cover, verify_figures
-from .galois import galois_graph, index_irreducibles
+from .galois import _trim_labels, galois_graph, index_irreducibles
 from .generators import FAMILIES, FamilySpec, build_family
 from .io import (
     dot_galois,
@@ -35,14 +36,13 @@ from .io import (
     lattice_to_json,
     load_json_path,
 )
-from .labelling import _sd_labelling, left_modular_labelling
+from .labelling import _sd_labelling, _trim_labelling
 from .lattice import (
     _kappas,
     is_distributive,
     is_extremal,
     is_left_modular_lattice,
     is_semidistributive,
-    is_trim,
     length,
 )
 from .poset import DEFAULT_MAX_ELEMENTS
@@ -63,9 +63,10 @@ def _emit(obj, as_json: bool, human: str) -> None:
 def _labelling_for(l):
     """Left-modular labelling for trim input, semidistributive labelling
     otherwise; the label poset is only available in the trim case."""
-    if is_trim(l):
-        return left_modular_labelling(l)
-    kappa = _kappas(l)
+    try:
+        return _trim_labelling(l)
+    except NotTrim:
+        kappa = _kappas(l)
     if kappa is not None:
         return _sd_labelling(l, kappa).gamma_j
     raise InputError("rowmotion needs a trim or semidistributive lattice")
@@ -204,14 +205,15 @@ def _run_trace(l, labelling, args) -> int:
 
 def cmd_complex(args) -> int:
     l = _load_lattice(args)
-    comp = independence_complex(l)
-    g = galois_graph(l)
+    idx, labels = _trim_labels(l, "the independence complex needs a trim lattice")
+    comp = _label_complex(l, labels)
+    g = galois_graph(l, idx)
     ind = independent_sets(undirected(g), args.max_elements)
     faces = sorted(sorted(f) for f in comp.faces)
     payload = {
         "faces": faces,
         "flag": is_flag(comp),
-        "complement_partition": complement_check(l),
+        "complement_partition": _complementary(g, comp),
         "independent_sets": len(ind),
         "elements": l.n,
     }

@@ -133,8 +133,14 @@ def complement_check(l: Lattice) -> bool:
     """Whether the undirected Galois graph and the independence graph of a
     trim lattice partition the edges of the complete graph."""
     idx, labels = _trim_labels(l, "complement check is defined for trim lattices")
-    gal = undirected(galois_graph(l, idx))
-    indep = _label_complex(l, labels).skeleton_edges()
+    return _complementary(galois_graph(l, idx), _label_complex(l, labels))
+
+
+def _complementary(g: GaloisGraph, comp: SimplicialComplex) -> bool:
+    """Whether the undirected g and the 1-skeleton of comp partition the
+    edges of the complete graph."""
+    gal = undirected(g)
+    indep = comp.skeleton_edges()
     if gal.edges & indep:
         return False
     return gal.edges | indep == complete_graph(gal.n).edges

@@ -321,8 +321,8 @@ def lattice_from_graph(g: GaloisGraph,
     # the closure of the empty set is contained in every closed set, and the
     # full label set is closed, so after sorting they sit at the two ends
     lat = Lattice(poset, meet, join, 0, n - 1, names=names)
-    assert lat.poset.minimal_elements() == (0,)
-    assert lat.poset.maximal_elements() == (n - 1,)
+    assert [x for x in range(n) if not poset.lower_covers(x)] == [0]
+    assert [x for x in range(n) if not poset.upper_covers(x)] == [n - 1]
     return lat, pairs
 
 

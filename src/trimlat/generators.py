@@ -10,13 +10,13 @@ import json
 import os
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations, permutations
+from itertools import permutations
 from math import factorial, gcd
 
 from .errors import InputError, SizeLimitExceeded
 from .galois import GaloisGraph, lattice_from_graph
 from .io import galois_from_json, lattice_from_json
-from .lattice import Lattice, _containment, _pack, lattice_from_poset
+from .lattice import Lattice, lattice_from_poset
 from .poset import (
     DEFAULT_MAX_ELEMENTS,
     Poset,
@@ -155,15 +155,6 @@ def rational_dyck(a: int, b: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> L
     return order_ideals(rational_dyck_poset(a, b), max_elements)
 
 
-def _inversion_mask(perm, pair_index) -> int:
-    mask = 0
-    for p, q in combinations(range(len(perm)), 2):
-        lo, hi = min(perm[p], perm[q]), max(perm[p], perm[q])
-        if perm[p] > perm[q]:
-            mask |= 1 << pair_index[(lo, hi)]
-    return mask
-
-
 def weak_order_S(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
     """Right weak order on the symmetric group S_n: permutations ordered by
     containment of inversion sets; covers are adjacent transpositions.
@@ -178,16 +169,13 @@ def weak_order_S(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
         raise SizeLimitExceeded(factorial(n), max_elements, f"weak order S_{n}")
     perms = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    pair_index = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
-    inv = [_inversion_mask(p, pair_index) for p in perms]
     covers = []
     for p in perms:
         for k in range(n - 1):
             if p[k] < p[k + 1]:
                 q = p[:k] + (p[k + 1], p[k]) + p[k + 2:]
                 covers.append((index[p], index[q]))
-    up, down = _containment(_pack(inv, len(pair_index)))
-    poset = Poset(len(perms), covers, up, down)
+    poset = poset_from_relations(len(perms), covers)
     names = tuple("".join(str(v + 1) for v in p) for p in perms)
     return lattice_from_poset(poset, names=names)
 

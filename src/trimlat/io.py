@@ -26,13 +26,12 @@ def poset_from_json(obj) -> Poset:
     _require(isinstance(obj.get("n"), int) and obj["n"] >= 0, "bad or missing 'n'")
     covers = obj.get("covers")
     _require(isinstance(covers, list), "bad or missing 'covers'")
-    rels = []
     for e in covers:
-        _require(isinstance(e, list) and len(e) == 2
-                 and all(isinstance(v, int) for v in e), f"bad cover entry {e}")
-        rels.append((e[0], e[1]))
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], int)
+                and isinstance(e[1], int)):
+            raise InputError(f"bad cover entry {e}")
     try:
-        return poset_from_relations(obj["n"], rels)
+        return poset_from_relations(obj["n"], covers)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 

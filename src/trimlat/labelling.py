@@ -26,7 +26,7 @@ from .errors import (
     NotSemidistributive,
     ThreeWayMismatch,
 )
-from .galois import _overlap_labels, galois_graph, galois_poset, index_irreducibles
+from .galois import _overlap_labels, _trim_labels, galois_graph, galois_poset, index_irreducibles
 from .lattice import (
     Chain,
     Lattice,
@@ -122,6 +122,13 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None,
         label_poset = Poset(n, (), tuple(1 << i for i in range(n)),
                             tuple(1 << i for i in range(n)))
     return CoverLabelling(labels, label_poset)
+
+
+def _trim_labelling(l: Lattice) -> CoverLabelling:
+    """``left_modular_labelling(l)`` of a trim lattice from one indexing;
+    raises NotTrim when l is not trim."""
+    idx, labels = _trim_labels(l, "not a trim lattice")
+    return CoverLabelling(labels, galois_poset(galois_graph(l, idx)))
 
 
 def _three_formula_labels(l: Lattice, xs, overlap) -> dict:

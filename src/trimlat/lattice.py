@@ -11,13 +11,13 @@ Every constructor fills its tables through one kernel, :func:`_tables`.
 In a finite lattice x |-> J(x), the set of join-irreducibles below x, is
 injective and sends meets to intersections; x |-> M(x), the
 meet-irreducibles above x, does the same for joins (Markowsky).  Each
-element's key is its J or M set packed into uint64 words (a np.void view
-when wider than 64 bits); meet[x, y] is the element whose J-key equals
-J(x) & J(y), found by binary search in the sorted keys, and join[x, y]
-dually.  Order ideals and their complements, the X and Y masks of maximal
-orthogonal pairs, and the up/down masks restricted to the irreducibles
-are such keys.  The order itself comes from the same AND: a <= b iff
-key(a) & key(b) == key(a).
+element's key is its J or M set packed into uint64 words; meet[x, y] is
+the element whose J-key equals J(x) & J(y), and join[x, y] dually, found
+by binary search of the AND's 64-bit mix (a fold of its words) in the
+keys' sorted mixes and a compare of all words.  Order ideals and their
+complements, the X and Y masks of maximal orthogonal pairs, and the
+up/down masks restricted to the irreducibles are such keys.  The order is
+the closure of the covers; for maximal orthogonal pairs, X(a) in X(b).
 
 Posets from outside are checked, not trusted.  When every M-key AND
 matches a key, join[x, x] == x and join[x, y] >= x for all x, y, every
@@ -35,7 +35,7 @@ uses no floats and no BLAS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
 
 import numpy as np
@@ -153,8 +153,8 @@ def lattice_from_poset(p: Poset, names=None) -> Lattice:
     n = p.n
     if n == 0:
         raise NotALattice(0, 0, "bottom")
-    mins = p.minimal_elements()
-    maxs = p.maximal_elements()
+    mins = [x for x in range(n) if not p.lower_covers(x)]
+    maxs = [x for x in range(n) if not p.upper_covers(x)]
     if len(mins) > 1:
         raise NotALattice(mins[0], mins[1], "meet")
     if len(maxs) > 1:
@@ -162,10 +162,8 @@ def lattice_from_poset(p: Poset, names=None) -> Lattice:
     bottom, top = mins[0], maxs[0]
 
     le = _order_matrix(p)
-    jirr = np.array([x for x in range(n)
-                     if x != bottom and len(p.lower_covers(x)) == 1], dtype=np.intp)
-    mirr = np.array([x for x in range(n)
-                     if x != top and len(p.upper_covers(x)) == 1], dtype=np.intp)
+    jirr = np.array([x for x in range(n) if len(p.lower_covers(x)) == 1], dtype=np.intp)
+    mirr = np.array([x for x in range(n) if len(p.upper_covers(x)) == 1], dtype=np.intp)
     meet, join, hit = _tables(_pack_bool(le[jirr].T), _pack_bool(le[:, mirr]))
     if not (hit and _joins_are_least(le, join)):
         raise _lattice_witness(p)
@@ -178,17 +176,16 @@ def lattice_from_ideal_masks(q: Poset, masks: tuple[int, ...]) -> Lattice:
     index = {m: i for i, m in enumerate(masks)}
     n = len(masks)
     covers = []
+    full = (1 << q.n) - 1
     strict_down = [q.down_mask(x) ^ (1 << x) for x in range(q.n)]
     for i, ideal in enumerate(masks):
-        free = ~ideal & ((1 << q.n) - 1)
-        for x in _bits(free):
+        for x in _bits(full & ~ideal):
             if strict_down[x] & ~ideal == 0:
                 covers.append((i, index[ideal | (1 << x)]))
-    full = (1 << q.n) - 1
+    # containment of the q.n-bit ideal masks is cheaper than the closure
     ideals = _pack(masks, q.n)
     meet, join, _ = _tables(ideals, _pack([full ^ m for m in masks], q.n))
-    up, down = _containment(ideals)
-    poset = Poset(n, covers, up, down)
+    poset = Poset(n, covers, *_containment(ideals))
     names = tuple("{" + ",".join(map(str, _bits(m))) + "}" for m in masks)
     return Lattice(poset, meet, join, 0, n - 1, names=names)
 
@@ -226,36 +223,55 @@ def _pack_bool(rows: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
-def _flat(keys: np.ndarray) -> np.ndarray:
-    """View (..., w) keys as one sortable item per key (a np.void of 8w
-    bytes when w > 1)."""
-    if keys.shape[-1] == 1:
-        return keys[..., 0]
-    keys = np.ascontiguousarray(keys)
-    return keys.view(np.dtype((np.void, 8 * keys.shape[-1])))[..., 0]
+# odd, so multiplying by it permutes the uint64 values
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix(words) -> np.ndarray:
+    """One uint64 per key from its words (a sequence of equal-shaped
+    arrays), folded nonlinearly; a key of one word is its own mix."""
+    h = words[0]
+    for w in words[1:]:
+        h = (h ^ h >> np.uint64(31)) * _MIX ^ w
+    return h
 
 
 def _tables(jkey: np.ndarray, mkey: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Meet and join tables from per-element keys.
 
     meet[x, y] is the element whose J-key is jkey[x] & jkey[y], and
-    join[x, y] the element whose M-key is mkey[x] & mkey[y], both found by
-    binary search in the sorted keys.  Only y >= x is looked up; the rest
-    is copied across the diagonal.  The third value is False when some AND
-    matches no key, which keys taken from a lattice never do.
+    join[x, y] the element whose M-key is mkey[x] & mkey[y]: the binary
+    search of the AND's mix in the keys' sorted mixes gives a place, and the
+    key there counts when all its words equal the AND's.  Keys sharing a mix
+    are adjacent, so the next places are probed too, up to the longest run
+    of equal mixes (one place when the mixes are distinct).  Only y >= x is
+    looked up; the rest is copied across the diagonal.  The third value is
+    False when some AND matches no key, which lattice keys never do.
     """
     n = len(jkey)
     tables = []
     hit = True
     for key in (jkey, mkey):
-        flat = _flat(key)
-        order = np.argsort(flat, kind="stable").astype(np.int32)
-        ranked = flat[order]
+        words = np.ascontiguousarray(key.T)
+        mix = _mix(words)
+        order = np.argsort(mix, kind="stable").astype(np.int32)
+        ranked, by_mix = mix[order], words[:, order]
+        distinct = (ranked[1:] != ranked[:-1]).all()
+        probes = 1 if distinct else np.unique(ranked, return_counts=True)[1].max()
         table = np.empty((n, n), dtype=np.int32)
-        for r0, r1 in _row_blocks(n, n * key.shape[1]):
-            want = _flat(key[r0:r1, None, :] & key[None, r0:, :])
-            pos = np.minimum(np.searchsorted(ranked, want), n - 1)
-            hit = hit and bool((ranked[pos] == want).all())
+        for r0, r1 in _row_blocks(n, n):
+            want = [w[r0:r1, None] & w[None, r0:] for w in words]
+            first = np.searchsorted(ranked, _mix(want))
+            pos = np.minimum(first, n - 1)
+            ok = reduce(np.logical_and, [w[pos] == v for w, v in zip(by_mix, want)])
+            for k in range(1, probes):
+                if ok.all():
+                    break
+                at = np.minimum(first + k, n - 1)
+                now = ~ok & reduce(np.logical_and, [w[at] == v for w, v in zip(by_mix, want)])
+                pos = np.where(now, at, pos)
+                ok |= now
+            hit = hit and bool(ok.all())
             table[r0:r1, r0:] = order[pos]
             table[r0:r1, :r0] = table[:r0, r0:r1].T
         tables.append(table)
@@ -535,9 +551,7 @@ def interval(l: Lattice, a: int, b: int) -> tuple[Lattice, tuple[int, ...]]:
     # covers of an interval of a lattice are exactly the restricted covers
     covers = [(index[y], index[z]) for y, z in l.covers
               if y in index and z in index]
-    # principal down-sets are keys whose containment is the order
-    up, down = _containment(_pack([l.poset.down_mask(x) for x in members], l.n))
-    poset = Poset(len(members), covers, up, down)
+    poset = poset_from_relations(len(members), covers)
     rows = np.array(members, dtype=np.intp)
     back = np.full(l.n, -1, dtype=np.int32)
     back[rows] = np.arange(len(members))

@@ -9,7 +9,6 @@ in the algorithms here.
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
 
 from .errors import CycleDetected, SizeLimitExceeded
@@ -38,11 +37,12 @@ class Poset:
         self._down = tuple(down)
         upper = [[] for _ in range(n)]
         lower = [[] for _ in range(n)]
+        # the covers are sorted, so every list fills in ascending order
         for a, b in self.covers:
             upper[a].append(b)
             lower[b].append(a)
-        self._upper = tuple(tuple(sorted(s)) for s in upper)
-        self._lower = tuple(tuple(sorted(s)) for s in lower)
+        self._upper = tuple(map(tuple, upper))
+        self._lower = tuple(map(tuple, lower))
 
     def leq(self, a: int, b: int) -> bool:
         return (self._up[a] >> b) & 1 == 1
@@ -63,25 +63,6 @@ class Poset:
 
     def lower_covers(self, x: int) -> tuple[int, ...]:
         return self._lower[x]
-
-    def minimal_elements(self, mask: int | None = None) -> tuple[int, ...]:
-        """Minimal elements of the subset given by ``mask`` (default: all)."""
-        if mask is None:
-            mask = (1 << self.n) - 1
-        out = []
-        for x in _bits(mask):
-            if self._down[x] & mask == 1 << x:
-                out.append(x)
-        return tuple(out)
-
-    def maximal_elements(self, mask: int | None = None) -> tuple[int, ...]:
-        if mask is None:
-            mask = (1 << self.n) - 1
-        out = []
-        for x in _bits(mask):
-            if self._up[x] & mask == 1 << x:
-                out.append(x)
-        return tuple(out)
 
     def dual(self) -> "Poset":
         return Poset(
@@ -119,6 +100,12 @@ def poset_from_relations(n: int, relations) -> Poset:
     The order is the reflexive-transitive closure; covers are the transitive
     reduction.  Raises CycleDetected when the closure would force
     a <= b <= a with a != b.
+
+    Two passes in Kahn's order.  Backward, the elements strictly above v are
+    its direct successors w and those strictly above them; w is a cover
+    unless it is above another w, as every longer path from v leaves through
+    one.  Forward, each down-set is pushed to the upper covers.  One big-int
+    OR per relation or cover: the cost grows with the relations, not the order.
     """
     succ = [0] * n
     for a, b in relations:
@@ -127,57 +114,54 @@ def poset_from_relations(n: int, relations) -> Poset:
         if a == b:
             raise CycleDetected(a, b)
         succ[a] |= 1 << b
-
-    order = _topological_order(n, succ)
-    up = [0] * n
+    nexts = [tuple(_bits(s)) for s in succ]
+    indeg = [0] * n
+    for ws in nexts:
+        for w in ws:
+            indeg[w] += 1
+    order = [v for v in range(n) if not indeg[v]]
+    for v in order:  # grows while it is walked
+        for w in nexts[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                order.append(w)
+    if len(order) < n:
+        raise _cycle(nexts, [int(d > 0) for d in indeg])
+    above, upper = [0] * n, [()] * n
     for v in reversed(order):
-        m = 1 << v
-        for w in _bits(succ[v]):
-            m |= up[w]
-        up[v] = m
+        strict = 0
+        for w in nexts[v]:
+            strict |= above[w]
+        above[v] = strict | succ[v]
+        cover = succ[v] & ~strict
+        upper[v] = nexts[v] if cover == succ[v] else tuple(_bits(cover))
     down = [1 << v for v in range(n)]
     for v in order:
-        for w in _bits(up[v] ^ (1 << v)):
-            down[w] |= 1 << v
-
-    covers = []
-    for a in range(n):
-        strict = up[a] ^ (1 << a)
-        for b in _bits(strict):
-            # b covers a iff nothing lies strictly between them
-            between = strict & down[b] & ~(1 << b)
-            if between == 0:
-                covers.append((a, b))
-    return Poset(n, covers, up, down)
+        for w in upper[v]:
+            down[w] |= down[v]
+    return Poset(n, [(v, w) for v in range(n) for w in upper[v]],
+                 [m | 1 << v for v, m in enumerate(above)], down)
 
 
-def _topological_order(n: int, succ) -> list[int]:
-    indeg = [0] * n
-    for v in range(n):
-        for w in _bits(succ[v]):
-            indeg[w] += 1
-    ready = deque(v for v in range(n) if indeg[v] == 0)
-    order = []
-    while ready:
-        v = ready.popleft()
-        order.append(v)
-        for w in _bits(succ[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    if len(order) < n:
-        stuck = [v for v in range(n) if indeg[v] > 0]
-        a = stuck[0]
-        # walk successors inside the stuck set until we revisit a node
-        seen = {a}
-        cur = a
-        while True:
-            nxt = next(w for w in _bits(succ[cur]) if indeg[w] > 0)
-            if nxt in seen:
-                raise CycleDetected(nxt, cur)
-            seen.add(nxt)
-            cur = nxt
-    return order
+def _cycle(nexts, left: list[int]) -> CycleDetected:
+    """The first edge b -> a back into the path (left[a] == 2) of a depth
+    first search, least element and successor first, of those that Kahn's
+    algorithm left (left[v] == 1); finished ones reach no cycle (0)."""
+    for start in (v for v in range(len(nexts)) if left[v] == 1):
+        left[start] = 2
+        todo = [(start, iter(nexts[start]))]
+        while todo:
+            v, rest = todo[-1]
+            w = next((w for w in rest if left[w]), None)
+            if w is None:
+                left[v] = 0
+                todo.pop()
+            elif left[w] == 2:
+                return CycleDetected(w, v)
+            else:
+                left[w] = 2
+                todo.append((w, iter(nexts[w])))
+    raise AssertionError("Kahn's algorithm left no cycle")
 
 
 def canonical_extension(q: Poset) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Shared test collections, independent brute-force oracles, the
-pure-Python table builders that the vectorised table kernel replaced, the
-scans that the trim pipeline and the property predicates replaced, and
+closure and cover scan that building a poset from its relations replaced,
+the pure-Python table builders that the vectorised table kernel replaced,
+the scans that the trim pipeline and the property predicates replaced, and
 graph helpers for the canonical join graph tests.
 
 The sweep collections are deliberately exhaustive at desk scale: all posets
@@ -11,6 +12,7 @@ appears), and all Galois graphs on <= 5 vertices.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, permutations
 
 import numpy as np
@@ -36,9 +38,8 @@ from trimlat import (
     tamari,
     weak_order_S,
 )
-from trimlat.errors import NotALattice, NotExtremal, NotSemidistributive
+from trimlat.errors import CycleDetected, NotALattice, NotExtremal, NotSemidistributive
 from trimlat.galois import MaxOrthPair, _closed_x_masks, _closure_tables, orth_complete_y
-from trimlat.generators import _inversion_mask
 from trimlat.lattice import Chain, Lattice, is_semidistributive, is_trim
 from trimlat.poset import _bits, canonical_extension
 
@@ -214,6 +215,63 @@ def brute_independent_sets(n: int, undirected_edges) -> set[frozenset[int]]:
 
 
 # ---------------------------------------------------------------------------
+# the closure and pairwise cover scan that building from the relations'
+# two passes replaced, kept as the oracle they must match exactly
+# ---------------------------------------------------------------------------
+
+def oracle_poset_from_relations(n: int, relations) -> Poset:
+    """Up-sets by closure over the successor bits in reverse Kahn order,
+    down-sets filled one bit at a time, and b a cover of a when nothing
+    of a's up-set lies strictly below b; the same CycleDetected(a, b)."""
+    succ = [0] * n
+    for a, b in relations:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"relation ({a}, {b}) out of range for n={n}")
+        if a == b:
+            raise CycleDetected(a, b)
+        succ[a] |= 1 << b
+    indeg = [0] * n
+    for v in range(n):
+        for w in _bits(succ[v]):
+            indeg[w] += 1
+    ready = deque(v for v in range(n) if indeg[v] == 0)
+    order = []
+    while ready:
+        v = ready.popleft()
+        order.append(v)
+        for w in _bits(succ[v]):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    if len(order) < n:
+        cur = min(v for v in range(n) if indeg[v] > 0)
+        seen = {cur}
+        while True:
+            nxt = next(w for w in _bits(succ[cur]) if indeg[w] > 0)
+            if nxt in seen:
+                raise CycleDetected(nxt, cur)
+            seen.add(nxt)
+            cur = nxt
+    up = [0] * n
+    for v in reversed(order):
+        m = 1 << v
+        for w in _bits(succ[v]):
+            m |= up[w]
+        up[v] = m
+    down = [1 << v for v in range(n)]
+    for v in order:
+        for w in _bits(up[v] ^ (1 << v)):
+            down[w] |= 1 << v
+    covers = []
+    for a in range(n):
+        strict = up[a] ^ (1 << a)
+        for b in _bits(strict):
+            if strict & down[b] & ~(1 << b) == 0:
+                covers.append((a, b))
+    return Poset(n, covers, up, down)
+
+
+# ---------------------------------------------------------------------------
 # pure-Python table builders: the loops the table kernel replaced, kept as
 # oracles that the kernel must match exactly
 # ---------------------------------------------------------------------------
@@ -224,8 +282,8 @@ def oracle_lattice_from_poset(p: Poset, names=None) -> Lattice:
     n = p.n
     if n == 0:
         raise NotALattice(0, 0, "bottom")
-    mins = p.minimal_elements()
-    maxs = p.maximal_elements()
+    mins = [x for x in range(n) if p.down_mask(x) == 1 << x]
+    maxs = [x for x in range(n) if p.up_mask(x) == 1 << x]
     if len(mins) > 1:
         raise NotALattice(mins[0], mins[1], "meet")
     if len(maxs) > 1:
@@ -362,6 +420,15 @@ def oracle_interval(l: Lattice, a: int, b: int) -> tuple[Lattice, tuple[int, ...
     names = tuple(l.name_of(x) for x in members) if l.names else None
     return Lattice(Poset(k, covers, up, down), meet, join, index[a], index[b],
                    names=names), members
+
+
+def _inversion_mask(perm, pair_index) -> int:
+    mask = 0
+    for p, q in combinations(range(len(perm)), 2):
+        lo, hi = min(perm[p], perm[q]), max(perm[p], perm[q])
+        if perm[p] > perm[q]:
+            mask |= 1 << pair_index[(lo, hi)]
+    return mask
 
 
 def oracle_weak_order_S(n: int) -> Lattice:

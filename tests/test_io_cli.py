@@ -283,3 +283,29 @@ def test_cli_export_canonical_join_graph():
     code, _, err = run_cli("export", "--dot", "cjg", "-",
                            stdin=gen("fixture", "fig3_left"))
     assert code == 2
+
+
+def test_cli_complex_and_rowmotion_index_once(tmp_path, monkeypatch, capsys):
+    from trimlat import cli, complexes, galois
+
+    calls = {"index": 0, "complex": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    index = counted("index", galois.index_irreducibles)
+    label_complex = counted("complex", complexes._label_complex)
+    for name, module in list(sys.modules.items()):
+        for attr, fn in (("index_irreducibles", index), ("_label_complex", label_complex)):
+            if name.startswith("trimlat.") and hasattr(module, attr):
+                monkeypatch.setattr(module, attr, fn)
+    path = tmp_path / "fig4.json"
+    path.write_text(json.dumps(lattice_to_json(fixture("fig4"))))
+    for argv, want in ((["complex", str(path)], {"index": 1, "complex": 1}),
+                       (["rowmotion", "--orbits", str(path)], {"index": 1, "complex": 0})):
+        calls.update(index=0, complex=0)
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert calls == want, argv

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trimlat import (
     CycleDetected,
@@ -16,6 +18,8 @@ from trimlat import (
     order_ideals,
     poset_from_relations,
 )
+from conftest import oracle_poset_from_relations
+
 V_POSET = poset_from_relations(3, [(0, 2), (1, 2)])
 
 
@@ -40,6 +44,10 @@ def test_from_relations_cycle():
         poset_from_relations(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(CycleDetected):
         poset_from_relations(2, [(0, 0)])
+    # 0 lies above the cycle 1 <-> 2, with no successor to walk to
+    with pytest.raises(CycleDetected) as exc:
+        poset_from_relations(3, [(1, 0), (1, 2), (2, 1)])
+    assert (exc.value.a, exc.value.b) == (1, 2)
 
 
 def test_reduction_closure_roundtrip(small_posets):
@@ -47,6 +55,93 @@ def test_reduction_closure_roundtrip(small_posets):
     for q in small_posets:
         rels = [(a, b) for a in range(q.n) for b in range(q.n) if q.lt(a, b)]
         assert poset_from_relations(q.n, rels).covers == q.covers
+
+
+def _build_outcome(build, n, relations):
+    """Covers, up and down masks, or the CycleDetected arguments."""
+    try:
+        p = build(n, relations)
+    except CycleDetected as exc:
+        return "cycle", exc.a, exc.b, exc.args
+    except StopIteration:
+        # the oracle's walk from the least leftover element dead-ends when
+        # that element only lies above a cycle
+        return "stuck", None, None, None
+    return (p.covers, [p.up_mask(x) for x in range(n)],
+            [p.down_mask(x) for x in range(n)],
+            [p.upper_covers(x) for x in range(n)], [p.lower_covers(x) for x in range(n)])
+
+
+def _assert_same_build(n, relations):
+    got = _build_outcome(poset_from_relations, n, relations)
+    want = _build_outcome(oracle_poset_from_relations, n, relations)
+    if want[0] == "stuck":
+        # then an edge b -> a with a path from a back to b
+        _, a, b, _ = got
+        reach, todo = {a}, [a]
+        while todo:
+            v = todo.pop()
+            for w in {w for u, w in relations if u == v} - reach:
+                reach.add(w)
+                todo.append(w)
+        assert (b, a) in relations and b in reach, (n, relations)
+    else:
+        assert got == want, (n, relations)
+    return got[0] == "cycle"
+
+
+def test_from_relations_matches_oracle(small_posets, graph_lattices):
+    # every sweep poset and every sweep lattice's order, given as its
+    # covers, as its full closure, and relabelled with the relations
+    # shuffled, repeated and padded with implied pairs
+    rng = random.Random(8)
+    orders = list(small_posets) + [l.poset for _, l in graph_lattices]
+    for q in orders:
+        n = q.n
+        closure = [(a, b) for a in range(n) for b in range(n) if q.lt(a, b)]
+        assert not _assert_same_build(n, list(q.covers))
+        assert not _assert_same_build(n, closure)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rels = list(q.covers) + rng.sample(closure, len(closure) // 2) + list(q.covers[:2])
+        rng.shuffle(rels)
+        assert not _assert_same_build(n, [(perm[a], perm[b]) for a, b in rels])
+
+
+def test_from_relations_cycles_match_oracle(small_posets):
+    # one relation reversed against the order, or a loop, in every sweep
+    # poset: the same CycleDetected arguments as the oracle
+    rng = random.Random(9)
+    cycles = 0
+    for q in small_posets:
+        n = q.n
+        closure = [(a, b) for a in range(n) for b in range(n) if q.lt(a, b)]
+        for a, b in closure[:3] + closure[-2:]:
+            rels = list(q.covers) + [(b, a)]
+            rng.shuffle(rels)
+            cycles += _assert_same_build(n, rels)
+        x = rng.randrange(n)
+        cycles += _assert_same_build(n, list(q.covers) + [(x, x)])
+    assert cycles > 1000
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_from_relations_random_dags(n, seed):
+    """Random relations along a random linear order on <= 9 elements, with
+    repeats, and the same relations with one pair reversed."""
+    rng = random.Random(seed)
+    line = list(range(n))
+    rng.shuffle(line)
+    pairs = [(line[i], line[j]) for i in range(n) for j in range(i + 1, n)]
+    density = rng.random()
+    rels = [e for e in pairs if rng.random() < density]
+    rels += rng.choices(rels, k=len(rels) // 3) if rels else []
+    rng.shuffle(rels)
+    assert not _assert_same_build(n, rels)
+    if rels:
+        a, b = rng.choice(rels)
+        assert _assert_same_build(n, rels + [(b, a)])
 
 
 def test_order_ideals_antichain_is_boolean():

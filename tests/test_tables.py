@@ -5,6 +5,7 @@ quotients, and the same NotALattice witness on every bounded poset."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from trimlat import (
@@ -30,6 +31,7 @@ from trimlat import (
     tamari,
     weak_order_S,
 )
+from trimlat import lattice
 from trimlat.generators import antichain_poset, product_of_chains_poset
 from conftest import (
     assert_same_lattice,
@@ -128,6 +130,21 @@ def test_multiword_keys():
     assert not _assert_same_outcome(bad)
 
 
+@pytest.mark.parametrize("mixer", [
+    lambda words: np.zeros_like(words[0]),
+    lambda words: words[-1] & np.uint64(3),
+], ids=["one mix", "four mixes"])
+def test_colliding_mixes(monkeypatch, mixer):
+    # keys that share a mix are told apart by their words: the one- and
+    # two-word keys of the figures, the 71-element chain and M_70 build
+    # the same tables, and a bounded non-lattice names the same witness
+    monkeypatch.setattr(lattice, "_mix", mixer)
+    test_fixtures_match_oracle()
+    test_multiword_keys()
+    for relations, witness in WITNESS_CASES:
+        test_witness_cases(relations, witness)
+
+
 def _outcome(build, p):
     try:
         return build(p)
@@ -160,7 +177,7 @@ def test_not_a_lattice_witness(small_posets):
     assert (len(small_posets), len(small_posets) - lattices, flipped) == (407, 38, lattices)
 
 
-@pytest.mark.parametrize("relations, witness", [
+WITNESS_CASES = [
     ([(0, 1), (0, 2)], (1, 2, "join")),
     ([(0, 2), (0, 3), (1, 2), (1, 3)], (0, 1, "meet")),
     # bounded, with 1 and 2 below both 5 and 6; every AND of M-keys is a
@@ -168,7 +185,10 @@ def test_not_a_lattice_witness(small_posets):
     # so the candidate join of 1 and 3 is 3, not above 1
     ([(0, 1), (0, 2), (2, 3), (1, 4), (1, 5), (3, 5), (3, 6), (4, 6),
       (5, 7), (6, 7)], (1, 2, "join")),
-])
+]
+
+
+@pytest.mark.parametrize("relations, witness", WITNESS_CASES)
 def test_witness_cases(relations, witness):
     n = 1 + max(b for _, b in relations)
     p = poset_from_relations(n, relations)
