@@ -301,17 +301,7 @@ def lattice_from_graph(g: GaloisGraph,
 
     x_keys = _pack(x_masks, g.n)
     meet, join, _ = _tables(x_keys, _pack(y_masks, g.n))
-    up, down = _containment(x_keys)
-    covers = []
-    for a in range(n):
-        # x_masks are sorted by size, so the index order is a linear
-        # extension and the lowest element left above a is an upper cover
-        rest = up[a] ^ (1 << a)
-        while rest:
-            b = (rest & -rest).bit_length() - 1
-            covers.append((a, b))
-            rest &= ~up[b]
-    poset = Poset(n, covers, up, down)
+    poset = _containment(x_keys)  # x_masks are sorted by size
 
     pairs = tuple(MaxOrthPair(_label_set(xm), _label_set(ym))
                   for xm, ym in zip(x_masks, y_masks))

@@ -13,11 +13,12 @@ injective and sends meets to intersections; x |-> M(x), the
 meet-irreducibles above x, does the same for joins (Markowsky).  Each
 element's key is its J or M set packed into uint64 words; meet[x, y] is
 the element whose J-key equals J(x) & J(y), and join[x, y] dually, found
-by binary search of the AND's 64-bit mix (a fold of its words) in the
-keys' sorted mixes and a compare of all words.  Order ideals and their
-complements, the X and Y masks of maximal orthogonal pairs, and the
-up/down masks restricted to the irreducibles are such keys.  The order is
-the closure of the covers; for maximal orthogonal pairs, X(a) in X(b).
+in a linear-probing slot table from a home slot given by the AND's 64-bit
+mix (a fold of its words) and confirmed by a compare of all words.  Order
+ideals and their complements, the X and Y masks of maximal orthogonal
+pairs, and the up/down masks restricted to the irreducibles are such
+keys.  The order is the closure of the covers; for maximal orthogonal
+pairs, X(a) in X(b).
 
 Posets from outside are checked, not trusted.  When every M-key AND
 matches a key, join[x, x] == x and join[x, y] >= x for all x, y, every
@@ -171,23 +172,14 @@ def lattice_from_poset(p: Poset, names=None) -> Lattice:
 
 
 def lattice_from_ideal_masks(q: Poset, masks: tuple[int, ...]) -> Lattice:
-    """Distributive lattice on the given ideal bitmasks of q (meet/join are
-    intersection/union; masks must be closed under both)."""
-    index = {m: i for i, m in enumerate(masks)}
-    n = len(masks)
-    covers = []
+    """Distributive lattice on the given ideal bitmasks of q, sorted by size
+    (meet/join are intersection/union; masks must be closed under both)."""
     full = (1 << q.n) - 1
-    strict_down = [q.down_mask(x) ^ (1 << x) for x in range(q.n)]
-    for i, ideal in enumerate(masks):
-        for x in _bits(full & ~ideal):
-            if strict_down[x] & ~ideal == 0:
-                covers.append((i, index[ideal | (1 << x)]))
     # containment of the q.n-bit ideal masks is cheaper than the closure
     ideals = _pack(masks, q.n)
     meet, join, _ = _tables(ideals, _pack([full ^ m for m in masks], q.n))
-    poset = Poset(n, covers, *_containment(ideals))
     names = tuple("{" + ",".join(map(str, _bits(m))) + "}" for m in masks)
-    return Lattice(poset, meet, join, 0, n - 1, names=names)
+    return Lattice(_containment(ideals), meet, join, 0, len(masks) - 1, names=names)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +189,10 @@ def lattice_from_ideal_masks(q: Poset, masks: tuple[int, ...]) -> Lattice:
 # Rows of a table are processed in blocks whose temporaries hold about this
 # many cells, so memory beyond the tables themselves stays bounded.
 _BLOCK_CELLS = 1 << 14
+
+# tables of several row blocks are mirrored in square tiles of this side
+_TILE = 128
+_BELOW = np.tri(_TILE, k=-1, dtype=bool)
 
 
 def _row_blocks(rows: int, width: int):
@@ -239,48 +235,59 @@ def _mix(words) -> np.ndarray:
 def _tables(jkey: np.ndarray, mkey: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Meet and join tables from per-element keys.
 
-    meet[x, y] is the element whose J-key is jkey[x] & jkey[y], and
-    join[x, y] the element whose M-key is mkey[x] & mkey[y]: the binary
-    search of the AND's mix in the keys' sorted mixes gives a place, and the
-    key there counts when all its words equal the AND's.  Keys sharing a mix
-    are adjacent, so the next places are probed too, up to the longest run
-    of equal mixes (one place when the mixes are distinct).  Only y >= x is
-    looked up; the rest is copied across the diagonal.  The third value is
-    False when some AND matches no key, which lattice keys never do.
+    meet[x, y] is the element whose J-key is jkey[x] & jkey[y], join[x, y]
+    the one whose M-key is mkey[x] & mkey[y]: the first of the span slots
+    from the AND's home (the top b bits of its mix times _MIX, 2**b >= 4n)
+    whose key equals the AND in every word.  Linear probing in home order
+    puts every key fewer than span slots past its home; unfilled slots hold
+    element 0.  A key that repeats (in a non-lattice) is found by the AND
+    alone, so the lookup is a function of the key, as
+    :func:`_joins_are_least` needs.  Tables of several row blocks are looked
+    up from each block's first row and mirrored.  The third value is False
+    when some AND matches no key, which lattice keys never do.
     """
     n = len(jkey)
+    b = (4 * n - 1).bit_length()
+    shift = np.uint64(64 - b)
+    rank = np.arange(n)
     tables = []
     hit = True
     for key in (jkey, mkey):
-        words = np.ascontiguousarray(key.T)
-        mix = _mix(words)
-        order = np.argsort(mix, kind="stable").astype(np.int32)
-        ranked, by_mix = mix[order], words[:, order]
-        distinct = (ranked[1:] != ranked[:-1]).all()
-        probes = 1 if distinct else np.unique(ranked, return_counts=True)[1].max()
+        words = [key[:, k] for k in range(key.shape[1])]
+        home = (_mix(words) * _MIX >> shift).view(np.int64)
+        order = home.argsort(kind="stable")
+        ranked = home[order]
+        pos = np.maximum.accumulate(ranked - rank) + rank
+        span = (pos - ranked).max() + 1
+        slots = np.zeros((1 << b) + span, dtype=np.int32)
+        slots[pos] = order
+        held = [w[slots] for w in words]
         table = np.empty((n, n), dtype=np.int32)
         for r0, r1 in _row_blocks(n, n):
-            want = [w[r0:r1, None] & w[None, r0:] for w in words]
-            first = np.searchsorted(ranked, _mix(want))
-            pos = np.minimum(first, n - 1)
-            ok = reduce(np.logical_and, [w[pos] == v for w, v in zip(by_mix, want)])
-            for k in range(1, probes):
-                if ok.all():
+            want = [(w[r0:r1, None] & w[None, r0:]).reshape(-1) for w in words]
+            at = (_mix(want) * _MIX >> shift).view(np.int64)
+            miss = reduce(np.logical_or, [h[at] != v for h, v in zip(held, want)]).nonzero()[0]
+            for _ in range(1, span):
+                if not len(miss):
                     break
-                at = np.minimum(first + k, n - 1)
-                now = ~ok & reduce(np.logical_and, [w[at] == v for w, v in zip(by_mix, want)])
-                pos = np.where(now, at, pos)
-                ok |= now
-            hit = hit and bool(ok.all())
-            table[r0:r1, r0:] = order[pos]
-            table[r0:r1, :r0] = table[:r0, r0:r1].T
+                at[miss] += 1
+                miss = miss[reduce(np.logical_or, [h[at[miss]] != v[miss] for h, v in zip(held, want)])]
+            hit = hit and not len(miss)
+            table[r0:r1, r0:] = slots[at].reshape(r1 - r0, n - r0)
+        for i0 in range(0, n, _TILE) if r0 else ():  # several blocks: mirror
+            rows = slice(i0, i0 + _TILE)
+            for j0 in range(0, i0, _TILE):
+                table[rows, j0:j0 + _TILE] = table[j0:j0 + _TILE, rows].T
+            tile = table[rows, rows]
+            np.copyto(tile, tile.T, where=_BELOW[:len(tile), :len(tile)])
         tables.append(table)
     return tables[0], tables[1], hit
 
 
-def _containment(keys: np.ndarray) -> tuple[list[int], list[int]]:
-    """Up and down bitmasks of the order a <= b iff keys[a] is contained in
-    keys[b], that is keys[a] & keys[b] == keys[a]."""
+def _containment(keys: np.ndarray) -> Poset:
+    """The order a <= b iff keys[a] is contained in keys[b], that is
+    keys[a] & keys[b] == keys[a], for keys indexed in a linear extension of
+    it (sorted by size, say)."""
     up: list[int] = []
     down: list[int] = []
     for r0, r1 in _row_blocks(len(keys), len(keys) * keys.shape[1]):
@@ -289,7 +296,15 @@ def _containment(keys: np.ndarray) -> tuple[list[int], list[int]]:
         for masks, rows in ((up, common == block), (down, common == keys[None])):
             packed = np.packbits(rows.all(axis=2), axis=1, bitorder="little")
             masks.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
-    return up, down
+    covers = []
+    for a, above in enumerate(up):
+        # the lowest element left above a is minimal there: an upper cover
+        rest = above ^ (1 << a)
+        while rest:
+            b = (rest & -rest).bit_length() - 1
+            covers.append((a, b))
+            rest &= ~up[b]
+    return Poset(len(keys), covers, up, down)
 
 
 def _bool_rows(masks, nbits: int) -> np.ndarray:
@@ -592,10 +607,7 @@ def congruence(l: Lattice, classes) -> Congruence:
     seen = [x for c in cls for x in c]
     if sorted(seen) != list(range(l.n)):
         raise ValueError("classes do not partition the elements")
-    of = {}
-    for i, c in enumerate(cls):
-        for x in c:
-            of[x] = i
+    of = {x: i for i, c in enumerate(cls) for x in c}
     M, J = l.meet, l.join
     for c in cls:
         for x1, x2 in combinations(c, 2):
@@ -633,10 +645,7 @@ def _set_partitions(items):
 def quotient(l: Lattice, c: Congruence) -> tuple[Lattice, tuple[tuple[int, ...], ...]]:
     """The lattice on the congruence classes, plus the class list (class i of
     the result collects the original elements c.classes[i])."""
-    of = {}
-    for i, cl in enumerate(c.classes):
-        for x in cl:
-            of[x] = i
+    of = {x: i for i, cl in enumerate(c.classes) for x in cl}
     k = len(c.classes)
     relations = {(of[a], of[b]) for a, b in l.covers if of[a] != of[b]}
     p = poset_from_relations(k, sorted(relations))

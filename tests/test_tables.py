@@ -130,17 +130,34 @@ def test_multiword_keys():
     assert not _assert_same_outcome(bad)
 
 
+def test_several_row_blocks():
+    # past 128 elements a table takes several row blocks; each is looked up
+    # on and above its first row, and the rest is copied across the diagonal
+    chain = poset_from_relations(150, [(i, i + 1) for i in range(149)])
+    for p in (tamari(6).poset, boolean(8).poset, chain):
+        assert p.n > 128
+        assert_same_lattice(lattice_from_poset(p), oracle_lattice_from_poset(p))
+    assert_same_lattice(boolean(8), _ideal_oracle(antichain_poset(8)))
+    # M_140 with two coatoms in place of its top
+    bad = poset_from_relations(144, [(0, a) for a in range(1, 141)]
+                               + [(a, c) for a in range(1, 141) for c in (141, 142)]
+                               + [(141, 143), (142, 143)])
+    assert not _assert_same_outcome(bad)
+
+
 @pytest.mark.parametrize("mixer", [
     lambda words: np.zeros_like(words[0]),
     lambda words: words[-1] & np.uint64(3),
 ], ids=["one mix", "four mixes"])
 def test_colliding_mixes(monkeypatch, mixer):
     # keys that share a mix are told apart by their words: the one- and
-    # two-word keys of the figures, the 71-element chain and M_70 build
-    # the same tables, and a bounded non-lattice names the same witness
+    # two-word keys of the figures, the 71-element chain, M_70 and the
+    # tables of several row blocks are the same, and bounded non-lattices
+    # name the same witness
     monkeypatch.setattr(lattice, "_mix", mixer)
     test_fixtures_match_oracle()
     test_multiword_keys()
+    test_several_row_blocks()
     for relations, witness in WITNESS_CASES:
         test_witness_cases(relations, witness)
 
