@@ -25,7 +25,7 @@ from .complexes import (
 )
 from .errors import InputError, NotTrim, SizeLimitExceeded, TrimlatError
 from .figures import _fmt_set, first_non_overlapping_cover, verify_figures
-from .galois import _trim_labels, galois_graph, index_irreducibles
+from .galois import _trim_overlaps, galois_graph, index_irreducibles
 from .generators import FAMILIES, FamilySpec, build_family
 from .io import (
     dot_galois,
@@ -205,8 +205,8 @@ def _run_trace(l, labelling, args) -> int:
 
 def cmd_complex(args) -> int:
     l = _load_lattice(args)
-    idx, labels = _trim_labels(l, "the independence complex needs a trim lattice")
-    comp = _label_complex(l, labels)
+    idx, overlap = _trim_overlaps(l, "the independence complex needs a trim lattice")
+    comp = _label_complex(l, overlap)
     g = galois_graph(l, idx)
     ind = independent_sets(undirected(g), args.max_elements)
     faces = sorted(sorted(f) for f in comp.faces)

@@ -32,7 +32,6 @@ from .lattice import (
     _pack_bool,
     _tables,
     interval,
-    is_extremal,
 )
 from .poset import DEFAULT_MAX_ELEMENTS, Poset, _bits, poset_from_relations
 
@@ -172,24 +171,18 @@ def _overlaps(l: Lattice, idx: IrreducibleIndexing) -> list[int]:
     return [ym[y] & xj[z] for y, z in l.covers]
 
 
-def _overlap_labels(l: Lattice, idx: IrreducibleIndexing) -> dict | None:
-    """The overlap label of each cover, in ``l.covers`` order, or None when
-    some cover does not overlap (so l is not trim)."""
+def _trim_overlaps(l: Lattice, what: str) -> tuple[IrreducibleIndexing, list[int]]:
+    """The default indexing and the :func:`_overlaps` masks of a trim
+    lattice, with extremality read from the indexing's coheights; raises
+    NotTrim(what) when l is not trim."""
+    try:
+        idx = index_irreducibles(l)
+    except NotExtremal:
+        raise NotTrim(what) from None
     overlap = _overlaps(l, idx)
     if not all(overlap):
-        return None
-    return {c: v.bit_length() for c, v in zip(l.covers, overlap)}
-
-
-def _trim_labels(l: Lattice, what: str) -> tuple[IrreducibleIndexing, dict]:
-    """The default indexing and the overlap labels of a trim lattice;
-    raises NotTrim(what) when l is not trim."""
-    if is_extremal(l):
-        idx = index_irreducibles(l)
-        labels = _overlap_labels(l, idx)
-        if labels is not None:
-            return idx, labels
-    raise NotTrim(what)
+        raise NotTrim(what)
+    return idx, overlap
 
 
 def element_pair(l: Lattice, x: int,
@@ -345,7 +338,7 @@ def decompose(l: Lattice) -> tuple[tuple[Lattice, tuple[int, ...]],
     """Split a trim lattice into the disjoint intervals [bottom, m_1] and
     [j_1, top].  Returns ((L1, map1), (L_up, map_up)) where the maps carry
     sublattice indices back to l."""
-    idx, _ = _trim_labels(l, "decomposition requires a trim lattice")
+    idx, _ = _trim_overlaps(l, "decomposition requires a trim lattice")
     lower = interval(l, l.bottom, idx.m[0])
     upper = interval(l, idx.j[0], l.top)
     members = set(lower[1]) | set(upper[1])

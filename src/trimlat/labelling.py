@@ -13,6 +13,10 @@ A labelling is a map from Hasse edges (y, z) to hashable labels, distinct
 around each element.  Left-modular labellings use integer labels 1..n carrying
 the Galois poset; semidistributive labellings use irreducible elements as
 labels.
+
+Label sets are int masks over an enumeration of the labels (bit i-1 for
+label i of a trim lattice), checked distinct around each element by
+popcount (:func:`_label_masks`); frozensets are built only for output.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    NotExtremal,
     NotLeftModular,
     NotSemidistributive,
     ThreeWayMismatch,
 )
-from .galois import _overlap_labels, _trim_labels, galois_graph, galois_poset, index_irreducibles
+from .galois import _overlaps, _trim_overlaps, galois_graph, galois_poset, index_irreducibles
 from .lattice import (
     Chain,
     Lattice,
@@ -36,7 +41,7 @@ from .lattice import (
     is_extremal,
     is_left_modular_lattice,
 )
-from .poset import Poset
+from .poset import Poset, _bits
 
 
 @dataclass(frozen=True)
@@ -49,9 +54,6 @@ class CoverLabelling:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", dict(self.labels))
-
-    def label_set(self) -> frozenset:
-        return frozenset(self.labels.values())
 
 
 @dataclass(frozen=True)
@@ -66,17 +68,36 @@ def _label_dict(labelling) -> dict:
     return labelling.labels if isinstance(labelling, CoverLabelling) else labelling
 
 
-def down_up_labels(l: Lattice, labelling) -> LabelSets:
-    labels = _label_dict(labelling)
-    down = [set() for _ in range(l.n)]
-    up = [set() for _ in range(l.n)]
-    for (y, z), lab in labels.items():
-        up[y].add(lab)
-        down[z].add(lab)
+def _label_masks(l: Lattice, covers, bits) -> tuple[list[int], list[int]]:
+    """Per element, the masks of its down- and up-labels, from each cover
+    (y, z) in ``covers`` and its label's bit in ``bits``; raises ValueError
+    around an element with a cover unlabelled or a label repeated."""
+    down = [0] * l.n
+    up = [0] * l.n
+    for (y, z), bit in zip(covers, bits):
+        up[y] |= bit
+        down[z] |= bit
+    p = l.poset
     for x in range(l.n):
-        if len(down[x]) != len(l.lower_covers(x)) or len(up[x]) != len(l.upper_covers(x)):
+        if (down[x].bit_count() != len(p.lower_covers(x))
+                or up[x].bit_count() != len(p.upper_covers(x))):
             raise ValueError(f"labelling not defined (or not distinct) around {x}")
-    return LabelSets(tuple(map(frozenset, down)), tuple(map(frozenset, up)))
+    return down, up
+
+
+def _labelling_masks(l: Lattice, labelling) -> tuple[list, list[int], list[int]]:
+    """(names, down, up): :func:`_label_masks` of a labelling with bit t
+    standing for names[t], its labels in first-seen order."""
+    labels = _label_dict(labelling)
+    names = list(dict.fromkeys(labels.values()))
+    bit = {lab: 1 << t for t, lab in enumerate(names)}
+    return names, *_label_masks(l, labels, [bit[lab] for lab in labels.values()])
+
+
+def down_up_labels(l: Lattice, labelling) -> LabelSets:
+    names, down, up = _labelling_masks(l, labelling)
+    sets = {m: frozenset(names[t] for t in _bits(m)) for m in {*down, *up}}
+    return LabelSets(tuple(sets[m] for m in down), tuple(sets[m] for m in up))
 
 
 def left_modular_labelling(l: Lattice, chain: Chain | None = None,
@@ -91,7 +112,8 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None,
     Fast path: when the lattice is extremal and every cover overlaps (so it
     is trim), the label is the overlap label, the one i in y_M & z_J, one
     AND of the indexing's pair masks per cover (Thomas-Williams).  On an
-    extremal lattice the indexing also validates the chain.
+    extremal lattice the indexing also validates the chain.  Extremality is
+    read from the indexing's coheights.
 
     Full path (every other lattice, and ``verify=True``): three formulas,
     asserted equal on every cover,
@@ -102,12 +124,17 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None,
 
     plus, for trim lattices, the check that they equal the overlap label.
     """
-    extremal = is_extremal(l)
-    labels = None
-    if extremal:
+    try:
         idx = index_irreducibles(l, chain)
+    except NotExtremal:  # a supplied chain on an extremal lattice is wrong
+        if chain is not None and is_extremal(l):
+            raise
+        idx = None
+    labels = None
+    if idx is not None:
         chain = idx.chain
-        labels = _overlap_labels(l, idx)
+        overlap = _overlaps(l, idx)
+        labels = dict(zip(l.covers, map(int.bit_length, overlap))) if all(overlap) else None
     elif chain is None:
         chain = is_left_modular_lattice(l)
         if chain is None:
@@ -115,7 +142,7 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None,
     if labels is None or verify:
         labels = _three_formula_labels(l, chain.elements, labels)
 
-    if extremal:
+    if idx is not None:
         label_poset = galois_poset(galois_graph(l, idx))
     else:
         n = chain.length
@@ -127,8 +154,9 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None,
 def _trim_labelling(l: Lattice) -> CoverLabelling:
     """``left_modular_labelling(l)`` of a trim lattice from one indexing;
     raises NotTrim when l is not trim."""
-    idx, labels = _trim_labels(l, "not a trim lattice")
-    return CoverLabelling(labels, galois_poset(galois_graph(l, idx)))
+    idx, overlap = _trim_overlaps(l, "not a trim lattice")
+    return CoverLabelling(dict(zip(l.covers, map(int.bit_length, overlap))),
+                          galois_poset(galois_graph(l, idx)))
 
 
 def _three_formula_labels(l: Lattice, xs, overlap) -> dict:
@@ -160,11 +188,10 @@ def is_descriptive(l: Lattice, labelling) -> bool:
     element (possible on non-extremal left-modular lattices) are not
     descriptive."""
     try:
-        sets = down_up_labels(l, labelling)
+        _, down, up = _labelling_masks(l, labelling)
     except ValueError:
         return False
-    downs = set(sets.down)
-    ups = set(sets.up)
+    downs, ups = set(down), set(up)
     return len(downs) == l.n and len(ups) == l.n and downs == ups
 
 

@@ -341,8 +341,9 @@ def _joins_are_least(le: np.ndarray, join: np.ndarray) -> bool:
     cols = np.arange(n)
     if not (join[cols, cols] == cols).all():
         return False
+    flat = le.reshape(-1)  # le[x, z] is flat[x * n + z]
     for r0, r1 in _row_blocks(n, n):
-        if not le[cols[r0:r1, None], join[r0:r1]].all():
+        if not flat[cols[r0:r1, None] * n + join[r0:r1]].all():
             return False
     return True
 
@@ -504,7 +505,10 @@ def is_trim(l: Lattice) -> bool:
     """
     from .galois import _overlaps, index_irreducibles
 
-    return is_extremal(l) and all(_overlaps(l, index_irreducibles(l)))
+    try:  # extremality from the indexing's coheights
+        return all(_overlaps(l, index_irreducibles(l)))
+    except NotExtremal:
+        return False
 
 
 def is_trim_definitional(l: Lattice) -> bool:
@@ -579,12 +583,10 @@ def interval(l: Lattice, a: int, b: int) -> tuple[Lattice, tuple[int, ...]]:
 
 def spine(l: Lattice) -> tuple[int, ...]:
     """Elements lying on some maximal-length chain of an extremal lattice."""
-    if not is_extremal(l):
+    h, co = _heights(l), _coheights(l)
+    if not len(l.join_irr) == len(l.meet_irr) == h[l.top]:
         raise NotExtremal("spine requires an extremal lattice")
-    h = _heights(l)
-    co = _coheights(l)
-    n = h[l.top]
-    return tuple(x for x in range(l.n) if h[x] + co[x] == n)
+    return tuple(x for x in range(l.n) if h[x] + co[x] == h[l.top])
 
 
 @dataclass(frozen=True)

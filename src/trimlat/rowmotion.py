@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import NotALinearExtension, NotDescriptive
-from .labelling import CoverLabelling, _label_dict, down_up_labels
+from .labelling import CoverLabelling, _label_dict, _labelling_masks
 from .lattice import Lattice
 from .poset import Poset, _bits
 
@@ -70,19 +70,16 @@ def orbits(p: LatticePermutation) -> tuple[tuple[int, ...], int]:
 
 def rowmotion_global(l: Lattice, labelling) -> LatticePermutation:
     """row(x) = the unique y with U(y) = D(x), via one map from up-label
-    sets to elements."""
-    sets = down_up_labels(l, labelling)
-    by_up: dict[frozenset, int] = {}
-    for y, u in enumerate(sets.up):
+    masks (:func:`trimlat.labelling._labelling_masks`) to elements."""
+    _, down, up = _labelling_masks(l, labelling)
+    by_up: dict[int, int] = {}
+    for y, u in enumerate(up):
         if u in by_up:
             raise NotDescriptive(f"elements {by_up[u]} and {y} share up-labels")
         by_up[u] = y
-    forward = []
-    for x in range(l.n):
-        d = sets.down[x]
-        if d not in by_up:
-            raise NotDescriptive(f"down-labels of {x} match no up-label set")
-        forward.append(by_up[d])
+    forward = [by_up.get(d) for d in down]
+    if None in forward:
+        raise NotDescriptive(f"down-labels of {forward.index(None)} match no up-label set")
     return permutation_from_map(forward)
 
 

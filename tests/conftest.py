@@ -1,8 +1,9 @@
 """Shared test collections, independent brute-force oracles, the
 closure and cover scan that building a poset from its relations replaced,
 the pure-Python table builders that the vectorised table kernel replaced,
-the scans that the trim pipeline and the property predicates replaced, and
-graph helpers for the canonical join graph tests.
+the scans that the trim pipeline and the property predicates replaced, the
+frozenset label-set code that the label bitmasks replaced, and graph
+helpers for the canonical join graph tests.
 
 The sweep collections are deliberately exhaustive at desk scale: all posets
 on <= 5 elements up to relabelling (enumerated as the transitively closed
@@ -38,9 +39,28 @@ from trimlat import (
     tamari,
     weak_order_S,
 )
-from trimlat.errors import CycleDetected, NotALattice, NotExtremal, NotSemidistributive
-from trimlat.galois import MaxOrthPair, _closed_x_masks, _closure_tables, orth_complete_y
-from trimlat.lattice import Chain, Lattice, is_semidistributive, is_trim
+from trimlat.complexes import SimplicialComplex, undirected
+from trimlat.errors import (
+    CycleDetected,
+    NotALattice,
+    NotDescriptive,
+    NotExtremal,
+    NotSemidistributive,
+    NotTrim,
+    SizeLimitExceeded,
+)
+from trimlat.galois import (
+    MaxOrthPair,
+    _closed_x_masks,
+    _closure_tables,
+    _overlaps,
+    galois_graph,
+    orth_complete_y,
+)
+from trimlat.labelling import _label_dict
+from trimlat.lattice import Chain, Lattice, is_extremal, is_semidistributive, is_trim
+from trimlat.poset import DEFAULT_MAX_ELEMENTS
+from trimlat.rowmotion import permutation_from_map
 from trimlat.poset import _bits, canonical_extension
 
 
@@ -665,6 +685,107 @@ def oracle_semidistributive_labelling(l: Lattice):
         if kappa[gj] != gamma_m[e]:
             raise NotSemidistributive(e, "kappa-consistency", (kappa[gj], gamma_m[e]))
     return gamma_j, gamma_m, kappa
+
+
+# ---------------------------------------------------------------------------
+# the frozenset label sets, complexes, independent sets and rowmotion map
+# that the label bitmasks replaced, kept as oracles the mask paths must
+# match exactly, errors included
+# ---------------------------------------------------------------------------
+
+def oracle_down_up_labels(l: Lattice, labelling):
+    """(down, up): per element, the label sets of its lower and upper
+    covers, built as Python sets."""
+    labels = _label_dict(labelling)
+    down = [set() for _ in range(l.n)]
+    up = [set() for _ in range(l.n)]
+    for (y, z), lab in labels.items():
+        up[y].add(lab)
+        down[z].add(lab)
+    for x in range(l.n):
+        if len(down[x]) != len(l.lower_covers(x)) or len(up[x]) != len(l.upper_covers(x)):
+            raise ValueError(f"labelling not defined (or not distinct) around {x}")
+    return tuple(map(frozenset, down)), tuple(map(frozenset, up))
+
+
+def oracle_trim_labels(l: Lattice, what: str):
+    """(indexing, overlap labels) of a trim lattice, extremality first by
+    its own heights pass; NotTrim(what) otherwise."""
+    if is_extremal(l):
+        idx = index_irreducibles(l)
+        labels = {c: v.bit_length() for c, v in zip(l.covers, _overlaps(l, idx))}
+        if all(labels.values()):
+            return idx, labels
+    raise NotTrim(what)
+
+
+def oracle_label_complex(l: Lattice, labels) -> SimplicialComplex:
+    """The complex of down-label sets, checked to equal the family of
+    up-label sets and to be closed under subsets, face by face."""
+    down, up = oracle_down_up_labels(l, labels)
+    faces = frozenset(down)
+    assert faces == frozenset(up), "down/up label families differ"
+    for f in faces:
+        for v in f:
+            assert f - {v} in faces, "label family not closed under subsets"
+    return SimplicialComplex(frozenset(range(1, len(l.join_irr) + 1)), faces)
+
+
+def oracle_independence_complex(l: Lattice) -> SimplicialComplex:
+    _, labels = oracle_trim_labels(l, "the independence complex needs a trim lattice")
+    return oracle_label_complex(l, labels)
+
+
+def oracle_complement_check(l: Lattice) -> bool:
+    """Whether the undirected Galois graph and the skeleton of the
+    complex, as edge sets, partition the edges of the complete graph."""
+    idx, labels = oracle_trim_labels(l, "complement check is defined for trim lattices")
+    gal = undirected(galois_graph(l, idx))
+    indep = oracle_label_complex(l, labels).skeleton_edges()
+    if gal.edges & indep:
+        return False
+    return gal.edges | indep == frozenset(combinations(range(1, gal.n + 1), 2))
+
+
+def oracle_independent_sets(g: SimpleGraph, max_count: int = DEFAULT_MAX_ELEMENTS):
+    """Depth-first over a list of chosen vertices, smallest vertex first,
+    testing each candidate against the set of those chosen."""
+    adj = {v: set() for v in range(1, g.n + 1)}
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    out = []
+    chosen: list[int] = []
+
+    def rec(start: int):
+        out.append(frozenset(chosen))
+        if len(out) > max_count:
+            raise SizeLimitExceeded(len(out), max_count, "independent sets")
+        for v in range(start, g.n + 1):
+            if not adj[v] & set(chosen):
+                chosen.append(v)
+                rec(v + 1)
+                chosen.pop()
+
+    rec(1)
+    return frozenset(out)
+
+
+def oracle_rowmotion_global(l: Lattice, labelling):
+    """row(x) = the unique y with U(y) = D(x), by a map keyed by the
+    frozenset up-label sets."""
+    down, up = oracle_down_up_labels(l, labelling)
+    by_up: dict[frozenset, int] = {}
+    for y, u in enumerate(up):
+        if u in by_up:
+            raise NotDescriptive(f"elements {by_up[u]} and {y} share up-labels")
+        by_up[u] = y
+    forward = []
+    for x in range(l.n):
+        if down[x] not in by_up:
+            raise NotDescriptive(f"down-labels of {x} match no up-label set")
+        forward.append(by_up[down[x]])
+    return permutation_from_map(forward)
 
 
 # ---------------------------------------------------------------------------
