@@ -13,43 +13,17 @@ import argparse
 import json
 import sys
 
-from .complexes import (
-    SimpleGraph,
-    _complementary,
-    _label_complex,
-    canonical_join_graph,
-    independence_complex,
-    independent_sets,
-    is_flag,
-    undirected,
-)
 from .errors import InputError, NotTrim, SizeLimitExceeded, TrimlatError
-from .figures import _fmt_set, first_non_overlapping_cover, verify_figures
-from .galois import _trim_overlaps, galois_graph, index_irreducibles
-from .generators import FAMILIES, FamilySpec, build_family
-from .io import (
-    dot_galois,
-    dot_hasse,
-    dot_simple,
-    galois_to_json,
-    lattice_from_json,
-    lattice_to_json,
-    load_json_path,
-)
-from .labelling import _sd_labelling, _trim_labelling
-from .lattice import (
-    _kappas,
-    is_distributive,
-    is_extremal,
-    is_left_modular_lattice,
-    is_semidistributive,
-    length,
-)
+from .generators import FAMILIES
 from .poset import DEFAULT_MAX_ELEMENTS
-from .rowmotion import rowmotion_global, slow_trace
+
+# Each verb imports what it needs when it runs, so `gen` of a family that
+# needs no tables loads neither numpy nor the lattice modules.
 
 
 def _load_lattice(args):
+    from .io import lattice_from_json, load_json_path
+
     return lattice_from_json(load_json_path(args.path), args.max_elements)
 
 
@@ -63,6 +37,9 @@ def _emit(obj, as_json: bool, human: str) -> None:
 def _labelling_for(l):
     """Left-modular labelling for trim input, semidistributive labelling
     otherwise; the label poset is only available in the trim case."""
+    from .labelling import _sd_labelling, _trim_labelling
+    from .lattice import _kappas
+
     try:
         return _trim_labelling(l)
     except NotTrim:
@@ -73,6 +50,9 @@ def _labelling_for(l):
 
 
 def cmd_gen(args) -> int:
+    from .generators import FamilySpec, family_order
+    from .io import poset_to_json
+
     ints = []
     strs = []
     for p in args.params:
@@ -81,21 +61,26 @@ def cmd_gen(args) -> int:
         except ValueError:
             strs.append(p)
     params = tuple(ints) if ints else tuple(strs)
-    lat = build_family(FamilySpec(args.family, params), args.max_elements)
-    print(json.dumps(lattice_to_json(lat), sort_keys=True))
+    order = family_order(FamilySpec(args.family, params), args.max_elements)
+    print(json.dumps(poset_to_json(order.poset), sort_keys=True))
     return 0
 
 
 def _property_matrix(l) -> dict:
+    from .galois import _fmt_set, _index, first_non_overlapping_cover
+    from .lattice import _coheights, is_distributive, is_left_modular_lattice, is_semidistributive
+
     dist, dist_wit = is_distributive(l, witness=True)
     semi, semi_wit = is_semidistributive(l, witness=True)
-    ext = is_extremal(l)
+    # one longest-path pass: the length, extremality and the indexing
+    co = _coheights(l)
+    ext = len(l.join_irr) == len(l.meet_irr) == co[l.bottom]
     lm_chain = is_left_modular_lattice(l)
-    non_overlap = first_non_overlapping_cover(l) if ext else None
+    non_overlap = first_non_overlapping_cover(l, _index(l, co)) if ext else None
     trim = ext and non_overlap is None
     out = {
         "elements": l.n,
-        "length": length(l),
+        "length": co[l.bottom],
         "join_irreducibles": len(l.join_irr),
         "meet_irreducibles": len(l.meet_irr),
         "distributive": dist,
@@ -126,10 +111,13 @@ def _property_matrix(l) -> dict:
 
 
 def cmd_check(args) -> int:
+    from .lattice import length
+
     l = _load_lattice(args)
     if not args.all:
-        _emit({"elements": l.n, "length": length(l), "lattice": True},
-              args.json, f"ok: lattice with {l.n} elements, length {length(l)}")
+        ln = length(l)
+        _emit({"elements": l.n, "length": ln, "lattice": True},
+              args.json, f"ok: lattice with {l.n} elements, length {ln}")
         return 0
     m = _property_matrix(l)
     if args.json:
@@ -146,6 +134,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_galois(args) -> int:
+    from .galois import galois_graph, index_irreducibles
+    from .io import galois_to_json
+
     l = _load_lattice(args)
     idx = index_irreducibles(l)
     g = galois_graph(l, idx)
@@ -162,6 +153,8 @@ def cmd_galois(args) -> int:
 
 
 def cmd_rowmotion(args) -> int:
+    from .rowmotion import rowmotion_global
+
     l = _load_lattice(args)
     labelling = _labelling_for(l)
     if args.trace:
@@ -180,6 +173,8 @@ def cmd_rowmotion(args) -> int:
 
 
 def _run_trace(l, labelling, args) -> int:
+    from .rowmotion import slow_trace
+
     if args.element is None or args.ext is None:
         raise InputError("trace needs --element and --ext")
     try:
@@ -204,6 +199,9 @@ def _run_trace(l, labelling, args) -> int:
 
 
 def cmd_complex(args) -> int:
+    from .complexes import _complementary, _label_complex, independent_sets, is_flag, undirected
+    from .galois import _fmt_set, _trim_overlaps, galois_graph
+
     l = _load_lattice(args)
     idx, overlap = _trim_overlaps(l, "the independence complex needs a trim lattice")
     comp = _label_complex(l, overlap)
@@ -228,6 +226,8 @@ def cmd_complex(args) -> int:
 
 
 def cmd_verify_figures(args) -> int:
+    from .figures import verify_figures
+
     results = verify_figures()
     bad = 0
     for name, failures in results:
@@ -241,6 +241,10 @@ def cmd_verify_figures(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from .complexes import SimpleGraph, canonical_join_graph, independence_complex
+    from .galois import galois_graph
+    from .io import dot_galois, dot_hasse, dot_simple
+
     l = _load_lattice(args)
     if args.dot == "hasse":
         sys.stdout.write(dot_hasse(l))

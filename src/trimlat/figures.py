@@ -13,9 +13,10 @@ from .complexes import (
     undirected,
 )
 from .galois import (
-    _label_set,
+    _fmt_set,
     decompose,
     element_pair,
+    first_non_overlapping_cover,
     galois_graph,
     index_irreducibles,
     lattice_from_graph,
@@ -45,20 +46,6 @@ from .rowmotion import flip, rowmotion_global, rowmotion_slow
 def _expect(failures: list, cond: bool, msg: str) -> None:
     if not cond:
         failures.append(msg)
-
-
-def _fmt_set(s) -> str:
-    return "{" + ",".join(map(str, sorted(s))) + "}"
-
-
-def first_non_overlapping_cover(l):
-    """The first (in cover order) non-overlapping cover of an extremal
-    lattice, as (y, z, y_M, z_J), or None."""
-    idx = index_irreducibles(l)
-    for y, z in l.covers:
-        if not idx.ym[y] & idx.xj[z]:
-            return y, z, _label_set(idx.ym[y]), _label_set(idx.xj[z])
-    return None
 
 
 def _slow_equals_global(l, limit_ext: int = 200) -> bool:

@@ -108,7 +108,11 @@ def index_irreducibles(l: Lattice, chain: Chain | None = None) -> IrreducibleInd
     and packed again per element."""
     # one pass of coheights gives the length, hence extremality, and the
     # default chain
-    co = _coheights(l)
+    return _index(l, _coheights(l), chain)
+
+
+def _index(l: Lattice, co: list[int], chain: Chain | None = None) -> IrreducibleIndexing:
+    """:func:`index_irreducibles` from the coheights ``co``."""
     if not len(l.join_irr) == len(l.meet_irr) == co[l.bottom]:
         raise NotExtremal("irreducible indexing requires an extremal lattice")
     if chain is None:
@@ -169,6 +173,21 @@ def _overlaps(l: Lattice, idx: IrreducibleIndexing) -> list[int]:
     """
     xj, ym = idx.xj, idx.ym
     return [ym[y] & xj[z] for y, z in l.covers]
+
+
+def _fmt_set(s) -> str:
+    return "{" + ",".join(map(str, sorted(s))) + "}"
+
+
+def first_non_overlapping_cover(l, idx=None):
+    """The first (in cover order) non-overlapping cover of an extremal
+    lattice, as (y, z, y_M, z_J), or None; idx is its default indexing."""
+    if idx is None:
+        idx = index_irreducibles(l)
+    for y, z in l.covers:
+        if not idx.ym[y] & idx.xj[z]:
+            return y, z, _label_set(idx.ym[y]), _label_set(idx.xj[z])
+    return None
 
 
 def _trim_overlaps(l: Lattice, what: str) -> tuple[IrreducibleIndexing, list[int]]:

@@ -2,27 +2,29 @@
 fixtures: Boolean lattices, products of chains, type-A root-poset ideals,
 Tamari lattices by tree rotation, rational Dyck-path lattices, weak order on
 the symmetric group, and lattices loaded from Galois-graph files.
+Each family produces its order once (:func:`family_order`); only
+:meth:`FamilyOrder.lattice` builds tables, so ``gen`` needs no numpy.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from importlib import resources
 from itertools import permutations
 from math import factorial, gcd
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError, SizeLimitExceeded
-from .galois import GaloisGraph, lattice_from_graph
-from .io import galois_from_json, lattice_from_json
-from .lattice import Lattice, lattice_from_poset
 from .poset import (
     DEFAULT_MAX_ELEMENTS,
     Poset,
+    ideal_poset,
     order_ideals,
     poset_from_relations,
 )
+
+if TYPE_CHECKING:
+    from .lattice import Lattice
 
 WEAK_ORDER_CAP = 7
 
@@ -33,11 +35,16 @@ def antichain_poset(n: int) -> Poset:
 
 def boolean(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
     """The Boolean lattice B_n = J(antichain on n), with 2^n elements."""
+    return order_ideals(_boolean_poset(n, max_elements), max_elements)
+
+
+def _boolean_poset(n: int, max_elements: int) -> Poset:
+    """The antichain on n, refused when 2^n exceeds max_elements."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if 2 ** n > max_elements:
         raise SizeLimitExceeded(2 ** n, max_elements, "Boolean lattice")
-    return order_ideals(antichain_poset(n), max_elements)
+    return antichain_poset(n)
 
 
 def product_of_chains_poset(*sizes: int) -> Poset:
@@ -115,6 +122,10 @@ def _rotations(t):
 def tamari(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
     """The Tamari lattice on binary trees with n internal nodes, covers
     given by single right rotations (Catalan(n) elements)."""
+    return _tamari(n, max_elements).lattice()
+
+
+def _tamari(n: int, max_elements: int) -> FamilyOrder:
     if n < 1:
         raise ValueError("n must be >= 1")
     trees = list(_trees(n))
@@ -125,7 +136,7 @@ def tamari(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
     for t in trees:
         for t2 in _rotations(t):
             rels.append((index[t], index[t2]))
-    return lattice_from_poset(poset_from_relations(len(trees), rels))
+    return FamilyOrder(poset_from_relations(len(trees), rels))
 
 
 def rational_dyck_poset(a: int, b: int) -> Poset:
@@ -160,6 +171,10 @@ def weak_order_S(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
     containment of inversion sets; covers are adjacent transpositions.
     Raises SizeLimitExceeded before building when n > WEAK_ORDER_CAP or n!
     exceeds max_elements."""
+    return _weak_order(n, max_elements).lattice()
+
+
+def _weak_order(n: int, max_elements: int) -> FamilyOrder:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > WEAK_ORDER_CAP:
@@ -175,27 +190,29 @@ def weak_order_S(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
             if p[k] < p[k + 1]:
                 q = p[:k] + (p[k + 1], p[k]) + p[k + 2:]
                 covers.append((index[p], index[q]))
-    poset = poset_from_relations(len(perms), covers)
     names = tuple("".join(str(v + 1) for v in p) for p in perms)
-    return lattice_from_poset(poset, names=names)
+    return FamilyOrder(poset_from_relations(len(perms), covers), names=names)
 
 
 FIXTURE_ENV = "TRIMLAT_FIXTURES"
 
 
-def _fixture_dir():
+def _fixture_json(file: str):
+    """A JSON file of the fixture directory (TRIMLAT_FIXTURES, if set)."""
     override = os.environ.get(FIXTURE_ENV)
     if override:
-        return override
-    return resources.files("trimlat") / "fixtures"
+        from pathlib import Path
+
+        base = Path(override)
+    else:
+        from importlib import resources
+
+        base = resources.files("trimlat") / "fixtures"
+    return json.loads((base / file).read_text(encoding="utf-8"))
 
 
 def fixture_manifest() -> dict:
-    base = _fixture_dir()
-    if isinstance(base, str):
-        with open(os.path.join(base, "manifest.json"), "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads((base / "manifest.json").read_text(encoding="utf-8"))
+    return _fixture_json("manifest.json")
 
 
 def fixture_names() -> tuple[str, ...]:
@@ -205,16 +222,13 @@ def fixture_names() -> tuple[str, ...]:
 def fixture(name: str):
     """Load a shipped figure fixture: a Lattice for Hasse-diagram fixtures,
     a GaloisGraph for graph fixtures."""
+    from .io import galois_from_json, lattice_from_json
+
     manifest = fixture_manifest()
     if name not in manifest:
         raise InputError(f"unknown fixture {name!r}; have {', '.join(sorted(manifest))}")
     entry = manifest[name]
-    base = _fixture_dir()
-    if isinstance(base, str):
-        with open(os.path.join(base, entry["file"]), "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    else:
-        obj = json.loads((base / entry["file"]).read_text(encoding="utf-8"))
+    obj = _fixture_json(entry["file"])
     if entry["kind"] == "lattice":
         return lattice_from_json(obj)
     if entry["kind"] == "galois":
@@ -225,6 +239,8 @@ def fixture(name: str):
 def fixture_lattice(name: str, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
     """Like :func:`fixture`, but graph fixtures are expanded into their
     lattices of maximal orthogonal pairs."""
+    from .galois import GaloisGraph, lattice_from_graph
+
     obj = fixture(name)
     if isinstance(obj, GaloisGraph):
         return lattice_from_graph(obj, max_elements)[0]
@@ -244,35 +260,61 @@ FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+# named tuples: importing dataclasses would cost `gen` more than this module
+class FamilySpec(NamedTuple):
     """A generator invocation: family name plus integer or path parameters."""
 
     family: str
     params: tuple
 
 
-def build_family(spec: FamilySpec, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
-    """Dispatch a FamilySpec to its generator, returning a Lattice."""
+class FamilyOrder(NamedTuple):
+    """A family lattice before its meet/join tables: its order, and either
+    display names or, for a lattice of order ideals, the ideals as masks of
+    a width-element poset, which become the table keys."""
+
+    poset: Poset
+    names: tuple[str, ...] | None = None
+    masks: tuple[int, ...] | None = None
+    width: int = 0
+
+    def lattice(self) -> Lattice:
+        from .lattice import lattice_from_ideal_masks, lattice_from_poset
+
+        if self.masks is None:
+            return lattice_from_poset(self.poset, names=self.names)
+        return lattice_from_ideal_masks(self.poset, self.masks, self.width)
+
+
+def _ideals(q: Poset, max_elements: int) -> FamilyOrder:
+    masks, order = ideal_poset(q, max_elements)
+    return FamilyOrder(order, masks=masks, width=q.n)
+
+
+def family_order(spec: FamilySpec,
+                 max_elements: int = DEFAULT_MAX_ELEMENTS) -> FamilyOrder | Lattice:
+    """Dispatch a FamilySpec to its generator.  The integer families and
+    order-ideals give their order without tables; galois-file and fixture
+    give their lattice, which reading them builds."""
     fam, params = spec.family, spec.params
     try:
         if fam == "boolean":
             (n,) = params
-            return boolean(n, max_elements)
+            return _ideals(_boolean_poset(n, max_elements), max_elements)
         if fam == "chain-product":
-            return chain_product(*params, max_elements=max_elements)
+            return _ideals(product_of_chains_poset(*params), max_elements)
         if fam == "root-ideals":
             (n,) = params
-            return root_ideals(n, max_elements)
+            return _ideals(root_poset_A(n), max_elements)
         if fam == "tamari":
             (n,) = params
-            return tamari(n, max_elements)
+            return _tamari(n, max_elements)
         if fam == "rational-dyck":
             a, b = params
-            return rational_dyck(a, b, max_elements)
+            return _ideals(rational_dyck_poset(a, b), max_elements)
         if fam == "weak-order":
             (n,) = params
-            return weak_order_S(n, max_elements=max_elements)
+            return _weak_order(n, max_elements)
         if fam == "order-ideals":
             (path,) = params
             from .io import load_json_path, poset_from_json
@@ -283,10 +325,11 @@ def build_family(spec: FamilySpec, max_elements: int = DEFAULT_MAX_ELEMENTS) -> 
             n = obj.get("n") if isinstance(obj, dict) else None
             if isinstance(n, int) and n + 1 > max_elements:
                 raise SizeLimitExceeded(n + 1, max_elements, "order ideals")
-            return order_ideals(poset_from_json(obj), max_elements)
+            return _ideals(poset_from_json(obj), max_elements)
         if fam == "galois-file":
             (path,) = params
-            from .io import load_json_path
+            from .galois import lattice_from_graph
+            from .io import galois_from_json, load_json_path
 
             return lattice_from_graph(galois_from_json(load_json_path(path)),
                                       max_elements)[0]
@@ -296,3 +339,9 @@ def build_family(spec: FamilySpec, max_elements: int = DEFAULT_MAX_ELEMENTS) -> 
     except (ValueError, TypeError) as exc:
         raise InputError(f"bad parameters for family {fam!r}: {exc}") from exc
     raise InputError(f"unknown family {fam!r}; have {', '.join(FAMILIES)}")
+
+
+def build_family(spec: FamilySpec, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
+    """Dispatch a FamilySpec to its generator, returning a Lattice."""
+    got = family_order(spec, max_elements)
+    return got.lattice() if isinstance(got, FamilyOrder) else got

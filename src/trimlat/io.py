@@ -1,17 +1,21 @@
 """JSON and DOT serialization: posets and lattices as Hasse-diagram cover
 lists, Galois graphs as 1-based edge lists, labelled diagrams, and DOT
-exports.  Loaders validate eagerly and raise InputError on malformed data.
+exports.  Loaders validate eagerly and raise InputError on malformed data;
+those that build a lattice or a graph import its module when called.
 """
 
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .complexes import SimpleGraph
 from .errors import InputError, SizeLimitExceeded
-from .galois import GaloisGraph
-from .lattice import Lattice, lattice_from_poset
 from .poset import DEFAULT_MAX_ELEMENTS, Poset, poset_from_relations
+
+if TYPE_CHECKING:
+    from .complexes import SimpleGraph
+    from .galois import GaloisGraph
+    from .lattice import Lattice
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -44,6 +48,8 @@ def lattice_from_json(obj, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
     """Same wire format as posets; additionally validates the lattice
     axioms (unique meets and joins).  Raises SizeLimitExceeded before
     building anything when 'n' exceeds max_elements."""
+    from .lattice import lattice_from_poset
+
     n = obj.get("n") if isinstance(obj, dict) else None
     if isinstance(n, int) and n > max_elements:
         raise SizeLimitExceeded(n, max_elements, "lattice elements")
@@ -57,6 +63,8 @@ def lattice_to_json(l: Lattice) -> dict:
 def galois_from_json(obj) -> GaloisGraph:
     """Accepts {"n": int, "edges": [[i, k], ...]} with 1-based labels and
     i > k enforced."""
+    from .galois import GaloisGraph
+
     _require(isinstance(obj, dict), "expected a JSON object")
     _require(isinstance(obj.get("n"), int) and obj["n"] >= 0, "bad or missing 'n'")
     edges = obj.get("edges")

@@ -171,15 +171,14 @@ def lattice_from_poset(p: Poset, names=None) -> Lattice:
     return Lattice(p, meet, join, bottom, top, names=names)
 
 
-def lattice_from_ideal_masks(q: Poset, masks: tuple[int, ...]) -> Lattice:
-    """Distributive lattice on the given ideal bitmasks of q, sorted by size
-    (meet/join are intersection/union; masks must be closed under both)."""
-    full = (1 << q.n) - 1
-    # containment of the q.n-bit ideal masks is cheaper than the closure
-    ideals = _pack(masks, q.n)
-    meet, join, _ = _tables(ideals, _pack([full ^ m for m in masks], q.n))
+def lattice_from_ideal_masks(order: Poset, masks: tuple[int, ...], width: int) -> Lattice:
+    """Distributive lattice with the given order on ideal bitmasks of a
+    width-element poset, sorted by size (meet/join are intersection/union;
+    masks must be closed under both)."""
+    full = (1 << width) - 1
+    meet, join, _ = _tables(_pack(masks, width), _pack([full ^ m for m in masks], width))
     names = tuple("{" + ",".join(map(str, _bits(m))) + "}" for m in masks)
-    return Lattice(_containment(ideals), meet, join, 0, len(masks) - 1, names=names)
+    return Lattice(order, meet, join, 0, len(masks) - 1, names=names)
 
 
 # ---------------------------------------------------------------------------

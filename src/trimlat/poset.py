@@ -235,30 +235,57 @@ def ideal_masks(q: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> tuple[int
     """All order ideals of q as bitmasks, sorted by (popcount, value).
 
     This canonical order is shared with :func:`order_ideals`, whose i-th
-    lattice element is the i-th mask returned here.
-    """
+    lattice element is the i-th mask returned here."""
+    return ideal_poset(q, max_elements)[0]
+
+
+def ideal_poset(q: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> tuple[tuple, Poset]:
+    """The order ideals of q as :func:`ideal_masks` numbers them, and their
+    containment order, built from its covers.
+
+    A breadth-first walk from the empty ideal, a size at a time, finds each
+    ideal's upper covers I | {x} (in ascending x, so ascending number) and
+    checks the cap after each ideal.  The numbering by size is a linear
+    extension, so the up masks come from one pass down the numbers and the
+    down masks from one pass up them; no pair of ideals is compared."""
+    full = (1 << q.n) - 1
     strict_down = [q.down_mask(x) ^ (1 << x) for x in range(q.n)]
     seen = {0}
     frontier = [0]
+    levels, ups = [], {}
     while frontier:
         nxt = []
         for ideal in frontier:
-            free = ~ideal & ((1 << q.n) - 1)
-            for x in _bits(free):
-                if strict_down[x] & ~ideal == 0:
-                    new = ideal | (1 << x)
-                    if new not in seen:
-                        seen.add(new)
-                        nxt.append(new)
+            ups[ideal] = kids = [ideal | 1 << x for x in _bits(full & ~ideal)
+                                 if strict_down[x] & ~ideal == 0]
+            for new in kids:
+                if new not in seen:
+                    seen.add(new)
+                    nxt.append(new)
             if len(seen) > max_elements:
                 raise SizeLimitExceeded(len(seen), max_elements, "order ideals")
+        levels.append(sorted(frontier))
         frontier = nxt
-    return tuple(sorted(seen, key=lambda m: (m.bit_count(), m)))
+    masks = tuple(m for level in levels for m in level)
+    index = {m: i for i, m in enumerate(masks)}
+    upper = [[index[c] for c in ups[m]] for m in masks]
+    n = len(masks)
+    up = [1 << v for v in range(n)]
+    for v in reversed(range(n)):
+        for w in upper[v]:
+            up[v] |= up[w]
+    down = [1 << v for v in range(n)]
+    for v in range(n):
+        for w in upper[v]:
+            down[w] |= down[v]
+    return masks, Poset(n, [(v, w) for v in range(n) for w in upper[v]], up, down)
 
 
 def order_ideals(q: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS):
     """The distributive lattice J(q) of order ideals of q, ordered by
-    containment.  Element 0 is the empty ideal; the top is all of q."""
+    containment, on the order of :func:`ideal_poset`.  Element 0 is the
+    empty ideal; the top is all of q."""
     from .lattice import lattice_from_ideal_masks
 
-    return lattice_from_ideal_masks(q, ideal_masks(q, max_elements))
+    masks, order = ideal_poset(q, max_elements)
+    return lattice_from_ideal_masks(order, masks, q.n)

@@ -1,5 +1,7 @@
 """Shared test collections, independent brute-force oracles, the
 closure and cover scan that building a poset from its relations replaced,
+the pairwise containment that building ideal lattices from their covers
+replaced,
 the pure-Python table builders that the vectorised table kernel replaced,
 the scans that the trim pipeline and the property predicates replaced, the
 frozenset label-set code that the label bitmasks replaced, and graph
@@ -58,7 +60,15 @@ from trimlat.galois import (
     orth_complete_y,
 )
 from trimlat.labelling import _label_dict
-from trimlat.lattice import Chain, Lattice, is_extremal, is_semidistributive, is_trim
+from trimlat.lattice import (
+    Chain,
+    Lattice,
+    _containment,
+    _pack,
+    is_extremal,
+    is_semidistributive,
+    is_trim,
+)
 from trimlat.poset import DEFAULT_MAX_ELEMENTS
 from trimlat.rowmotion import permutation_from_map
 from trimlat.poset import _bits, canonical_extension
@@ -289,6 +299,30 @@ def oracle_poset_from_relations(n: int, relations) -> Poset:
             if strict & down[b] & ~(1 << b) == 0:
                 covers.append((a, b))
     return Poset(n, covers, up, down)
+
+
+def oracle_ideal_poset(q: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS):
+    """The ideals of q by a breadth-first walk that keeps no covers, sorted
+    by (popcount, value), and their order by comparing every pair of packed
+    masks (``lattice._containment``); the same SizeLimitExceeded."""
+    strict_down = [q.down_mask(x) ^ (1 << x) for x in range(q.n)]
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for ideal in frontier:
+            free = ~ideal & ((1 << q.n) - 1)
+            for x in _bits(free):
+                if strict_down[x] & ~ideal == 0:
+                    new = ideal | (1 << x)
+                    if new not in seen:
+                        seen.add(new)
+                        nxt.append(new)
+            if len(seen) > max_elements:
+                raise SizeLimitExceeded(len(seen), max_elements, "order ideals")
+        frontier = nxt
+    masks = tuple(sorted(seen, key=lambda m: (m.bit_count(), m)))
+    return masks, _containment(_pack(masks, q.n))
 
 
 # ---------------------------------------------------------------------------

@@ -236,10 +236,10 @@ def test_cli_order_ideals_file_honours_max_elements(tmp_path, monkeypatch, capsy
 
 
 def test_cli_weak_order_honours_max_elements(monkeypatch, capsys):
-    from trimlat import cli, generators
+    from trimlat import cli, generators, lattice
 
     monkeypatch.setattr(generators, "permutations", _never)
-    monkeypatch.setattr(generators, "lattice_from_poset", _never)
+    monkeypatch.setattr(lattice, "lattice_from_poset", _never)
     assert cli.main(["gen", "weak-order", "5", "--max-elements", "100"]) == 3
     assert "120 > 100" in capsys.readouterr().err
     monkeypatch.undo()
@@ -309,3 +309,65 @@ def test_cli_complex_and_rowmotion_index_once(tmp_path, monkeypatch, capsys):
         calls.update(index=0, complex=0)
         assert cli.main(argv) == 0, capsys.readouterr().err
         assert calls == want, argv
+
+
+def test_cli_check_runs_one_longest_path_pass(tmp_path, monkeypatch, capsys):
+    from trimlat import cli, lattice, tamari, weak_order_S
+
+    calls = []
+    longest_paths = lattice._longest_paths
+
+    def counted(*args):
+        calls.append(args)
+        return longest_paths(*args)
+
+    monkeypatch.setattr(lattice, "_longest_paths", counted)
+    # tamari(5) is trim; weak order on S_4 is not extremal
+    for name, lat in (("tamari5", tamari(5)), ("weak4", weak_order_S(4))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(lattice_to_json(lat)))
+        for flags in ([], ["--json"], ["--all"], ["--all", "--json"]):
+            calls.clear()
+            assert cli.main(["check", *flags, str(path)]) == 0, capsys.readouterr().err
+            assert len(calls) == 1, (name, flags)
+    capsys.readouterr()
+
+
+# gen for each family that needs no tables, run as `python -m trimlat.cli`
+# does; stderr names numpy or trimlat.lattice if the run loaded them
+GEN_CHILD = """
+import runpy, sys
+sys.argv = ["trimlat", "gen", *sys.argv[1:]]
+try:
+    runpy.run_module("trimlat.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(*(m for m in ("numpy", "trimlat.lattice") if m in sys.modules), file=sys.stderr)
+"""
+
+INTEGER_FAMILIES = (("boolean", (5,)), ("chain-product", (3, 2, 2)), ("root-ideals", (4,)),
+                    ("tamari", (5,)), ("rational-dyck", (3, 5)), ("weak-order", (4,)))
+
+
+@pytest.mark.parametrize("family, params", INTEGER_FAMILIES)
+def test_gen_loads_no_numpy(family, params):
+    from trimlat import FamilySpec, build_family
+
+    proc = subprocess.run([sys.executable, "-c", GEN_CHILD, family, *map(str, params)],
+                          capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0 and proc.stderr.strip() == "", proc.stderr
+    want = json.dumps(lattice_to_json(build_family(FamilySpec(family, params))), sort_keys=True)
+    assert proc.stdout == want + "\n"
+
+
+def test_import_loads_no_submodule():
+    code = ("import sys, trimlat; "
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('trimlat'))); "
+            "[getattr(trimlat, name) for name in trimlat.__all__]; "
+            "print(len(trimlat.__all__), 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['trimlat']", f"{len(trimlat.__all__)} True"]
+    assert set(trimlat.__all__) <= set(dir(trimlat))
+    with pytest.raises(AttributeError):
+        trimlat.no_such_name

@@ -18,7 +18,14 @@ from trimlat import (
     order_ideals,
     poset_from_relations,
 )
-from conftest import oracle_poset_from_relations
+from trimlat.generators import (
+    antichain_poset,
+    product_of_chains_poset,
+    rational_dyck_poset,
+    root_poset_A,
+)
+from trimlat.poset import ideal_poset
+from conftest import oracle_ideal_poset, oracle_poset_from_relations
 
 V_POSET = poset_from_relations(3, [(0, 2), (1, 2)])
 
@@ -167,6 +174,56 @@ def test_order_ideals_chain():
 def test_order_ideals_size_cap():
     with pytest.raises(SizeLimitExceeded):
         order_ideals(poset_from_relations(6, []), max_elements=10)
+
+
+def _assert_same_ideal_poset(q):
+    """The walk's cover-built order equals pairwise containment: masks,
+    covers, up and down masks, and the SizeLimitExceeded arguments at a cap
+    of half, all but one and all of the ideals."""
+    masks, got = ideal_poset(q)
+    want_masks, want = oracle_ideal_poset(q)
+    assert masks == want_masks == ideal_masks(q)
+    assert got.covers == want.covers
+    for x in range(got.n):
+        assert got.up_mask(x) == want.up_mask(x) and got.down_mask(x) == want.down_mask(x)
+        assert got.upper_covers(x) == want.upper_covers(x)
+        assert got.lower_covers(x) == want.lower_covers(x)
+    n = len(masks)
+    for cap in (n // 2, n - 1, n):
+        outcomes = []
+        for build in (ideal_poset, oracle_ideal_poset):
+            try:
+                outcomes.append(build(q, cap)[0])
+            except SizeLimitExceeded as exc:
+                outcomes.append((exc.count, exc.cap, exc.what))
+        assert outcomes[0] == outcomes[1], cap
+        assert (outcomes[0] == masks) == (cap == n), cap
+
+
+def test_ideal_poset_matches_oracle(small_posets):
+    for q in small_posets:
+        _assert_same_ideal_poset(q)
+
+
+@pytest.mark.parametrize("q", [
+    antichain_poset(9), antichain_poset(10), root_poset_A(6),
+    product_of_chains_poset(5, 5), product_of_chains_poset(3, 3, 2),
+    rational_dyck_poset(5, 8),
+], ids=["boolean9", "boolean10", "root_ideals6", "chain_product5x5",
+        "chain_product3x3x2", "rational_dyck5x8"])
+def test_ideal_poset_families_match_oracle(q):
+    _assert_same_ideal_poset(q)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(n=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_ideal_poset_random_natural_posets(n, seed):
+    """Naturally labelled posets (a < b only when a < b as integers) on
+    <= 9 elements, of random density."""
+    rng = random.Random(seed)
+    density = rng.random()
+    rels = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density]
+    _assert_same_ideal_poset(poset_from_relations(n, rels))
 
 
 def test_linear_extensions_antichain2():
