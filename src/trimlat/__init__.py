@@ -24,7 +24,7 @@ _EXPORTS = {
               "ThreeWayMismatch TrimlatError",
     "poset": "DEFAULT_MAX_ELEMENTS Poset antichains canonical_extension ideal_masks "
              "linear_extensions order_ideals poset_from_relations",
-    "lattice": "Chain Congruence Lattice all_congruences congruence interval "
+    "lattice": "Chain Congruence Lattice congruence interval "
                "is_distributive is_extremal is_graded is_left_modular_element "
                "is_left_modular_lattice is_semidistributive is_trim "
                "is_trim_definitional lattice_from_poset length "

@@ -199,19 +199,21 @@ def _run_trace(l, labelling, args) -> int:
 
 
 def cmd_complex(args) -> int:
-    from .complexes import _complementary, _label_complex, independent_sets, is_flag, undirected
+    from .complexes import (_complementary, _label_complex, _label_family,
+                            independent_sets, is_flag, undirected)
     from .galois import _fmt_set, _trim_overlaps, galois_graph
 
     l = _load_lattice(args)
     idx, overlap = _trim_overlaps(l, "the independence complex needs a trim lattice")
-    comp = _label_complex(l, overlap)
+    family = _label_family(l, overlap)
+    comp = _label_complex(l, family)
     g = galois_graph(l, idx)
     ind = independent_sets(undirected(g), args.max_elements)
     faces = sorted(sorted(f) for f in comp.faces)
     payload = {
         "faces": faces,
         "flag": is_flag(comp),
-        "complement_partition": _complementary(g, comp),
+        "complement_partition": _complementary(g, family),
         "independent_sets": len(ind),
         "elements": l.n,
     }

@@ -50,24 +50,22 @@ def undirected(g: GaloisGraph) -> SimpleGraph:
     return SimpleGraph(g.n, frozenset((k, i) for i, k in g.edges))
 
 
-def complement_graph(g: SimpleGraph) -> SimpleGraph:
-    return SimpleGraph(
-        g.n,
-        frozenset(e for e in combinations(range(1, g.n + 1), 2)
-                  if e not in g.edges),
-    )
-
-
-def _label_complex(l: Lattice, overlap: list[int]) -> SimplicialComplex:
-    """:func:`independence_complex` from the :func:`trimlat.galois._overlaps`
-    masks of a trim lattice's covers."""
+def _label_family(l: Lattice, overlap: list[int]) -> set[int]:
+    """The down-label masks of a trim lattice from the
+    :func:`trimlat.galois._overlaps` masks of its covers, checked to equal
+    the up-label masks and to be closed under subsets."""
     down, up = _label_masks(l, l.covers, overlap)
     masks = set(down)
     assert masks == set(up), "down/up label families differ"
     assert all(down[z] ^ bit in masks for (_, z), bit in zip(l.covers, overlap)), \
         "label family not closed under subsets"
+    return masks
+
+
+def _label_complex(l: Lattice, family: set[int]) -> SimplicialComplex:
+    """:func:`independence_complex` from the :func:`_label_family` masks."""
     faces = {0: frozenset()}  # the bottom's down-labels
-    for m in sorted(masks)[1:]:  # a smaller face plus its least label
+    for m in sorted(family)[1:]:  # a smaller face plus its least label
         faces[m] = faces[m & (m - 1)] | {(m & -m).bit_length()}
     return SimplicialComplex(frozenset(range(1, len(l.join_irr) + 1)), frozenset(faces.values()))
 
@@ -76,7 +74,7 @@ def independence_complex(l: Lattice) -> SimplicialComplex:
     """The complex of down-label sets of a trim lattice; checked on the fly
     to equal the family of up-label sets and to be closed under subsets."""
     _, overlap = _trim_overlaps(l, "the independence complex needs a trim lattice")
-    return _label_complex(l, overlap)
+    return _label_complex(l, _label_family(l, overlap))
 
 
 def is_flag(c: SimplicialComplex) -> bool:
@@ -119,14 +117,14 @@ def complement_check(l: Lattice) -> bool:
     """Whether the undirected Galois graph and the independence graph of a
     trim lattice partition the edges of the complete graph."""
     idx, overlap = _trim_overlaps(l, "complement check is defined for trim lattices")
-    return _complementary(galois_graph(l, idx), _label_complex(l, overlap))
+    return _complementary(galois_graph(l, idx), _label_family(l, overlap))
 
 
-def _complementary(g: GaloisGraph, comp: SimplicialComplex) -> bool:
-    """Whether the undirected g and the 1-skeleton of comp partition the
-    edges of the complete graph."""
-    gal = undirected(g).edges
-    indep = comp.skeleton_edges()  # both are sets of pairs 1 <= a < b <= g.n
+def _complementary(g: GaloisGraph, family: set[int]) -> bool:
+    """Whether the undirected g and the 1-skeleton of the label family (its
+    masks of two labels) partition the edges of the complete graph."""
+    gal = {1 << i - 1 | 1 << k - 1 for i, k in g.edges}
+    indep = {m for m in family if m.bit_count() == 2}
     return not gal & indep and len(gal) + len(indep) == g.n * (g.n - 1) // 2
 
 

@@ -49,7 +49,7 @@ def _expect(failures: list, cond: bool, msg: str) -> None:
 
 
 def _slow_equals_global(l, limit_ext: int = 200) -> bool:
-    gamma = left_modular_labelling(l, verify=True)
+    gamma = left_modular_labelling(l)
     row = rowmotion_global(l, gamma)
     exts = linear_extensions(gamma.label_poset, limit_ext)
     for ext in exts:
@@ -69,7 +69,7 @@ def check_fig1() -> list[str]:
     g = galois_graph(l)
     _expect(f, g.edges == frozenset({(3, 1), (3, 2)}),
             f"Galois edges {sorted(g.edges)} != [(3,1),(3,2)]")
-    gamma = left_modular_labelling(l, verify=True)
+    gamma = left_modular_labelling(l)
     drawn = {(0, 1): 1, (0, 2): 2, (1, 3): 2, (2, 3): 1, (3, 4): 3}
     _expect(f, gamma.labels == drawn, f"edge labels {gamma.labels} differ from figure")
     row = rowmotion_global(l, gamma)
@@ -96,7 +96,7 @@ def check_fig2() -> list[str]:
     g = galois_graph(l)
     _expect(f, g.edges == frozenset({(2, 1), (3, 2)}),
             f"Galois edges {sorted(g.edges)} != [(2,1),(3,2)]")
-    gamma = left_modular_labelling(l, verify=True)
+    gamma = left_modular_labelling(l)
     drawn = {(0, 1): 1, (1, 3): 2, (3, 4): 3, (0, 2): 3, (2, 4): 1}
     _expect(f, gamma.labels == drawn, f"edge labels {gamma.labels} differ from figure")
     row = rowmotion_global(l, gamma)
@@ -138,7 +138,7 @@ def check_fig4() -> list[str]:
     drawn_g = frozenset({(2, 1), (3, 1), (4, 1), (4, 2), (4, 3),
                          (5, 2), (5, 4), (6, 3), (6, 4)})
     _expect(f, g.edges == drawn_g, f"Galois edges {sorted(g.edges)} differ from figure")
-    gamma = left_modular_labelling(l, verify=True)
+    gamma = left_modular_labelling(l)
     drawn = {(0, 1): 1, (1, 4): 2, (4, 6): 3, (6, 9): 4, (9, 11): 5, (11, 13): 6,
              (1, 5): 3, (5, 6): 2, (9, 12): 6, (12, 13): 5, (3, 8): 1, (8, 12): 2,
              (3, 10): 5, (10, 13): 1, (2, 7): 1, (7, 11): 3, (2, 10): 6, (4, 7): 5,
@@ -201,7 +201,7 @@ def check_fig8() -> list[str]:
     g = galois_graph(l)
     _expect(f, g.edges == frozenset({(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)}),
             f"Galois edges {sorted(g.edges)}")
-    gamma = left_modular_labelling(l, verify=True)
+    gamma = left_modular_labelling(l)
     drawn = {(0, 1): 1, (1, 3): 2, (3, 4): 3, (4, 5): 4, (0, 2): 4, (2, 5): 1}
     _expect(f, gamma.labels == drawn, f"edge labels {gamma.labels} differ from figure")
     cjg = canonical_join_graph(l)
@@ -222,7 +222,7 @@ def check_fig9() -> list[str]:
     lat2, _ = lattice_from_graph(g2)
     _expect(f, lat2.n == 12, f"2-Cambrian lattice has {lat2.n} elements, expected 12")
     _expect(f, is_trim(lat2), "2-Cambrian lattice should be trim")
-    row = rowmotion_global(lat2, left_modular_labelling(lat2, verify=True))
+    row = rowmotion_global(lat2, left_modular_labelling(lat2))
     _expect(f, row.order == 9, f"2-Cambrian rowmotion order {row.order} != 9 = (m+1)h")
     return f
 
@@ -238,8 +238,7 @@ FIGURE_CHECKS = {
 }
 
 
-def verify_figures(names=None) -> list[tuple[str, list[str]]]:
-    """Run the figure replays (all by default); returns (name, failures)
-    pairs in name order."""
-    selected = sorted(FIGURE_CHECKS) if names is None else list(names)
-    return [(name, FIGURE_CHECKS[name]()) for name in selected]
+def verify_figures() -> list[tuple[str, list[str]]]:
+    """Run the figure replays; returns (name, failures) pairs in name
+    order."""
+    return [(name, FIGURE_CHECKS[name]()) for name in sorted(FIGURE_CHECKS)]

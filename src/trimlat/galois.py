@@ -78,17 +78,6 @@ class GaloisGraph:
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 
-    def delete_vertices(self, gone) -> "GaloisGraph":
-        """Induced subgraph with surviving labels compressed to 1..m,
-        preserving relative order."""
-        keep = [v for v in range(1, self.n + 1) if v not in set(gone)]
-        relabel = {v: i + 1 for i, v in enumerate(keep)}
-        edges = frozenset(
-            (relabel[i], relabel[k]) for i, k in self.edges
-            if i in relabel and k in relabel
-        )
-        return GaloisGraph(len(keep), edges)
-
 
 @dataclass(frozen=True)
 class MaxOrthPair:

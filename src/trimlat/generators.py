@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from itertools import permutations
-from math import factorial, gcd
+from math import comb, factorial, gcd
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError, SizeLimitExceeded
@@ -128,9 +128,10 @@ def tamari(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
 def _tamari(n: int, max_elements: int) -> FamilyOrder:
     if n < 1:
         raise ValueError("n must be >= 1")
+    catalan = comb(2 * n, n) // (n + 1)  # the number of trees, refused before they are built
+    if catalan > max_elements:
+        raise SizeLimitExceeded(catalan, max_elements, "Tamari lattice")
     trees = list(_trees(n))
-    if len(trees) > max_elements:
-        raise SizeLimitExceeded(len(trees), max_elements, "Tamari lattice")
     index = {t: i for i, t in enumerate(trees)}
     rels = []
     for t in trees:
@@ -143,7 +144,11 @@ def rational_dyck_poset(a: int, b: int) -> Poset:
     """The poset of boxes of the a x b rectangle lying entirely above the
     main diagonal, for coprime a and b.  Box (row i, column j) is above the
     diagonal iff b*i >= a*(j+1); boxes are ordered so that order ideals
-    correspond to the lattice paths staying above the diagonal."""
+    correspond to the lattice paths staying above the diagonal.
+
+    (i, j) <= (i2, j2) iff i <= i2 and j >= j2.  The boxes above the
+    diagonal are an up-set of that grid order, so the steps to (i+1, j) and
+    (i, j-1) stay among them and generate the order."""
     if a < 1 or b < 1:
         raise ValueError("a and b must be >= 1")
     if gcd(a, b) != 1:
@@ -152,11 +157,8 @@ def rational_dyck_poset(a: int, b: int) -> Poset:
     boxes = sorted(((i, j) for i in range(a) for j in range(b)
                     if b * i >= a * (j + 1)), key=lambda e: (e[0], -e[1]))
     index = {box: k for k, box in enumerate(boxes)}
-    rels = []
-    for (i, j) in boxes:
-        for (i2, j2) in boxes:
-            if (i, j) != (i2, j2) and i <= i2 and j >= j2:
-                rels.append((index[(i, j)], index[(i2, j2)]))
+    rels = [(index[box], index[nb]) for box in boxes
+            for nb in ((box[0] + 1, box[1]), (box[0], box[1] - 1)) if nb in index]
     return poset_from_relations(len(boxes), rels)
 
 

@@ -1,7 +1,7 @@
 """JSON and DOT serialization: posets and lattices as Hasse-diagram cover
-lists, Galois graphs as 1-based edge lists, labelled diagrams, and DOT
-exports.  Loaders validate eagerly and raise InputError on malformed data;
-those that build a lattice or a graph import its module when called.
+lists, Galois graphs as 1-based edge lists, and DOT exports.  Loaders
+validate eagerly and raise InputError on malformed data; those that build
+a lattice or a graph import its module when called.
 """
 
 from __future__ import annotations
@@ -81,32 +81,6 @@ def galois_from_json(obj) -> GaloisGraph:
 
 def galois_to_json(g: GaloisGraph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
-
-
-def labelled_from_json(obj) -> tuple[Lattice, dict]:
-    """Accepts {"n": int, "covers": [[a, b, label], ...]}; the covers must
-    already be a Hasse diagram of a lattice."""
-    _require(isinstance(obj, dict), "expected a JSON object")
-    covers = obj.get("covers")
-    _require(isinstance(covers, list), "bad or missing 'covers'")
-    bare = {"n": obj.get("n"), "covers": [[e[0], e[1]] for e in covers
-                                          if isinstance(e, list) and len(e) == 3]}
-    _require(len(bare["covers"]) == len(covers), "each cover needs [a, b, label]")
-    lat = lattice_from_json(bare)
-    labels = {(e[0], e[1]): e[2] for e in covers}
-    _require(set(labels) == set(lat.covers),
-             "labelled covers are not the Hasse diagram of the lattice")
-    return lat, labels
-
-
-def labelled_to_json(l: Lattice, labelling) -> dict:
-    from .labelling import _label_dict
-
-    labels = _label_dict(labelling)
-    return {
-        "n": l.n,
-        "covers": [[a, b, labels[(a, b)]] for a, b in l.covers],
-    }
 
 
 def load_json_path(path: str):

@@ -5,9 +5,8 @@ bijection, and canonical join and meet representations.
 The left-modular labelling has one formula on the fast path: on a trim
 lattice the label of a cover y covered-by z is the single label in
 y_M & z_J, one AND of the two pair masks the irreducible indexing carries.
-Every other lattice, and ``verify=True`` on any lattice, runs three
-equivalent formulas on every cover and asserts them equal (and equal to
-the overlap label when the lattice is trim).
+Every other lattice runs three equivalent formulas on every cover and
+asserts them equal.
 
 A labelling is a map from Hasse edges (y, z) to hashable labels, distinct
 around each element.  Left-modular labellings use integer labels 1..n carrying
@@ -100,8 +99,7 @@ def down_up_labels(l: Lattice, labelling) -> LabelSets:
     return LabelSets(tuple(sets[m] for m in down), tuple(sets[m] for m in up))
 
 
-def left_modular_labelling(l: Lattice, chain: Chain | None = None,
-                           verify: bool = False) -> CoverLabelling:
+def left_modular_labelling(l: Lattice, chain: Chain | None = None) -> CoverLabelling:
     """The label of each cover y covered-by z along a left-modular chain
     x_0 < ... < x_n.
 
@@ -115,14 +113,12 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None,
     extremal lattice the indexing also validates the chain.  Extremality is
     read from the indexing's coheights.
 
-    Full path (every other lattice, and ``verify=True``): three formulas,
-    asserted equal on every cover,
+    Full path (every other lattice): three formulas, asserted equal on
+    every cover,
 
     1. min over join-irreducibles j with y v j = z of beta_J(j),
     2. min i with y v (x_i ^ z) = z,
-    3. max over meet-irreducibles m with z ^ m = y of beta_M(m),
-
-    plus, for trim lattices, the check that they equal the overlap label.
+    3. max over meet-irreducibles m with z ^ m = y of beta_M(m).
     """
     try:
         idx = index_irreducibles(l, chain)
@@ -130,25 +126,18 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None,
         if chain is not None and is_extremal(l):
             raise
         idx = None
-    labels = None
     if idx is not None:
-        chain = idx.chain
         overlap = _overlaps(l, idx)
-        labels = dict(zip(l.covers, map(int.bit_length, overlap))) if all(overlap) else None
-    elif chain is None:
+        labels = (dict(zip(l.covers, map(int.bit_length, overlap))) if all(overlap)
+                  else _three_formula_labels(l, idx.chain.elements))
+        return CoverLabelling(labels, galois_poset(galois_graph(l, idx)))
+    if chain is None:
         chain = is_left_modular_lattice(l)
         if chain is None:
             raise NotLeftModular("no maximal chain of left-modular elements")
-    if labels is None or verify:
-        labels = _three_formula_labels(l, chain.elements, labels)
-
-    if idx is not None:
-        label_poset = galois_poset(galois_graph(l, idx))
-    else:
-        n = chain.length
-        label_poset = Poset(n, (), tuple(1 << i for i in range(n)),
-                            tuple(1 << i for i in range(n)))
-    return CoverLabelling(labels, label_poset)
+    n = chain.length
+    discrete = tuple(1 << i for i in range(n))
+    return CoverLabelling(_three_formula_labels(l, chain.elements), Poset(n, (), discrete, discrete))
 
 
 def _trim_labelling(l: Lattice) -> CoverLabelling:
@@ -159,10 +148,9 @@ def _trim_labelling(l: Lattice) -> CoverLabelling:
                           galois_poset(galois_graph(l, idx)))
 
 
-def _three_formula_labels(l: Lattice, xs, overlap) -> dict:
+def _three_formula_labels(l: Lattice, xs) -> dict:
     """The three label formulas on every cover along the chain xs, raising
-    ThreeWayMismatch where they disagree, or where the overlap label (if
-    given, a dict by cover) is not the label they agree on."""
+    ThreeWayMismatch where they disagree."""
     n = len(xs) - 1
     beta_j = {j: min(i for i in range(1, n + 1) if l.leq(j, xs[i]))
               for j in l.join_irr}
@@ -176,8 +164,6 @@ def _three_formula_labels(l: Lattice, xs, overlap) -> dict:
         v3 = max(beta_m[m] for m in l.meet_irr if l.meet_of(z, m) == y)
         if not (v1 == v2 == v3):
             raise ThreeWayMismatch((y, z), (v1, v2, v3))
-        if overlap is not None and overlap[(y, z)] != v1:
-            raise ThreeWayMismatch((y, z), (v1, v1, overlap[(y, z)]))
         labels[(y, z)] = v1
     return labels
 

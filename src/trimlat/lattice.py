@@ -55,7 +55,6 @@ class Chain:
     """A strictly increasing sequence of lattice elements."""
 
     elements: tuple[int, ...]
-    saturated: bool
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -425,7 +424,7 @@ def _longest_chain(l: Lattice, co: list[int]) -> Chain:
     while cur != l.top:
         cur = min(w for w in l.upper_covers(cur) if co[w] == co[cur] - 1)
         chain.append(cur)
-    return Chain(tuple(chain), saturated=True)
+    return Chain(tuple(chain))
 
 
 def is_graded(l: Lattice) -> bool:
@@ -472,10 +471,6 @@ def is_left_modular_element(l: Lattice, x: int) -> bool:
     return _left_modular_test(l)(x)
 
 
-def left_modular_elements(l: Lattice) -> tuple[int, ...]:
-    return tuple(filter(_left_modular_test(l), range(l.n)))
-
-
 def is_left_modular_lattice(l: Lattice) -> Chain | None:
     """A saturated bottom-to-top chain of left-modular elements if one
     exists, else None.  The search walks covers inside the set of
@@ -487,7 +482,7 @@ def is_left_modular_lattice(l: Lattice) -> Chain | None:
     while stack:
         cur, path = stack.pop()
         if cur == l.top:
-            return Chain(path, saturated=True)
+            return Chain(path)
         for w in sorted(l.upper_covers(cur), reverse=True):
             if (w, len(path)) not in seen and lm(w):
                 seen.add((w, len(path)))
@@ -618,29 +613,6 @@ def congruence(l: Lattice, classes) -> Congruence:
                 if of[int(J[x1, y])] != of[int(J[x2, y])]:
                     raise NotACongruence(x1, x2, y, "join")
     return Congruence(tuple(cls))
-
-
-def all_congruences(l: Lattice) -> list[Congruence]:
-    """Brute-force enumeration of all congruences (set partitions filtered
-    by compatibility).  Exponential; intended for small test lattices."""
-    out = []
-    for part in _set_partitions(list(range(l.n))):
-        try:
-            out.append(congruence(l, part))
-        except NotACongruence:
-            pass
-    return out
-
-
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
 
 
 def quotient(l: Lattice, c: Congruence) -> tuple[Lattice, tuple[tuple[int, ...], ...]]:

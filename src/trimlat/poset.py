@@ -64,14 +64,6 @@ class Poset:
     def lower_covers(self, x: int) -> tuple[int, ...]:
         return self._lower[x]
 
-    def dual(self) -> "Poset":
-        return Poset(
-            self.n,
-            tuple((b, a) for a, b in self.covers),
-            self._down,
-            self._up,
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poset)

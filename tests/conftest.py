@@ -4,8 +4,9 @@ the pairwise containment that building ideal lattices from their covers
 replaced,
 the pure-Python table builders that the vectorised table kernel replaced,
 the scans that the trim pipeline and the property predicates replaced, the
-frozenset label-set code that the label bitmasks replaced, and graph
-helpers for the canonical join graph tests.
+frozenset label-set code that the label bitmasks replaced, the pairwise
+rational Dyck relations, graph helpers for the canonical join graph tests,
+and the library functions that only tests call.
 
 The sweep collections are deliberately exhaustive at desk scale: all posets
 on <= 5 elements up to relabelling (enumerated as the transitively closed
@@ -44,6 +45,7 @@ from trimlat import (
 from trimlat.complexes import SimplicialComplex, undirected
 from trimlat.errors import (
     CycleDetected,
+    NotACongruence,
     NotALattice,
     NotDescriptive,
     NotExtremal,
@@ -62,16 +64,18 @@ from trimlat.galois import (
 from trimlat.labelling import _label_dict
 from trimlat.lattice import (
     Chain,
+    Congruence,
     Lattice,
     _containment,
+    _left_modular_test,
     _pack,
+    congruence,
     is_extremal,
     is_semidistributive,
     is_trim,
 )
-from trimlat.poset import DEFAULT_MAX_ELEMENTS
+from trimlat.poset import DEFAULT_MAX_ELEMENTS, _bits, canonical_extension
 from trimlat.rowmotion import permutation_from_map
-from trimlat.poset import _bits, canonical_extension
 
 
 def naturally_labeled_posets(n: int) -> list[Poset]:
@@ -673,7 +677,7 @@ def oracle_left_modular_chain(l: Lattice):
     while stack:
         cur, path = stack.pop()
         if cur == l.top:
-            return Chain(path, saturated=True)
+            return Chain(path)
         for w in sorted(l.upper_covers(cur), reverse=True):
             if w in lm and (w, len(path)) not in seen:
                 seen.add((w, len(path)))
@@ -820,6 +824,80 @@ def oracle_rowmotion_global(l: Lattice, labelling):
             raise NotDescriptive(f"down-labels of {x} match no up-label set")
         forward.append(by_up[down[x]])
     return permutation_from_map(forward)
+
+
+# ---------------------------------------------------------------------------
+# the pairwise relations that the two neighbour steps replaced in
+# rational_dyck_poset
+# ---------------------------------------------------------------------------
+
+def oracle_rational_dyck_poset(a: int, b: int) -> Poset:
+    """Every comparable pair of boxes above the diagonal as a relation."""
+    boxes = sorted(((i, j) for i in range(a) for j in range(b)
+                    if b * i >= a * (j + 1)), key=lambda e: (e[0], -e[1]))
+    index = {box: k for k, box in enumerate(boxes)}
+    rels = []
+    for (i, j) in boxes:
+        for (i2, j2) in boxes:
+            if (i, j) != (i2, j2) and i <= i2 and j >= j2:
+                rels.append((index[(i, j)], index[(i2, j2)]))
+    return poset_from_relations(len(boxes), rels)
+
+
+# ---------------------------------------------------------------------------
+# library functions that only tests call
+# ---------------------------------------------------------------------------
+
+def all_congruences(l: Lattice) -> list[Congruence]:
+    """Brute-force enumeration of all congruences (set partitions filtered
+    by compatibility).  Exponential; intended for small test lattices."""
+    out = []
+    for part in _set_partitions(list(range(l.n))):
+        try:
+            out.append(congruence(l, part))
+        except NotACongruence:
+            pass
+    return out
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
+
+
+def left_modular_elements(l: Lattice) -> tuple[int, ...]:
+    return tuple(filter(_left_modular_test(l), range(l.n)))
+
+
+def dual_poset(p: Poset) -> Poset:
+    return Poset(p.n, tuple((b, a) for a, b in p.covers),
+                 tuple(map(p.down_mask, range(p.n))), tuple(map(p.up_mask, range(p.n))))
+
+
+def complement_graph(g: SimpleGraph) -> SimpleGraph:
+    return SimpleGraph(
+        g.n,
+        frozenset(e for e in combinations(range(1, g.n + 1), 2)
+                  if e not in g.edges),
+    )
+
+
+def delete_vertices(g: GaloisGraph, gone) -> GaloisGraph:
+    """Induced subgraph with surviving labels compressed to 1..m,
+    preserving relative order."""
+    keep = [v for v in range(1, g.n + 1) if v not in set(gone)]
+    relabel = {v: i + 1 for i, v in enumerate(keep)}
+    edges = frozenset(
+        (relabel[i], relabel[k]) for i, k in g.edges
+        if i in relabel and k in relabel
+    )
+    return GaloisGraph(len(keep), edges)
 
 
 # ---------------------------------------------------------------------------

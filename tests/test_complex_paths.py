@@ -48,7 +48,7 @@ from trimlat import (
     undirected,
 )
 from trimlat import lattice
-from trimlat.complexes import _label_complex
+from trimlat.complexes import _label_family
 from trimlat.errors import TrimlatError
 from trimlat.poset import _bits
 
@@ -129,7 +129,7 @@ def test_errors_match_oracles():
     # a label repeated around the bottom of the square
     square = boolean(2)
     same = dict.fromkeys(square.covers, 1)
-    got = _outcome(_label_complex, square, [1] * len(square.covers))
+    got = _outcome(_label_family, square, [1] * len(square.covers))
     assert got == (ValueError, "labelling not defined (or not distinct) around 0")
     assert got == _outcome(oracle_label_complex, square, same)
     _assert_labelling_paths("repeated", square, same)

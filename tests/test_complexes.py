@@ -27,8 +27,13 @@ from trimlat import (
     undirected,
     weak_order_S,
 )
-from trimlat.complexes import complement_graph
-from conftest import brute_independent_sets, canonical_join_graph_elements, graph_isomorphic
+from conftest import (
+    brute_independent_sets,
+    canonical_join_graph_elements,
+    complement_graph,
+    delete_vertices,
+    graph_isomorphic,
+)
 
 V_POSET = poset_from_relations(3, [(0, 2), (1, 2)])
 
@@ -183,9 +188,9 @@ def test_deletion_and_link_recursion(fixture_trim_lattices):
         g = galois_graph(l)
         deletion = {f for f in comp.faces if 1 not in f}
         link = {f for f in comp.faces if 1 not in f and f | {1} in comp.faces}
-        up_graph = g.delete_vertices([1])
+        up_graph = delete_vertices(g, [1])
         in_nbrs = [i for (i, k) in g.edges if k == 1]
-        low_graph = g.delete_vertices([1] + in_nbrs)
+        low_graph = delete_vertices(g, [1] + in_nbrs)
 
         def relabel(faces, keep):
             m = {v: i + 1 for i, v in enumerate(keep)}

@@ -294,7 +294,7 @@ def _all_maximal_chains(l):
 
     def rec(cur, path):
         if cur == l.top:
-            out.append(Chain(tuple(path), saturated=True))
+            out.append(Chain(tuple(path)))
             return
         for w in l.upper_covers(cur):
             if co[w] == co[cur] - 1:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -32,7 +32,9 @@ from trimlat import (
     tamari,
     weak_order_S,
 )
-from trimlat.poset import ideal_masks
+from trimlat import generators
+from trimlat.poset import DEFAULT_MAX_ELEMENTS, ideal_masks
+from conftest import oracle_rational_dyck_poset
 
 
 def catalan(n: int) -> int:
@@ -80,6 +82,21 @@ def test_tamari():
     assert row.order == 8
 
 
+def test_tamari_refused_before_its_trees(monkeypatch):
+    """The cap is checked against Catalan(n) before any tree is built."""
+    def no_trees(n):
+        raise AssertionError("trees enumerated before the cap was checked")
+
+    monkeypatch.setattr(generators, "_trees", no_trees)
+    for make, count, cap in ((lambda: tamari(16), catalan(16), DEFAULT_MAX_ELEMENTS),
+                             (lambda: tamari(5, max_elements=41), 42, 41),
+                             (lambda: build_family(FamilySpec("tamari", (12,))),
+                              catalan(12), DEFAULT_MAX_ELEMENTS)):
+        with pytest.raises(SizeLimitExceeded) as exc:
+            make()
+        assert (exc.value.count, exc.value.cap, exc.value.what) == (count, cap, "Tamari lattice")
+
+
 def test_rational_dyck_poset_shapes():
     # (a, a+1) gives the type-A staircase
     assert rational_dyck_poset(3, 4).covers == root_poset_A(2).covers
@@ -87,6 +104,21 @@ def test_rational_dyck_poset_shapes():
     assert rational_dyck(1, 5).n == 1
     with pytest.raises(ValueError):
         rational_dyck_poset(2, 4)
+
+
+def test_rational_dyck_poset_matches_pairwise_relations():
+    """The two neighbour steps generate the order that every comparable
+    pair of boxes gives, on all coprime pairs up to 15."""
+    swept = 0
+    for a in range(1, 16):
+        for b in range(1, 16):
+            if gcd(a, b) == 1:
+                got, want = rational_dyck_poset(a, b), oracle_rational_dyck_poset(a, b)
+                assert got.covers == want.covers, (a, b)
+                assert [got.up_mask(x) for x in range(got.n)] == \
+                    [want.up_mask(x) for x in range(want.n)], (a, b)
+                swept += 1
+    assert swept == 143
 
 
 def test_rational_dyck_counts():

@@ -12,14 +12,12 @@ from types import ModuleType
 import pytest
 
 import trimlat
-from trimlat import InputError, fixture, left_modular_labelling
+from trimlat import InputError, fixture
 from trimlat.io import (
     dot_galois,
     dot_hasse,
     galois_from_json,
     galois_to_json,
-    labelled_from_json,
-    labelled_to_json,
     lattice_from_json,
     lattice_to_json,
     poset_from_json,
@@ -54,14 +52,6 @@ def test_galois_json():
         galois_from_json({"n": 3, "edges": [[1, 3]]})
     with pytest.raises(InputError):
         galois_from_json({"n": 2, "edges": [[1, 1]]})
-
-
-def test_labelled_json_roundtrip():
-    l = fixture("fig2")
-    gamma = left_modular_labelling(l)
-    obj = labelled_to_json(l, gamma)
-    l2, labels2 = labelled_from_json(obj)
-    assert l2.covers == l.covers and labels2 == gamma.labels
 
 
 def test_dot_outputs():

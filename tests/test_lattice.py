@@ -11,7 +11,6 @@ from trimlat import (
     NotALattice,
     NotComparable,
     NotExtremal,
-    all_congruences,
     boolean,
     congruence,
     fixture,
@@ -33,7 +32,7 @@ from trimlat import (
     spine,
     weak_order_S,
 )
-from conftest import brute_distributive, brute_left_modular
+from conftest import all_congruences, brute_distributive, brute_left_modular
 
 
 def test_lattice_from_poset_boolean():

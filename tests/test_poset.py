@@ -288,6 +288,3 @@ def test_ideals_equal_antichains(small_posets):
         assert len(ideal_masks(q)) == len(antichains(q))
 
 
-def test_dual_involution(small_posets):
-    for q in small_posets:
-        assert q.dual().dual() == q

@@ -21,8 +21,8 @@ from trimlat import (
     lattice_from_graph,
     semidistributive_labelling,
 )
-from trimlat.lattice import left_modular_elements
 from conftest import (
+    left_modular_elements,
     oracle_is_distributive,
     oracle_is_semidistributive,
     oracle_left_modular_chain,

@@ -11,7 +11,6 @@ import pytest
 from trimlat import (
     GaloisGraph,
     NotALattice,
-    all_congruences,
     boolean,
     chain_product,
     fixture,
@@ -34,6 +33,7 @@ from trimlat import (
 from trimlat import lattice
 from trimlat.generators import antichain_poset, product_of_chains_poset
 from conftest import (
+    all_congruences,
     assert_same_lattice,
     oracle_interval,
     oracle_lattice_from_graph,
