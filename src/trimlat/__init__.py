@@ -18,20 +18,20 @@ exported by name.
 from importlib import import_module
 
 _EXPORTS = {
-    "errors": "CycleDetected InputError NotACongruence NotACover NotALattice "
+    "errors": "CycleDetected InputError NotACongruence NotALattice "
               "NotALinearExtension NotComparable NotDescriptive NotExtremal "
               "NotLeftModular NotSemidistributive NotTrim SizeLimitExceeded "
               "ThreeWayMismatch TrimlatError",
     "poset": "DEFAULT_MAX_ELEMENTS Poset antichains canonical_extension ideal_masks "
              "linear_extensions order_ideals poset_from_relations",
     "lattice": "Chain Congruence Lattice congruence interval "
-               "is_distributive is_extremal is_graded is_left_modular_element "
+               "is_distributive is_extremal is_left_modular_element "
                "is_left_modular_lattice is_semidistributive is_trim "
                "is_trim_definitional lattice_from_poset length "
                "maximal_length_chain quotient spine",
     "galois": "GaloisGraph IrreducibleIndexing MaxOrthPair decompose element_pair "
-              "galois_graph galois_poset index_irreducibles is_overlapping "
-              "lattice_from_graph max_orth_pairs overlap_label",
+              "galois_graph galois_poset index_irreducibles lattice_from_graph "
+              "max_orth_pairs",
     "labelling": "CoverLabelling LabelSets SemidistributiveLabelling "
                  "canonical_join_rep canonical_meet_rep down_up_labels is_EL "
                  "is_descriptive is_interpolating left_modular_labelling "
@@ -41,7 +41,7 @@ _EXPORTS = {
     "complexes": "SimpleGraph SimplicialComplex canonical_join_graph complement_check "
                  "independence_complex independent_sets is_flag undirected",
     "generators": "FamilySpec boolean build_family chain_product fixture "
-                  "fixture_lattice fixture_names rational_dyck rational_dyck_poset "
+                  "fixture_lattice rational_dyck rational_dyck_poset "
                   "root_ideals root_poset_A tamari weak_order_S",
     "figures": "verify_figures",
 }

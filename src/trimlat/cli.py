@@ -37,11 +37,12 @@ def _emit(obj, as_json: bool, human: str) -> None:
 def _labelling_for(l):
     """Left-modular labelling for trim input, semidistributive labelling
     otherwise; the label poset is only available in the trim case."""
-    from .labelling import _sd_labelling, _trim_labelling
+    from .galois import _trim_index
+    from .labelling import _indexed_labelling, _sd_labelling
     from .lattice import _kappas
 
     try:
-        return _trim_labelling(l)
+        return _indexed_labelling(l, _trim_index(l, "not a trim lattice"))
     except NotTrim:
         kappa = _kappas(l)
     if kappa is not None:
@@ -201,11 +202,11 @@ def _run_trace(l, labelling, args) -> int:
 def cmd_complex(args) -> int:
     from .complexes import (_complementary, _label_complex, _label_family,
                             independent_sets, is_flag, undirected)
-    from .galois import _fmt_set, _trim_overlaps, galois_graph
+    from .galois import _fmt_set, _trim_index, galois_graph
 
     l = _load_lattice(args)
-    idx, overlap = _trim_overlaps(l, "the independence complex needs a trim lattice")
-    family = _label_family(l, overlap)
+    idx = _trim_index(l, "the independence complex needs a trim lattice")
+    family = _label_family(l, idx.overlap)
     comp = _label_complex(l, family)
     g = galois_graph(l, idx)
     ind = independent_sets(undirected(g), args.max_elements)

@@ -4,9 +4,11 @@ flagness, independent-set enumeration, and the complementation between the
 independence graph and the Galois graph.
 
 Label and vertex sets are int masks, bit i-1 for label i, up to the output,
-where each face's frozenset is built once.  The complex checks, on masks,
-that labels are distinct around each element, that the down-label family
-equals the up-label family, and that it is closed under subsets.
+where each face's frozenset is built once.  The labels of a trim lattice's
+covers are the overlap masks its irreducible indexing holds.  The complex
+checks, on masks, that labels are distinct around each element, that the
+down-label family equals the up-label family, and that it is closed under
+subsets.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NotExtremal, NotSemidistributive, SizeLimitExceeded
-from .galois import GaloisGraph, _trim_overlaps, galois_graph, index_irreducibles
+from .galois import GaloisGraph, _trim_index, galois_graph, index_irreducibles
 from .labelling import _label_masks, _sd_labelling, down_up_labels
 from .lattice import Lattice, _kappas
 from .poset import DEFAULT_MAX_ELEMENTS
@@ -50,9 +52,9 @@ def undirected(g: GaloisGraph) -> SimpleGraph:
     return SimpleGraph(g.n, frozenset((k, i) for i, k in g.edges))
 
 
-def _label_family(l: Lattice, overlap: list[int]) -> set[int]:
-    """The down-label masks of a trim lattice from the
-    :func:`trimlat.galois._overlaps` masks of its covers, checked to equal
+def _label_family(l: Lattice, overlap: tuple[int, ...]) -> set[int]:
+    """The down-label masks of a trim lattice from the overlap masks of its
+    covers (:class:`trimlat.galois.IrreducibleIndexing`), checked to equal
     the up-label masks and to be closed under subsets."""
     down, up = _label_masks(l, l.covers, overlap)
     masks = set(down)
@@ -73,8 +75,8 @@ def _label_complex(l: Lattice, family: set[int]) -> SimplicialComplex:
 def independence_complex(l: Lattice) -> SimplicialComplex:
     """The complex of down-label sets of a trim lattice; checked on the fly
     to equal the family of up-label sets and to be closed under subsets."""
-    _, overlap = _trim_overlaps(l, "the independence complex needs a trim lattice")
-    return _label_complex(l, _label_family(l, overlap))
+    idx = _trim_index(l, "the independence complex needs a trim lattice")
+    return _label_complex(l, _label_family(l, idx.overlap))
 
 
 def is_flag(c: SimplicialComplex) -> bool:
@@ -116,8 +118,8 @@ def independent_sets(g: SimpleGraph,
 def complement_check(l: Lattice) -> bool:
     """Whether the undirected Galois graph and the independence graph of a
     trim lattice partition the edges of the complete graph."""
-    idx, overlap = _trim_overlaps(l, "complement check is defined for trim lattices")
-    return _complementary(galois_graph(l, idx), _label_family(l, overlap))
+    idx = _trim_index(l, "complement check is defined for trim lattices")
+    return _complementary(galois_graph(l, idx), _label_family(l, idx.overlap))
 
 
 def _complementary(g: GaloisGraph, family: set[int]) -> bool:

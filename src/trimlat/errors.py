@@ -49,12 +49,6 @@ class NotTrim(TrimlatError):
     pass
 
 
-class NotACover(TrimlatError):
-    def __init__(self, y: int, z: int):
-        self.y, self.z = y, z
-        super().__init__(f"({y}, {z}) is not a cover relation")
-
-
 class NotACongruence(TrimlatError):
     """Witness triple (x1, x2, y): x1 ~ x2 but combining with y breaks a class."""
 

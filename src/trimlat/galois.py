@@ -6,20 +6,16 @@ trim lattice.
 Labels are 1..n throughout (n = lattice length); label sets are manipulated
 as bitmasks with bit i-1 standing for label i.  The indexing carries each
 element's maximal orthogonal pair as two such masks, x_J and x_M, and the
-element pairs, the Galois edges, the overlap of each cover and so trimness
-and the trim labels are all read from them.
+overlap of each cover read from them; the element pairs and the Galois
+edges come from the masks, trimness and the trim labels from the overlaps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import (
-    NotACover,
-    NotExtremal,
-    NotTrim,
-    SizeLimitExceeded,
-)
+from .errors import NotExtremal, NotTrim, SizeLimitExceeded
 from .lattice import (
     Chain,
     Lattice,
@@ -42,13 +38,32 @@ class IrreducibleIndexing:
     chain[i] = j[0] v ... v j[i-1] = m[i] ^ ... ^ m[n-1] (labels are
     1-based, so j[i-1] is the irreducible with label i), and the maximal
     orthogonal pair of each element x as bitmasks: xj[x] of {i : j_i <= x}
-    and ym[x] of {k : x <= m_k} (bit i-1 is label i)."""
+    and ym[x] of {k : x <= m_k} (bit i-1 is label i).
+
+    ``covers`` is the lattice's ``l.covers``, and ``overlap`` holds, per
+    cover y covered-by z in that order, the mask of y_M & z_J.  A cover
+    overlaps when that set is not empty, the lattice is trim when every
+    cover overlaps, and the label of an overlapping cover is its one label.
+    In an extremal lattice the set holds at most one label:
+
+    - for i < k, j_i <= x_i <= x_{k-1} <= m_k along the chain;
+    - x_J and x_M are disjoint, as j_i <= m_i would force
+      x_i = x_{i-1} v j_i <= m_i, yet step i retires m_i;
+    - so if i < k were both in y_M & z_J, j_i would not be below y (i is
+      in y_M), and z = y v j_i <= m_k would put k in both z_J and z_M.
+    """
 
     chain: Chain
     j: tuple[int, ...]
     m: tuple[int, ...]
     xj: tuple[int, ...]
     ym: tuple[int, ...]
+    covers: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def overlap(self) -> tuple[int, ...]:
+        ym, xj = self.ym, self.xj
+        return tuple([ym[y] & xj[z] for y, z in self.covers])  # a list builds faster
 
     @property
     def n(self) -> int:
@@ -140,28 +155,12 @@ def _index(l: Lattice, co: list[int], chain: Chain | None = None) -> Irreducible
     above = _bool_rows([p.down_mask(t) for t in m], l.n)
     return IrreducibleIndexing(chain, tuple(j), tuple(m),
                                tuple(_ints(_pack_bool(below.T))),
-                               tuple(_ints(_pack_bool(above.T))))
+                               tuple(_ints(_pack_bool(above.T))), l.covers)
 
 
 def _label_set(mask: int) -> frozenset[int]:
     """The labels of a bitmask (bit i-1 is label i)."""
     return frozenset(i + 1 for i in _bits(mask))
-
-
-def _overlaps(l: Lattice, idx: IrreducibleIndexing) -> list[int]:
-    """Per cover y covered-by z, in ``l.covers`` order, the label set
-    y_M & z_J as a bitmask (bit i-1 is label i).
-
-    In an extremal lattice it holds at most one label:
-
-    - for i < k, j_i <= x_i <= x_{k-1} <= m_k along the chain;
-    - x_J and x_M are disjoint, as j_i <= m_i would force
-      x_i = x_{i-1} v j_i <= m_i, yet step i retires m_i;
-    - so if i < k were both in y_M & z_J, j_i would not be below y (i is
-      in y_M), and z = y v j_i <= m_k would put k in both z_J and z_M.
-    """
-    xj, ym = idx.xj, idx.ym
-    return [ym[y] & xj[z] for y, z in l.covers]
 
 
 def _fmt_set(s) -> str:
@@ -173,24 +172,22 @@ def first_non_overlapping_cover(l, idx=None):
     lattice, as (y, z, y_M, z_J), or None; idx is its default indexing."""
     if idx is None:
         idx = index_irreducibles(l)
-    for y, z in l.covers:
-        if not idx.ym[y] & idx.xj[z]:
+    for (y, z), o in zip(idx.covers, idx.overlap):
+        if not o:
             return y, z, _label_set(idx.ym[y]), _label_set(idx.xj[z])
     return None
 
 
-def _trim_overlaps(l: Lattice, what: str) -> tuple[IrreducibleIndexing, list[int]]:
-    """The default indexing and the :func:`_overlaps` masks of a trim
-    lattice, with extremality read from the indexing's coheights; raises
-    NotTrim(what) when l is not trim."""
+def _trim_index(l: Lattice, what: str) -> IrreducibleIndexing:
+    """The default indexing of a trim lattice, with extremality read from
+    its coheights; raises NotTrim(what) when l is not trim."""
     try:
         idx = index_irreducibles(l)
     except NotExtremal:
         raise NotTrim(what) from None
-    overlap = _overlaps(l, idx)
-    if not all(overlap):
+    if not all(idx.overlap):
         raise NotTrim(what)
-    return idx, overlap
+    return idx
 
 
 def element_pair(l: Lattice, x: int,
@@ -234,30 +231,25 @@ def _closure_tables(g: GaloisGraph) -> tuple[list[int], list[int]]:
     return out, inn
 
 
-def orth_complete_y(g: GaloisGraph, x_mask: int, out) -> int:
-    """Largest Y disjoint from X with no X -> Y arrow."""
-    forbidden = x_mask
-    for i in _bits(x_mask):
-        forbidden |= out[i + 1]
+def orth_complete(g: GaloisGraph, mask: int, adj) -> int:
+    """The largest label set disjoint from ``mask`` and from its ``adj``
+    neighbours: with the out-table of :func:`_closure_tables` the Y that
+    completes X = mask (no X -> Y arrow), with the in-table the X that
+    completes Y = mask."""
+    forbidden = mask
+    for i in _bits(mask):
+        forbidden |= adj[i + 1]
     return ~forbidden & ((1 << g.n) - 1)
 
 
-def orth_complete_x(g: GaloisGraph, y_mask: int, inn) -> int:
-    """Largest X disjoint from Y with no X -> Y arrow."""
-    forbidden = y_mask
-    for k in _bits(y_mask):
-        forbidden |= inn[k + 1]
-    return ~forbidden & ((1 << g.n) - 1)
-
-
-def _closed_x_masks(g: GaloisGraph, max_elements: int) -> list[int]:
-    """All X-components of maximal orthogonal pairs, via NextClosure on the
-    closure X |-> completion(completion(X))."""
+def _pair_masks(g: GaloisGraph, max_elements: int) -> tuple[list[int], list[int]]:
+    """The X and Y masks of all maximal orthogonal pairs, sorted by (|X|, X),
+    the X masks via NextClosure on X |-> completion(completion(X))."""
     out, inn = _closure_tables(g)
     full = (1 << g.n) - 1
 
     def close(x: int) -> int:
-        return orth_complete_x(g, orth_complete_y(g, x, out), inn)
+        return orth_complete(g, orth_complete(g, x, out), inn)
 
     masks = []
     a = close(0)
@@ -275,18 +267,15 @@ def _closed_x_masks(g: GaloisGraph, max_elements: int) -> list[int]:
         if len(masks) > max_elements:
             raise SizeLimitExceeded(len(masks), max_elements,
                                     "maximal orthogonal pairs")
-    return sorted(masks, key=lambda m: (m.bit_count(), m))
+    masks.sort(key=lambda m: (m.bit_count(), m))
+    return masks, [orth_complete(g, xm, out) for xm in masks]
 
 
 def max_orth_pairs(g: GaloisGraph,
                    max_elements: int = DEFAULT_MAX_ELEMENTS) -> tuple[MaxOrthPair, ...]:
     """All maximal orthogonal pairs of g, sorted by (|X|, X)."""
-    out, _ = _closure_tables(g)
-    pairs = []
-    for xm in _closed_x_masks(g, max_elements):
-        ym = orth_complete_y(g, xm, out)
-        pairs.append(MaxOrthPair(_label_set(xm), _label_set(ym)))
-    return tuple(pairs)
+    return tuple(MaxOrthPair(_label_set(xm), _label_set(ym))
+                 for xm, ym in zip(*_pair_masks(g, max_elements)))
 
 
 def lattice_from_graph(g: GaloisGraph,
@@ -295,9 +284,7 @@ def lattice_from_graph(g: GaloisGraph,
     """The extremal lattice of maximal orthogonal pairs of g, ordered by
     containment of the X components.  Element i of the lattice is pairs[i];
     meets intersect the first components, joins intersect the second."""
-    out, inn = _closure_tables(g)
-    x_masks = _closed_x_masks(g, max_elements)
-    y_masks = [orth_complete_y(g, xm, out) for xm in x_masks]
+    x_masks, y_masks = _pair_masks(g, max_elements)
     n = len(x_masks)
 
     x_keys = _pack(x_masks, g.n)
@@ -306,9 +293,7 @@ def lattice_from_graph(g: GaloisGraph,
 
     pairs = tuple(MaxOrthPair(_label_set(xm), _label_set(ym))
                   for xm, ym in zip(x_masks, y_masks))
-    names = tuple(
-        "({" + ",".join(map(str, sorted(p.X))) + "},{"
-        + ",".join(map(str, sorted(p.Y))) + "})" for p in pairs)
+    names = tuple(f"({_fmt_set(p.X)},{_fmt_set(p.Y)})" for p in pairs)
     # the closure of the empty set is contained in every closed set, and the
     # full label set is closed, so after sorting they sit at the two ends
     lat = Lattice(poset, meet, join, 0, n - 1, names=names)
@@ -317,36 +302,12 @@ def lattice_from_graph(g: GaloisGraph,
     return lat, pairs
 
 
-def is_overlapping(l: Lattice, y: int, z: int,
-                   idx: IrreducibleIndexing | None = None) -> bool:
-    """Whether the cover y covered-by z has y_M meeting z_J."""
-    if z not in l.upper_covers(y):
-        raise NotACover(y, z)
-    if idx is None:
-        idx = index_irreducibles(l)
-    return idx.ym[y] & idx.xj[z] != 0
-
-
-def overlap_label(l: Lattice, y: int, z: int,
-                  idx: IrreducibleIndexing | None = None) -> int:
-    """The label in y_M intersect z_J, unique when there is one (see
-    :func:`_overlaps`)."""
-    if z not in l.upper_covers(y):
-        raise NotACover(y, z)
-    if idx is None:
-        idx = index_irreducibles(l)
-    inter = idx.ym[y] & idx.xj[z]
-    if inter == 0:
-        raise NotTrim(f"cover ({y}, {z}) is non-overlapping")
-    return inter.bit_length()
-
-
 def decompose(l: Lattice) -> tuple[tuple[Lattice, tuple[int, ...]],
                                    tuple[Lattice, tuple[int, ...]]]:
     """Split a trim lattice into the disjoint intervals [bottom, m_1] and
     [j_1, top].  Returns ((L1, map1), (L_up, map_up)) where the maps carry
     sublattice indices back to l."""
-    idx, _ = _trim_overlaps(l, "decomposition requires a trim lattice")
+    idx = _trim_index(l, "decomposition requires a trim lattice")
     lower = interval(l, l.bottom, idx.m[0])
     upper = interval(l, idx.j[0], l.top)
     members = set(lower[1]) | set(upper[1])

@@ -210,15 +210,15 @@ def _fixture_json(file: str):
         from importlib import resources
 
         base = resources.files("trimlat") / "fixtures"
-    return json.loads((base / file).read_text(encoding="utf-8"))
+    path = base / file
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise InputError(f"cannot read fixture file {path}: {exc}") from exc
 
 
 def fixture_manifest() -> dict:
     return _fixture_json("manifest.json")
-
-
-def fixture_names() -> tuple[str, ...]:
-    return tuple(sorted(fixture_manifest()))
 
 
 def fixture(name: str):

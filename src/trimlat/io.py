@@ -25,14 +25,15 @@ def _require(cond: bool, msg: str) -> None:
 
 def poset_from_json(obj) -> Poset:
     """Accepts {"n": int, "covers": [[a, b], ...]} with 0-based indices.
-    Arbitrary relations are tolerated and reduced."""
+    Arbitrary relations are tolerated and reduced.  Integers are tested by
+    exact type, as JSON true and false load as bool, an int subclass."""
     _require(isinstance(obj, dict), "expected a JSON object")
-    _require(isinstance(obj.get("n"), int) and obj["n"] >= 0, "bad or missing 'n'")
+    _require(type(obj.get("n")) is int and obj["n"] >= 0, "bad or missing 'n'")
     covers = obj.get("covers")
     _require(isinstance(covers, list), "bad or missing 'covers'")
     for e in covers:
-        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], int)
-                and isinstance(e[1], int)):
+        if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int
+                and type(e[1]) is int):
             raise InputError(f"bad cover entry {e}")
     try:
         return poset_from_relations(obj["n"], covers)
@@ -51,7 +52,7 @@ def lattice_from_json(obj, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
     from .lattice import lattice_from_poset
 
     n = obj.get("n") if isinstance(obj, dict) else None
-    if isinstance(n, int) and n > max_elements:
+    if type(n) is int and n > max_elements:
         raise SizeLimitExceeded(n, max_elements, "lattice elements")
     return lattice_from_poset(poset_from_json(obj))
 
@@ -66,13 +67,13 @@ def galois_from_json(obj) -> GaloisGraph:
     from .galois import GaloisGraph
 
     _require(isinstance(obj, dict), "expected a JSON object")
-    _require(isinstance(obj.get("n"), int) and obj["n"] >= 0, "bad or missing 'n'")
+    _require(type(obj.get("n")) is int and obj["n"] >= 0, "bad or missing 'n'")
     edges = obj.get("edges")
     _require(isinstance(edges, list), "bad or missing 'edges'")
     out = set()
     for e in edges:
         _require(isinstance(e, list) and len(e) == 2
-                 and all(isinstance(v, int) for v in e), f"bad edge entry {e}")
+                 and all(type(v) is int for v in e), f"bad edge entry {e}")
         i, k = e
         _require(1 <= k < i <= obj["n"], f"edge {i}->{k} must have n >= i > k >= 1")
         out.add((i, k))

@@ -4,7 +4,7 @@ bijection, and canonical join and meet representations.
 
 The left-modular labelling has one formula on the fast path: on a trim
 lattice the label of a cover y covered-by z is the single label in
-y_M & z_J, one AND of the two pair masks the irreducible indexing carries.
+y_M & z_J, the cover's overlap mask that the irreducible indexing holds.
 Every other lattice runs three equivalent formulas on every cover and
 asserts them equal.
 
@@ -30,7 +30,7 @@ from .errors import (
     NotSemidistributive,
     ThreeWayMismatch,
 )
-from .galois import _overlaps, _trim_overlaps, galois_graph, galois_poset, index_irreducibles
+from .galois import IrreducibleIndexing, galois_graph, galois_poset, index_irreducibles
 from .lattice import (
     Chain,
     Lattice,
@@ -127,10 +127,7 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None) -> CoverLabel
             raise
         idx = None
     if idx is not None:
-        overlap = _overlaps(l, idx)
-        labels = (dict(zip(l.covers, map(int.bit_length, overlap))) if all(overlap)
-                  else _three_formula_labels(l, idx.chain.elements))
-        return CoverLabelling(labels, galois_poset(galois_graph(l, idx)))
+        return _indexed_labelling(l, idx)
     if chain is None:
         chain = is_left_modular_lattice(l)
         if chain is None:
@@ -140,12 +137,14 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None) -> CoverLabel
     return CoverLabelling(_three_formula_labels(l, chain.elements), Poset(n, (), discrete, discrete))
 
 
-def _trim_labelling(l: Lattice) -> CoverLabelling:
-    """``left_modular_labelling(l)`` of a trim lattice from one indexing;
-    raises NotTrim when l is not trim."""
-    idx, overlap = _trim_overlaps(l, "not a trim lattice")
-    return CoverLabelling(dict(zip(l.covers, map(int.bit_length, overlap))),
-                          galois_poset(galois_graph(l, idx)))
+def _indexed_labelling(l: Lattice, idx: IrreducibleIndexing) -> CoverLabelling:
+    """The left-modular labelling of an extremal lattice along its
+    indexing: the overlap labels when every cover overlaps (l is trim),
+    else the three formulas; the label poset is the Galois poset."""
+    overlap = idx.overlap
+    labels = (dict(zip(l.covers, map(int.bit_length, overlap))) if all(overlap)
+              else _three_formula_labels(l, idx.chain.elements))
+    return CoverLabelling(labels, galois_poset(galois_graph(l, idx)))
 
 
 def _three_formula_labels(l: Lattice, xs) -> dict:

@@ -427,12 +427,6 @@ def _longest_chain(l: Lattice, co: list[int]) -> Chain:
     return Chain(tuple(chain))
 
 
-def is_graded(l: Lattice) -> bool:
-    """True iff all maximal chains share the same length."""
-    h = _heights(l)
-    return all(h[z] == h[y] + 1 for y, z in l.covers)
-
-
 def is_distributive(l: Lattice, witness: bool = False):
     """Whether x ^ (y v z) == (x ^ y) v (x ^ z) for all x, y, z.
 
@@ -497,10 +491,10 @@ def is_trim(l: Lattice) -> bool:
     The definitional route (extremal and some maximal chain is left modular)
     is available as :func:`is_trim_definitional`; the two must agree.
     """
-    from .galois import _overlaps, index_irreducibles
+    from .galois import index_irreducibles
 
     try:  # extremality from the indexing's coheights
-        return all(_overlaps(l, index_irreducibles(l)))
+        return all(index_irreducibles(l).overlap)
     except NotExtremal:
         return False
 

@@ -31,7 +31,6 @@ from trimlat import (
     down_up_labels,
     fixture,
     fixture_lattice,
-    fixture_names,
     index_irreducibles,
     lattice_from_graph,
     lattice_from_poset,
@@ -53,20 +52,15 @@ from trimlat.errors import (
     NotTrim,
     SizeLimitExceeded,
 )
-from trimlat.galois import (
-    MaxOrthPair,
-    _closed_x_masks,
-    _closure_tables,
-    _overlaps,
-    galois_graph,
-    orth_complete_y,
-)
+from trimlat.galois import MaxOrthPair, _pair_masks, galois_graph
+from trimlat.generators import fixture_manifest
 from trimlat.labelling import _label_dict
 from trimlat.lattice import (
     Chain,
     Congruence,
     Lattice,
     _containment,
+    _heights,
     _left_modular_test,
     _pack,
     congruence,
@@ -160,7 +154,7 @@ def property_lattices(small_posets, graph_lattices):
         except NotALattice:
             pass
     out += [(f"L({sorted(g.edges)} on {g.n})", lat) for g, lat in graph_lattices]
-    out += [(name, fixture_lattice(name)) for name in fixture_names()]
+    out += [(name, fixture_lattice(name)) for name in sorted(fixture_manifest())]
     out += [(f"boolean({k})", boolean(k)) for k in range(9)]
     out += [(f"tamari({k})", tamari(k)) for k in range(1, 7)]
     out += [(f"weak_order_S({k})", weak_order_S(k)) for k in range(1, 6)]
@@ -426,9 +420,7 @@ def oracle_lattice_from_ideal_masks(q: Poset, masks) -> Lattice:
 def oracle_lattice_from_graph(g: GaloisGraph) -> Lattice:
     """Maximal orthogonal pairs; meets intersect the X sides and joins the
     Y sides, looked up in dicts one pair at a time."""
-    out, _ = _closure_tables(g)
-    x_masks = _closed_x_masks(g, 10 ** 6)
-    y_masks = [orth_complete_y(g, xm, out) for xm in x_masks]
+    x_masks, y_masks = _pair_masks(g, 10 ** 6)
     index = {xm: i for i, xm in enumerate(x_masks)}
     y_index = {ym: i for i, ym in enumerate(y_masks)}
     n = len(x_masks)
@@ -751,7 +743,7 @@ def oracle_trim_labels(l: Lattice, what: str):
     its own heights pass; NotTrim(what) otherwise."""
     if is_extremal(l):
         idx = index_irreducibles(l)
-        labels = {c: v.bit_length() for c, v in zip(l.covers, _overlaps(l, idx))}
+        labels = {(y, z): (idx.ym[y] & idx.xj[z]).bit_length() for y, z in l.covers}
         if all(labels.values()):
             return idx, labels
     raise NotTrim(what)
@@ -869,6 +861,12 @@ def _set_partitions(items):
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
         yield [[first]] + part
+
+
+def is_graded(l: Lattice) -> bool:
+    """True iff all maximal chains share the same length."""
+    h = _heights(l)
+    return all(h[z] == h[y] + 1 for y, z in l.covers)
 
 
 def left_modular_elements(l: Lattice) -> tuple[int, ...]:

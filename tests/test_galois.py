@@ -9,7 +9,6 @@ import pytest
 
 from trimlat import (
     GaloisGraph,
-    NotACover,
     NotExtremal,
     NotTrim,
     boolean,
@@ -20,7 +19,6 @@ from trimlat import (
     galois_poset,
     index_irreducibles,
     is_left_modular_element,
-    is_overlapping,
     is_trim,
     lattice_from_graph,
     lattice_from_poset,
@@ -28,7 +26,6 @@ from trimlat import (
     length,
     max_orth_pairs,
     order_ideals,
-    overlap_label,
     poset_from_relations,
     spine,
 )
@@ -177,23 +174,21 @@ def test_element_pairs_are_maximal_orthogonal(fixture_trim_lattices):
         assert len(seen) == l.n
 
 
-def test_is_overlapping_and_label():
+def test_indexing_overlaps():
+    """The indexing's overlap masks: fig4's give its drawn labels, fig7's
+    left lattice has the non-overlapping cover (1, 6), and every cover of
+    a distributive lattice overlaps."""
     l7 = fixture("fig7_left")
-    assert not is_overlapping(l7, 1, 6)
-    with pytest.raises(NotTrim):
-        overlap_label(l7, 1, 6)
-    with pytest.raises(NotACover):
-        is_overlapping(l7, 0, 8)
+    idx = index_irreducibles(l7)
+    assert idx.covers is l7.covers
+    assert idx.overlap[l7.covers.index((1, 6))] == 0
     l4 = fixture("fig4")
     gamma = left_modular_labelling(l4)
     idx = index_irreducibles(l4)
-    for y, z in l4.covers:
-        assert is_overlapping(l4, y, z, idx)
-        assert overlap_label(l4, y, z, idx) == gamma.labels[(y, z)]
+    assert [v.bit_length() for v in idx.overlap] == [gamma.labels[c] for c in l4.covers]
+    assert all(v.bit_count() == 1 for v in idx.overlap)
     for q in (V_POSET, poset_from_relations(4, [(0, 1), (2, 3)])):
-        l = order_ideals(q)
-        idx = index_irreducibles(l)
-        assert all(is_overlapping(l, y, z, idx) for y, z in l.covers)
+        assert all(index_irreducibles(order_ideals(q)).overlap)
 
 
 def test_decompose_examples():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from math import comb, gcd
 
 import pytest
@@ -16,7 +17,6 @@ from trimlat import (
     chain_product,
     fixture,
     fixture_lattice,
-    fixture_names,
     ideal_rowmotion,
     is_distributive,
     is_extremal,
@@ -33,6 +33,7 @@ from trimlat import (
     weak_order_S,
 )
 from trimlat import generators
+from trimlat.generators import fixture_manifest
 from trimlat.poset import DEFAULT_MAX_ELEMENTS, ideal_masks
 from conftest import oracle_rational_dyck_poset
 
@@ -141,7 +142,7 @@ def test_weak_order():
 
 
 def test_fixture_loading():
-    names = fixture_names()
+    names = sorted(fixture_manifest())
     assert set(names) == {"fig1", "fig2", "fig3_left", "fig3_right", "fig4",
                           "fig7_left", "fig7_right", "fig8",
                           "fig9_grid_tamari", "fig9_2cambrian"}
@@ -208,3 +209,16 @@ def test_fixture_dir_override(tmp_path, monkeypatch):
     (tmp_path / "fig1.json").write_text(json.dumps(obj))
     monkeypatch.setenv("TRIMLAT_FIXTURES", str(tmp_path))
     assert fixture("fig1").n == 3
+
+
+def test_fixture_dir_override_errors(tmp_path, monkeypatch):
+    """A missing or malformed override file is an input error naming the
+    file, not a traceback."""
+    missing = tmp_path / "missing"
+    monkeypatch.setenv("TRIMLAT_FIXTURES", str(missing))
+    with pytest.raises(InputError, match=re.escape(str(missing / "manifest.json"))):
+        fixture("fig1")
+    (tmp_path / "manifest.json").write_text("{not json")
+    monkeypatch.setenv("TRIMLAT_FIXTURES", str(tmp_path))
+    with pytest.raises(InputError, match=re.escape(str(tmp_path / "manifest.json"))):
+        fixture("fig1")

@@ -35,6 +35,13 @@ def test_poset_json_roundtrip_and_reduction():
         poset_from_json({"n": 2, "covers": [[0, 1], [1, 0]]})
     with pytest.raises(InputError):
         poset_from_json({"covers": []})
+    # JSON booleans are not integers, though Python's bool is an int
+    for bad in ({"n": True, "covers": []}, {"n": 2, "covers": [[False, True]]},
+                {"n": 2, "covers": [[0, True]]}):
+        with pytest.raises(InputError):
+            poset_from_json(bad)
+    with pytest.raises(InputError):
+        lattice_from_json({"n": True, "covers": []})
 
 
 def test_lattice_json_validates():
@@ -52,6 +59,9 @@ def test_galois_json():
         galois_from_json({"n": 3, "edges": [[1, 3]]})
     with pytest.raises(InputError):
         galois_from_json({"n": 2, "edges": [[1, 1]]})
+    for bad in ({"n": 2, "edges": [[2, True]]}, {"n": True, "edges": []}):
+        with pytest.raises(InputError):
+            galois_from_json(bad)
 
 
 def test_dot_outputs():
@@ -173,6 +183,8 @@ def test_cli_error_codes():
     assert code == 3
     code, _, err = run_cli("gen", "rational-dyck", "2", "4")
     assert code == 2
+    code, _, err = run_cli("check", "-", stdin='{"n": true, "covers": []}')
+    assert code == 2 and "error: bad or missing 'n'" in err and "Traceback" not in err
 
 
 def test_cli_json_input_honours_max_elements():

@@ -17,7 +17,6 @@ from trimlat import (
     interval,
     is_distributive,
     is_extremal,
-    is_graded,
     is_left_modular_element,
     is_left_modular_lattice,
     is_semidistributive,
@@ -32,7 +31,7 @@ from trimlat import (
     spine,
     weak_order_S,
 )
-from conftest import all_congruences, brute_distributive, brute_left_modular
+from conftest import all_congruences, brute_distributive, brute_left_modular, is_graded
 
 
 def test_lattice_from_poset_boolean():

@@ -15,7 +15,6 @@ from trimlat import (
     chain_product,
     fixture,
     fixture_lattice,
-    fixture_names,
     ideal_masks,
     interval,
     lattice_from_graph,
@@ -31,7 +30,7 @@ from trimlat import (
     weak_order_S,
 )
 from trimlat import lattice
-from trimlat.generators import antichain_poset, product_of_chains_poset
+from trimlat.generators import antichain_poset, fixture_manifest, product_of_chains_poset
 from conftest import (
     all_congruences,
     assert_same_lattice,
@@ -58,7 +57,7 @@ def test_graph_lattices_match_oracle(graph_lattices):
 
 
 def test_fixtures_match_oracle():
-    for name in fixture_names():
+    for name in sorted(fixture_manifest()):
         obj = fixture(name)
         if isinstance(obj, GaloisGraph):
             assert_same_lattice(lattice_from_graph(obj)[0], oracle_lattice_from_graph(obj))
@@ -86,7 +85,7 @@ def _assert_interval(l, a, b):
 def test_intervals_match_oracle(small_posets, graph_lattices):
     # every interval of the figures; the lower and upper principal
     # intervals of the sweep lattices on <= 4 poset elements or labels
-    for name in fixture_names():
+    for name in sorted(fixture_manifest()):
         l = fixture_lattice(name)
         for a in range(l.n):
             for b in range(l.n):

@@ -35,10 +35,10 @@ from trimlat import (
     root_ideals,
     tamari,
 )
-from trimlat.figures import first_non_overlapping_cover
-from trimlat.galois import _overlaps
+from trimlat.galois import first_non_overlapping_cover
 from trimlat.labelling import _three_formula_labels
 from trimlat.lattice import _coheights, _heights
+from trimlat.poset import _bits
 
 
 def test_canonical_extension_matches_bit_scan(small_posets, graph_lattices):
@@ -60,20 +60,22 @@ def test_pair_masks_match_scalar_scan(trim_collection, graph_lattices):
 
 def test_mask_readers_match_scalar_scans(property_lattices):
     """On every extremal lattice of the sweeps, trim or not: no cover
-    overlaps in two labels, and the witness, the Galois graph and every
-    element pair equal the scalar scans."""
+    overlaps in two labels, and the overlaps, the witness, the Galois graph
+    and every element pair equal the scalar scans."""
     extremal = [(label, l) for label, l in property_lattices if is_extremal(l)]
     non_trim = 0
     for label, l in extremal:
         idx = index_irreducibles(l)
-        assert all(v & (v - 1) == 0 for v in _overlaps(l, idx)), label
+        assert all(v & (v - 1) == 0 for v in idx.overlap), label
+        pairs = [oracle_element_pair(l, x, idx) for x in range(l.n)]
+        assert [{i + 1 for i in _bits(v)} for v in idx.overlap] == [
+            pairs[y].Y & pairs[z].X for y, z in l.covers], label
         wit = first_non_overlapping_cover(l)
         assert wit == oracle_first_non_overlapping_cover(l), label
         assert is_trim(l) == (wit is None), label
         non_trim += wit is not None
         assert galois_graph(l, idx) == oracle_galois_graph(l, idx), label
-        for x in range(l.n):
-            assert element_pair(l, x, idx) == oracle_element_pair(l, x, idx), label
+        assert [element_pair(l, x, idx) for x in range(l.n)] == pairs, label
     # both verdicts ran on many inputs
     assert len(extremal) > 1600 and non_trim > 60
 
