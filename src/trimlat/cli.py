@@ -14,7 +14,7 @@ import json
 import sys
 
 from .errors import InputError, NotTrim, SizeLimitExceeded, TrimlatError
-from .generators import FAMILIES
+from .generators import FAMILIES, STRING_FAMILIES
 from .poset import DEFAULT_MAX_ELEMENTS
 
 # Each verb imports what it needs when it runs, so `gen` of a family that
@@ -54,14 +54,12 @@ def cmd_gen(args) -> int:
     from .generators import FamilySpec, family_order
     from .io import poset_to_json
 
-    ints = []
-    strs = []
-    for p in args.params:
+    params = tuple(args.params)
+    if args.family not in STRING_FAMILIES:
         try:
-            ints.append(int(p))
-        except ValueError:
-            strs.append(p)
-    params = tuple(ints) if ints else tuple(strs)
+            params = tuple(map(int, params))
+        except ValueError as exc:
+            raise InputError(f"bad parameters for family {args.family!r}: {exc}") from exc
     order = family_order(FamilySpec(args.family, params), args.max_elements)
     print(json.dumps(poset_to_json(order.poset), sort_keys=True))
     return 0
@@ -69,13 +67,14 @@ def cmd_gen(args) -> int:
 
 def _property_matrix(l) -> dict:
     from .galois import _fmt_set, _index, first_non_overlapping_cover
-    from .lattice import _coheights, is_distributive, is_left_modular_lattice, is_semidistributive
+    from .lattice import (_coheights, _is_extremal, is_distributive, is_left_modular_lattice,
+                          is_semidistributive)
 
     dist, dist_wit = is_distributive(l, witness=True)
     semi, semi_wit = is_semidistributive(l, witness=True)
     # one longest-path pass: the length, extremality and the indexing
     co = _coheights(l)
-    ext = len(l.join_irr) == len(l.meet_irr) == co[l.bottom]
+    ext = _is_extremal(l, co[l.bottom])
     lm_chain = is_left_modular_lattice(l)
     non_overlap = first_non_overlapping_cover(l, _index(l, co)) if ext else None
     trim = ext and non_overlap is None
@@ -168,7 +167,7 @@ def cmd_rowmotion(args) -> int:
     human = f"cycle_type=[{','.join(map(str, row.cycle_type))}] order={row.order}"
     if args.orbits and not args.json:
         human += "\n" + "\n".join(
-            "orbit: " + " ".join(l.name_of(x) for x in cyc) for cyc in row.cycles)
+            "orbit: " + " ".join(map(str, cyc)) for cyc in row.cycles)
     _emit(payload, args.json, human)
     return 0
 
@@ -190,12 +189,12 @@ def _run_trace(l, labelling, args) -> int:
                           "steps": [[lab, el] for lab, el in steps]}))
         return 0
     cur = args.element
-    print(f"start: {l.name_of(cur)}")
+    print(f"start: {cur}")
     for lab, el in steps:
-        note = "stay" if el == cur else f"walk to {l.name_of(el)}"
+        note = "stay" if el == cur else f"walk to {el}"
         print(f"flip {lab}: {note}")
         cur = el
-    print(f"end: {l.name_of(cur)}")
+    print(f"end: {cur}")
     return 0
 
 

@@ -23,6 +23,7 @@ from .lattice import (
     _coheights,
     _containment,
     _ints,
+    _is_extremal,
     _longest_chain,
     _pack,
     _pack_bool,
@@ -117,7 +118,7 @@ def index_irreducibles(l: Lattice, chain: Chain | None = None) -> IrreducibleInd
 
 def _index(l: Lattice, co: list[int], chain: Chain | None = None) -> IrreducibleIndexing:
     """:func:`index_irreducibles` from the coheights ``co``."""
-    if not len(l.join_irr) == len(l.meet_irr) == co[l.bottom]:
+    if not _is_extremal(l, co[l.bottom]):
         raise NotExtremal("irreducible indexing requires an extremal lattice")
     if chain is None:
         chain = _longest_chain(l, co)
@@ -293,10 +294,9 @@ def lattice_from_graph(g: GaloisGraph,
 
     pairs = tuple(MaxOrthPair(_label_set(xm), _label_set(ym))
                   for xm, ym in zip(x_masks, y_masks))
-    names = tuple(f"({_fmt_set(p.X)},{_fmt_set(p.Y)})" for p in pairs)
     # the closure of the empty set is contained in every closed set, and the
     # full label set is closed, so after sorting they sit at the two ends
-    lat = Lattice(poset, meet, join, 0, n - 1, names=names)
+    lat = Lattice(poset, meet, join, 0, n - 1)
     assert [x for x in range(n) if not poset.lower_covers(x)] == [0]
     assert [x for x in range(n) if not poset.upper_covers(x)] == [n - 1]
     return lat, pairs

@@ -171,6 +171,7 @@ def rational_dyck(a: int, b: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> L
 def weak_order_S(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
     """Right weak order on the symmetric group S_n: permutations ordered by
     containment of inversion sets; covers are adjacent transpositions.
+    Element i is the i-th permutation of range(n) in lexicographic order.
     Raises SizeLimitExceeded before building when n > WEAK_ORDER_CAP or n!
     exceeds max_elements."""
     return _weak_order(n, max_elements).lattice()
@@ -192,25 +193,26 @@ def _weak_order(n: int, max_elements: int) -> FamilyOrder:
             if p[k] < p[k + 1]:
                 q = p[:k] + (p[k + 1], p[k]) + p[k + 2:]
                 covers.append((index[p], index[q]))
-    names = tuple("".join(str(v + 1) for v in p) for p in perms)
-    return FamilyOrder(poset_from_relations(len(perms), covers), names=names)
+    return FamilyOrder(poset_from_relations(len(perms), covers))
 
 
 FIXTURE_ENV = "TRIMLAT_FIXTURES"
 
 
-def _fixture_json(file: str):
-    """A JSON file of the fixture directory (TRIMLAT_FIXTURES, if set)."""
+def _fixture_path(file: str):
+    """A file of the fixture directory (TRIMLAT_FIXTURES, if set)."""
     override = os.environ.get(FIXTURE_ENV)
     if override:
         from pathlib import Path
 
-        base = Path(override)
-    else:
-        from importlib import resources
+        return Path(override) / file
+    from importlib import resources
 
-        base = resources.files("trimlat") / "fixtures"
-    path = base / file
+    return resources.files("trimlat") / "fixtures" / file
+
+
+def _fixture_json(file: str):
+    path = _fixture_path(file)
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
@@ -218,7 +220,10 @@ def _fixture_json(file: str):
 
 
 def fixture_manifest() -> dict:
-    return _fixture_json("manifest.json")
+    manifest = _fixture_json("manifest.json")
+    if not isinstance(manifest, dict):
+        raise InputError(f"fixture manifest {_fixture_path('manifest.json')} is not a JSON object")
+    return manifest
 
 
 def fixture(name: str):
@@ -230,12 +235,13 @@ def fixture(name: str):
     if name not in manifest:
         raise InputError(f"unknown fixture {name!r}; have {', '.join(sorted(manifest))}")
     entry = manifest[name]
-    obj = _fixture_json(entry["file"])
-    if entry["kind"] == "lattice":
-        return lattice_from_json(obj)
-    if entry["kind"] == "galois":
-        return galois_from_json(obj)
-    raise InputError(f"fixture {name!r} has unknown kind {entry['kind']!r}")
+    kind = entry.get("kind") if isinstance(entry, dict) else None
+    file = entry.get("file") if isinstance(entry, dict) else None
+    if kind not in ("lattice", "galois") or not isinstance(file, str):
+        raise InputError(f"fixture manifest {_fixture_path('manifest.json')}: entry {name!r} "
+                         f"needs a \"file\" string and a \"kind\" (lattice or galois)")
+    obj = _fixture_json(file)
+    return lattice_from_json(obj) if kind == "lattice" else galois_from_json(obj)
 
 
 def fixture_lattice(name: str, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
@@ -260,6 +266,9 @@ FAMILIES = (
     "galois-file",
     "fixture",
 )
+# the families whose one parameter is a string (a path or a fixture name);
+# every other family takes integers
+STRING_FAMILIES = ("order-ideals", "galois-file", "fixture")
 
 
 # named tuples: importing dataclasses would cost `gen` more than this module
@@ -271,12 +280,11 @@ class FamilySpec(NamedTuple):
 
 
 class FamilyOrder(NamedTuple):
-    """A family lattice before its meet/join tables: its order, and either
-    display names or, for a lattice of order ideals, the ideals as masks of
-    a width-element poset, which become the table keys."""
+    """A family lattice before its meet/join tables: its order and, for a
+    lattice of order ideals, the ideals as masks of a width-element poset,
+    which become the table keys (element i is the ideal masks[i])."""
 
     poset: Poset
-    names: tuple[str, ...] | None = None
     masks: tuple[int, ...] | None = None
     width: int = 0
 
@@ -284,7 +292,7 @@ class FamilyOrder(NamedTuple):
         from .lattice import lattice_from_ideal_masks, lattice_from_poset
 
         if self.masks is None:
-            return lattice_from_poset(self.poset, names=self.names)
+            return lattice_from_poset(self.poset)
         return lattice_from_ideal_masks(self.poset, self.masks, self.width)
 
 

@@ -101,7 +101,7 @@ def dot_hasse(l: Lattice) -> str:
     """DOT for the Hasse diagram, bottom-up."""
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for x in range(l.n):
-        lines.append(f'  e{x} [label="{l.name_of(x)}"];')
+        lines.append(f'  e{x} [label="{x}"];')
     for a, b in l.covers:
         lines.append(f"  e{a} -> e{b};")
     lines.append("}")

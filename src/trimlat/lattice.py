@@ -66,7 +66,8 @@ class Chain:
 
 
 class Lattice:
-    """Immutable finite lattice with precomputed meet/join tables.
+    """Immutable finite lattice on the elements 0..n-1 with precomputed
+    meet/join tables; each constructor documents how it numbers them.
 
     Attributes:
         poset: the underlying order.
@@ -74,14 +75,11 @@ class Lattice:
         bottom, top: indices of the least and greatest elements.
         join_irr: elements (other than bottom) covering exactly one element.
         meet_irr: elements (other than top) covered by exactly one element.
-        names: optional per-element display strings.
     """
 
-    __slots__ = ("poset", "meet", "join", "bottom", "top",
-                 "join_irr", "meet_irr", "names")
+    __slots__ = ("poset", "meet", "join", "bottom", "top", "join_irr", "meet_irr")
 
-    def __init__(self, poset: Poset, meet, join, bottom: int, top: int,
-                 names=None):
+    def __init__(self, poset: Poset, meet, join, bottom: int, top: int):
         self.poset = poset
         meet = np.asarray(meet, dtype=np.int32)
         join = np.asarray(join, dtype=np.int32)
@@ -99,7 +97,6 @@ class Lattice:
             x for x in range(poset.n)
             if x != top and len(poset.upper_covers(x)) == 1
         )
-        self.names = tuple(names) if names is not None else None
 
     @property
     def n(self) -> int:
@@ -139,14 +136,11 @@ class Lattice:
             out = int(self.meet[out, x])
         return out
 
-    def name_of(self, x: int) -> str:
-        return self.names[x] if self.names is not None else str(x)
-
     def __repr__(self) -> str:
         return f"Lattice(n={self.n}, length={length(self)})"
 
 
-def lattice_from_poset(p: Poset, names=None) -> Lattice:
+def lattice_from_poset(p: Poset) -> Lattice:
     """Compute meet/join tables for p; raises NotALattice(x, y, kind) naming
     the first incomparable pair (x < y, row-major) with no unique join, or
     else no unique meet."""
@@ -167,17 +161,16 @@ def lattice_from_poset(p: Poset, names=None) -> Lattice:
     meet, join, hit = _tables(_pack_bool(le[jirr].T), _pack_bool(le[:, mirr]))
     if not (hit and _joins_are_least(le, join)):
         raise _lattice_witness(p)
-    return Lattice(p, meet, join, bottom, top, names=names)
+    return Lattice(p, meet, join, bottom, top)
 
 
 def lattice_from_ideal_masks(order: Poset, masks: tuple[int, ...], width: int) -> Lattice:
     """Distributive lattice with the given order on ideal bitmasks of a
     width-element poset, sorted by size (meet/join are intersection/union;
-    masks must be closed under both)."""
+    masks must be closed under both).  Element i is the ideal masks[i]."""
     full = (1 << width) - 1
     meet, join, _ = _tables(_pack(masks, width), _pack([full ^ m for m in masks], width))
-    names = tuple("{" + ",".join(map(str, _bits(m))) + "}" for m in masks)
-    return Lattice(order, meet, join, 0, len(masks) - 1, names=names)
+    return Lattice(order, meet, join, 0, len(masks) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +442,12 @@ def is_distributive(l: Lattice, witness: bool = False):
 
 
 def is_extremal(l: Lattice) -> bool:
-    n = length(l)
-    return len(l.join_irr) == n and len(l.meet_irr) == n
+    return _is_extremal(l, length(l))
+
+
+def _is_extremal(l: Lattice, ln: int) -> bool:
+    """Extremality of l given its length ln, from one longest-path pass."""
+    return len(l.join_irr) == len(l.meet_irr) == ln
 
 
 def _left_modular_test(l: Lattice):
@@ -564,15 +561,13 @@ def interval(l: Lattice, a: int, b: int) -> tuple[Lattice, tuple[int, ...]]:
     back[rows] = np.arange(len(members))
     sub_meet = back[l.meet[np.ix_(rows, rows)]]
     sub_join = back[l.join[np.ix_(rows, rows)]]
-    names = tuple(l.name_of(x) for x in members) if l.names else None
-    sub = Lattice(poset, sub_meet, sub_join, index[a], index[b], names=names)
-    return sub, members
+    return Lattice(poset, sub_meet, sub_join, index[a], index[b]), members
 
 
 def spine(l: Lattice) -> tuple[int, ...]:
     """Elements lying on some maximal-length chain of an extremal lattice."""
     h, co = _heights(l), _coheights(l)
-    if not len(l.join_irr) == len(l.meet_irr) == h[l.top]:
+    if not _is_extremal(l, h[l.top]):
         raise NotExtremal("spine requires an extremal lattice")
     return tuple(x for x in range(l.n) if h[x] + co[x] == h[l.top])
 
@@ -616,7 +611,4 @@ def quotient(l: Lattice, c: Congruence) -> tuple[Lattice, tuple[tuple[int, ...],
     k = len(c.classes)
     relations = {(of[a], of[b]) for a, b in l.covers if of[a] != of[b]}
     p = poset_from_relations(k, sorted(relations))
-    names = None
-    if l.names is not None:
-        names = tuple("|".join(l.name_of(x) for x in cl) for cl in c.classes)
-    return lattice_from_poset(p, names=names), c.classes
+    return lattice_from_poset(p), c.classes

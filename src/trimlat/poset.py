@@ -3,8 +3,6 @@ linear extensions.
 
 Elements are dense integer indices; subsets of elements are manipulated as
 Python-int bitmasks throughout, so every relation query is a shift-and-test.
-External names (if any) live in string tables on higher-level objects, never
-in the algorithms here.
 """
 
 from __future__ import annotations

@@ -328,7 +328,7 @@ def oracle_ideal_poset(q: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS):
 # oracles that the kernel must match exactly
 # ---------------------------------------------------------------------------
 
-def oracle_lattice_from_poset(p: Poset, names=None) -> Lattice:
+def oracle_lattice_from_poset(p: Poset) -> Lattice:
     """Scan every pair: the least upper bound is the lowest common upper
     bound in a topological order, if it lies below all the others."""
     n = p.n
@@ -378,7 +378,7 @@ def oracle_lattice_from_poset(p: Poset, names=None) -> Lattice:
                     raise NotALattice(x, y, "meet")
             join[x, y] = join[y, x] = j
             meet[x, y] = meet[y, x] = m
-    return Lattice(p, meet, join, bottom, top, names=names)
+    return Lattice(p, meet, join, bottom, top)
 
 
 def _containment_masks(keys) -> tuple[list[int], list[int]]:
@@ -413,8 +413,7 @@ def oracle_lattice_from_ideal_masks(q: Poset, masks) -> Lattice:
             b = masks[j]
             meet[i, j] = meet[j, i] = index[a & b]
             join[i, j] = join[j, i] = index[a | b]
-    names = tuple("{" + ",".join(map(str, _bits(m))) + "}" for m in masks)
-    return Lattice(Poset(n, covers, up, down), meet, join, 0, n - 1, names=names)
+    return Lattice(Poset(n, covers, up, down), meet, join, 0, n - 1)
 
 
 def oracle_lattice_from_graph(g: GaloisGraph) -> Lattice:
@@ -437,13 +436,7 @@ def oracle_lattice_from_graph(g: GaloisGraph) -> Lattice:
         for b in range(a, n):
             meet[a, b] = meet[b, a] = index[x_masks[a] & x_masks[b]]
             join[a, b] = join[b, a] = y_index[y_masks[a] & y_masks[b]]
-    pairs = [MaxOrthPair(frozenset(i + 1 for i in _bits(xm)),
-                         frozenset(k + 1 for k in _bits(ym)))
-             for xm, ym in zip(x_masks, y_masks)]
-    names = tuple(
-        "({" + ",".join(map(str, sorted(p.X))) + "},{"
-        + ",".join(map(str, sorted(p.Y))) + "})" for p in pairs)
-    return Lattice(Poset(n, covers, up, down), meet, join, 0, n - 1, names=names)
+    return Lattice(Poset(n, covers, up, down), meet, join, 0, n - 1)
 
 
 def oracle_interval(l: Lattice, a: int, b: int) -> tuple[Lattice, tuple[int, ...]]:
@@ -467,9 +460,7 @@ def oracle_interval(l: Lattice, a: int, b: int) -> tuple[Lattice, tuple[int, ...
         for j, y in enumerate(members):
             meet[i, j] = index[int(l.meet[x, y])]
             join[i, j] = index[int(l.join[x, y])]
-    names = tuple(l.name_of(x) for x in members) if l.names else None
-    return Lattice(Poset(k, covers, up, down), meet, join, index[a], index[b],
-                   names=names), members
+    return Lattice(Poset(k, covers, up, down), meet, join, index[a], index[b]), members
 
 
 def _inversion_mask(perm, pair_index) -> int:
@@ -495,13 +486,12 @@ def oracle_weak_order_S(n: int) -> Lattice:
                 q = p[:k] + (p[k + 1], p[k]) + p[k + 2:]
                 covers.append((index[p], index[q]))
     up, down = _containment_masks(inv)
-    names = tuple("".join(str(v + 1) for v in p) for p in perms)
-    return oracle_lattice_from_poset(Poset(len(perms), covers, up, down), names=names)
+    return oracle_lattice_from_poset(Poset(len(perms), covers, up, down))
 
 
 def assert_same_lattice(got: Lattice, want: Lattice) -> None:
     """Identical order (covers, up and down masks), tables, bounds,
-    irreducibles and names."""
+    irreducibles."""
     assert got.n == want.n
     assert got.covers == want.covers
     for x in range(want.n):
@@ -512,7 +502,6 @@ def assert_same_lattice(got: Lattice, want: Lattice) -> None:
     assert np.array_equal(got.join, want.join)
     assert (got.bottom, got.top) == (want.bottom, want.top)
     assert (got.join_irr, got.meet_irr) == (want.join_irr, want.meet_irr)
-    assert got.names == want.names
 
 
 # ---------------------------------------------------------------------------

@@ -222,3 +222,20 @@ def test_fixture_dir_override_errors(tmp_path, monkeypatch):
     monkeypatch.setenv("TRIMLAT_FIXTURES", str(tmp_path))
     with pytest.raises(InputError, match=re.escape(str(tmp_path / "manifest.json"))):
         fixture("fig1")
+
+
+@pytest.mark.parametrize("manifest", ['{"fig1": {"kind": "lattice"}}',
+                                      '{"fig1": {"file": "fig1.json"}}',
+                                      '["fig1"]'])
+def test_fixture_manifest_errors(tmp_path, monkeypatch, capsys, manifest):
+    """A manifest that is not an object, or an entry without its file or
+    kind, is an input error (exit 2) naming the manifest and the entry."""
+    from trimlat import cli
+
+    (tmp_path / "manifest.json").write_text(manifest)
+    monkeypatch.setenv("TRIMLAT_FIXTURES", str(tmp_path))
+    assert cli.main(["gen", "fixture", "fig1"]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "manifest.json") in err
+    if manifest.startswith("{"):
+        assert "'fig1'" in err

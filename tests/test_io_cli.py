@@ -80,10 +80,10 @@ CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
 
 
-def run_cli(*argv, stdin: str | None = None):
+def run_cli(*argv, stdin: str | None = None, cwd=None):
     proc = subprocess.run(
         [sys.executable, "-m", "trimlat.cli", *argv],
-        input=stdin, capture_output=True, text=True, env=CHILD_ENV)
+        input=stdin, capture_output=True, text=True, env=CHILD_ENV, cwd=cwd)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -215,6 +215,20 @@ def test_cli_gen_from_files(tmp_path):
     graph_file.write_text('{"n": 3, "edges": [[3, 1], [3, 2]]}')
     out = gen("galois-file", str(graph_file))
     assert json.loads(out)["n"] == 5
+
+
+def test_cli_gen_params_by_family(tmp_path):
+    """The integer families refuse any other parameter; a path family reads
+    a path even when it looks like an integer (never a file descriptor)."""
+    for argv in (("boolean", "2", "junk"), ("chain-product", "2", "x"), ("tamari", "4.0")):
+        code, out, err = run_cli("gen", *argv)
+        assert code == 2 and out == "" and "bad parameters" in err, argv
+    (tmp_path / "0").write_text('{"n": 3, "covers": [[0, 2], [1, 2]]}')
+    (tmp_path / "7").write_text('{"n": 3, "edges": [[3, 1], [3, 2]]}')
+    for argv in (("order-ideals", "0"), ("galois-file", "7")):
+        code, out, err = run_cli("gen", *argv, stdin="", cwd=tmp_path)
+        assert code == 0, err
+        assert json.loads(out)["n"] == 5
 
 
 def _never(*args, **kwargs):

@@ -1,7 +1,7 @@
 """The vectorised meet/join table kernel against the pure-Python builders it
-replaced (kept in conftest as oracles): identical tables, covers, up/down
-masks and names on the exhaustive sweeps, the families, intervals and
-quotients, and the same NotALattice witness on every bounded poset."""
+replaced (kept in conftest as oracles): identical tables, covers and up/down
+masks on the exhaustive sweeps, the families, intervals and quotients, and
+the same NotALattice witness on every bounded poset."""
 
 from __future__ import annotations
 
@@ -106,7 +106,7 @@ def test_quotients_match_oracle(small_posets, graph_lattices):
     for l in small:
         for c in all_congruences(l):
             q, _ = quotient(l, c)
-            assert_same_lattice(q, oracle_lattice_from_poset(q.poset, names=q.names))
+            assert_same_lattice(q, oracle_lattice_from_poset(q.poset))
 
 
 def test_multiword_keys():
