@@ -17,8 +17,9 @@ from .errors import InputError, NotTrim, SizeLimitExceeded, TrimlatError
 from .generators import FAMILIES, STRING_FAMILIES
 from .poset import DEFAULT_MAX_ELEMENTS
 
-# Each verb imports what it needs when it runs, so `gen` of a family that
-# needs no tables loads neither numpy nor the lattice modules.
+# Each verb imports what it needs when it runs: `gen` of an integer family
+# loads neither numpy nor the lattice modules, and a verb that reads no
+# meet/join tables of a lattice from JSON loads no numpy.
 
 
 def _load_lattice(args):
@@ -73,10 +74,10 @@ def _property_matrix(l) -> dict:
     dist, dist_wit = is_distributive(l, witness=True)
     semi, semi_wit = is_semidistributive(l, witness=True)
     # one longest-path pass: the length, extremality and the indexing
-    co = _coheights(l)
+    co, order = _coheights(l)
     ext = _is_extremal(l, co[l.bottom])
     lm_chain = is_left_modular_lattice(l)
-    non_overlap = first_non_overlapping_cover(l, _index(l, co)) if ext else None
+    non_overlap = first_non_overlapping_cover(l, _index(l, co, order)) if ext else None
     trim = ext and non_overlap is None
     out = {
         "elements": l.n,

@@ -19,15 +19,11 @@ from .errors import NotExtremal, NotTrim, SizeLimitExceeded
 from .lattice import (
     Chain,
     Lattice,
-    _bool_rows,
     _coheights,
     _containment,
-    _ints,
     _is_extremal,
     _longest_chain,
     _pack,
-    _pack_bool,
-    _tables,
     interval,
 )
 from .poset import DEFAULT_MAX_ELEMENTS, Poset, _bits, poset_from_relations
@@ -108,16 +104,18 @@ def index_irreducibles(l: Lattice, chain: Chain | None = None) -> IrreducibleInd
     """Index the irreducibles of an extremal lattice along a maximal-length
     chain (default: the deterministic one).  Each chain step introduces
     exactly one new join-irreducible from below and retires exactly one
-    meet-irreducible from above.  The pair masks are the up-sets of the j_i
-    and the down-sets of the m_k, unpacked to rank-by-n bits, transposed
-    and packed again per element."""
-    # one pass of coheights gives the length, hence extremality, and the
-    # default chain
-    return _index(l, _coheights(l), chain)
+    meet-irreducible from above.  The pair masks come from one pass over
+    the covers: x_J is the union of the lower covers' x_J, plus label i at
+    j_i, and x_M dually."""
+    # one pass of coheights gives the length, hence extremality, the
+    # default chain and an order for the pair masks
+    return _index(l, *_coheights(l), chain)
 
 
-def _index(l: Lattice, co: list[int], chain: Chain | None = None) -> IrreducibleIndexing:
-    """:func:`index_irreducibles` from the coheights ``co``."""
+def _index(l: Lattice, co: list[int], order: list[int],
+           chain: Chain | None = None) -> IrreducibleIndexing:
+    """:func:`index_irreducibles` from the coheights ``co`` and the order
+    of the pass that found them, top first."""
     if not _is_extremal(l, co[l.bottom]):
         raise NotExtremal("irreducible indexing requires an extremal lattice")
     if chain is None:
@@ -143,20 +141,23 @@ def _index(l: Lattice, co: list[int], chain: Chain | None = None) -> Irreducible
             raise NotExtremal(
                 f"chain step {i} retires {new_m.bit_count()} meet-irreducibles")
         m.append(new_m.bit_length() - 1)
-    acc = l.bottom
+    # in a lattice up(a) & up(b) = up(a v b), and dually for meets
     for i in range(n):
-        acc = l.join_of(acc, j[i])
-        assert acc == xs[i + 1], "join-prefix identity failed"
-    acc = l.top
-    for i in range(n - 1, -1, -1):
-        assert acc == xs[i + 1], "meet-suffix identity failed"
-        acc = l.meet_of(acc, m[i])
-    assert acc == xs[0]
-    below = _bool_rows([p.up_mask(t) for t in j], l.n)
-    above = _bool_rows([p.down_mask(t) for t in m], l.n)
-    return IrreducibleIndexing(chain, tuple(j), tuple(m),
-                               tuple(_ints(_pack_bool(below.T))),
-                               tuple(_ints(_pack_bool(above.T))), l.covers)
+        assert p.up_mask(xs[i]) & p.up_mask(j[i]) == p.up_mask(xs[i + 1]), \
+            "join-prefix identity failed"
+        assert p.down_mask(xs[i + 1]) & p.down_mask(m[i]) == p.down_mask(xs[i]), \
+            "meet-suffix identity failed"
+    xj, ym = [0] * l.n, [0] * l.n
+    for i in range(n):
+        xj[j[i]] = ym[m[i]] = 1 << i
+    # x_J from the lower covers, bottom up; x_M from the upper covers, top down
+    for masks, covers, walk in ((xj, p._lower, reversed(order)), (ym, p._upper, order)):
+        for x in walk:
+            acc = masks[x]
+            for c in covers[x]:
+                acc |= masks[c]
+            masks[x] = acc
+    return IrreducibleIndexing(chain, tuple(j), tuple(m), tuple(xj), tuple(ym), l.covers)
 
 
 def _label_set(mask: int) -> frozenset[int]:
@@ -287,16 +288,12 @@ def lattice_from_graph(g: GaloisGraph,
     meets intersect the first components, joins intersect the second."""
     x_masks, y_masks = _pair_masks(g, max_elements)
     n = len(x_masks)
-
-    x_keys = _pack(x_masks, g.n)
-    meet, join, _ = _tables(x_keys, _pack(y_masks, g.n))
-    poset = _containment(x_keys)  # x_masks are sorted by size
-
+    poset = _containment(_pack(x_masks, g.n))  # x_masks are sorted by size
     pairs = tuple(MaxOrthPair(_label_set(xm), _label_set(ym))
                   for xm, ym in zip(x_masks, y_masks))
     # the closure of the empty set is contained in every closed set, and the
     # full label set is closed, so after sorting they sit at the two ends
-    lat = Lattice(poset, meet, join, 0, n - 1)
+    lat = Lattice(poset, 0, n - 1)
     assert [x for x in range(n) if not poset.lower_covers(x)] == [0]
     assert [x for x in range(n) if not poset.upper_covers(x)] == [n - 1]
     return lat, pairs

@@ -2,8 +2,8 @@
 fixtures: Boolean lattices, products of chains, type-A root-poset ideals,
 Tamari lattices by tree rotation, rational Dyck-path lattices, weak order on
 the symmetric group, and lattices loaded from Galois-graph files.
-Each family produces its order once (:func:`family_order`); only
-:meth:`FamilyOrder.lattice` builds tables, so ``gen`` needs no numpy.
+Each family produces its order once (:func:`family_order`), and ``gen``
+prints it without loading numpy.
 """
 
 from __future__ import annotations
@@ -280,32 +280,30 @@ class FamilySpec(NamedTuple):
 
 
 class FamilyOrder(NamedTuple):
-    """A family lattice before its meet/join tables: its order and, for a
-    lattice of order ideals, the ideals as masks of a width-element poset,
-    which become the table keys (element i is the ideal masks[i])."""
+    """A family's order, before it is read as a lattice.  The order ideals
+    of a poset form a lattice by construction, numbered by size from the
+    empty ideal to the whole poset; every other order is validated."""
 
     poset: Poset
-    masks: tuple[int, ...] | None = None
-    width: int = 0
+    ideals: bool = False
 
     def lattice(self) -> Lattice:
-        from .lattice import lattice_from_ideal_masks, lattice_from_poset
+        from .lattice import Lattice, lattice_from_poset
 
-        if self.masks is None:
-            return lattice_from_poset(self.poset)
-        return lattice_from_ideal_masks(self.poset, self.masks, self.width)
+        if self.ideals:
+            return Lattice(self.poset, 0, self.poset.n - 1)
+        return lattice_from_poset(self.poset)
 
 
 def _ideals(q: Poset, max_elements: int) -> FamilyOrder:
-    masks, order = ideal_poset(q, max_elements)
-    return FamilyOrder(order, masks=masks, width=q.n)
+    return FamilyOrder(ideal_poset(q, max_elements)[1], ideals=True)
 
 
 def family_order(spec: FamilySpec,
                  max_elements: int = DEFAULT_MAX_ELEMENTS) -> FamilyOrder | Lattice:
     """Dispatch a FamilySpec to its generator.  The integer families and
-    order-ideals give their order without tables; galois-file and fixture
-    give their lattice, which reading them builds."""
+    order-ideals give their order; galois-file and fixture give their
+    lattice, which reading them builds."""
     fam, params = spec.family, spec.params
     try:
         if fam == "boolean":

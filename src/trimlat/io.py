@@ -85,9 +85,12 @@ def galois_to_json(g: GaloisGraph) -> dict:
 
 
 def load_json_path(path: str):
-    """Read a JSON document from a file path, or stdin when path is '-'."""
+    """Read a JSON document from a file path, or stdin when path is '-'.
+    A path that is not a str (an int would open a file descriptor, and
+    closing it would close that descriptor) is an InputError."""
     import sys
 
+    _require(isinstance(path, str), f"a path must be a string, not {path!r}")
     try:
         if path == "-":
             return json.load(sys.stdin)

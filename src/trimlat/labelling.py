@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     NotExtremal,
     NotLeftModular,
@@ -302,6 +300,8 @@ def semidistributive_labelling(l: Lattice) -> SemidistributiveLabelling:
 def _sd_labelling(l: Lattice, kappa: list[int]) -> SemidistributiveLabelling:
     """gamma_j by argmax and gamma_m = kappa o gamma_j, given the kappas of
     a semidistributive lattice (:func:`semidistributive_labelling`)."""
+    import numpy as np
+
     irr = np.array(l.join_irr, dtype=np.intp)
     up = _bool_rows([l.poset.up_mask(j) for j in l.join_irr], l.n)
     up_star = _bool_rows([l.poset.up_mask(l.lower_covers(j)[0]) for j in l.join_irr], l.n)

@@ -2,35 +2,24 @@
 structural predicates (distributive, extremal, left modular, semidistributive,
 trim), plus congruence validation and quotients.
 
-Meet and join tables are dense n-by-n int32 arrays, read-only once built.
-The predicates are exact and decide through the irreducibles, not over all
-triples; when a test says False and a witness is wanted, the triple scan
-it replaced runs and names the same first witness.
-
-Every constructor fills its tables through one kernel, :func:`_tables`.
+A lattice is its order: posets from outside are proved lattices on their
+up masks (:func:`lattice_from_poset`), and the paper's pipeline reads only
+covers and masks.  The read-only n-by-n int32 meet and join tables are
+built together on the first read of either, by one kernel, :func:`_tables`.
 In a finite lattice x |-> J(x), the set of join-irreducibles below x, is
 injective and sends meets to intersections; x |-> M(x), the
 meet-irreducibles above x, does the same for joins (Markowsky).  Each
-element's key is its J or M set packed into uint64 words; meet[x, y] is
-the element whose J-key equals J(x) & J(y), and join[x, y] dually, found
-in a linear-probing slot table from a home slot given by the AND's 64-bit
-mix (a fold of its words) and confirmed by a compare of all words.  Order
-ideals and their complements, the X and Y masks of maximal orthogonal
-pairs, and the up/down masks restricted to the irreducibles are such
-keys.  The order is the closure of the covers; for maximal orthogonal
-pairs, X(a) in X(b).
+element's key is its J or M set packed into uint64 words; meet[x, y] is the
+element whose J-key equals J(x) & J(y), and join[x, y] dually, found in a
+linear-probing slot table from a home slot given by the AND's 64-bit mix
+(a fold of its words) and confirmed by a compare of all words.
 
-Posets from outside are checked, not trusted.  When every M-key AND
-matches a key, join[x, x] == x and join[x, y] >= x for all x, y, every
-join[x, y] is the least upper bound (proof in :func:`_joins_are_least`).
-A bounded poset with all joins is a lattice, so the J-key meets are then
-exact too.  When the check fails, a scalar search names the first pair
-without a join or meet, as the pairwise scan it replaced did.
-
-Rows are processed in blocks of about 2**14 cells, so temporaries stay
-small next to the tables; the largest other array is the n-by-n boolean
-order matrix of a checked poset, an eighth of the two tables.  The kernel
-uses no floats and no BLAS.
+The predicates are exact and decide through the irreducibles, not over all
+triples; when a test says False and a witness is wanted, the triple scan
+it replaced runs and names the same first witness.  Rows are processed in
+blocks of about 2**14 cells, so temporaries stay small next to the tables.
+numpy is imported by the functions that use it, so reading a lattice and
+running the paper's pipeline on it load none.
 """
 
 from __future__ import annotations
@@ -38,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     NotACongruence,
@@ -48,6 +36,9 @@ from .errors import (
     NotExtremal,
 )
 from .poset import Poset, _bits, canonical_extension, poset_from_relations
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -66,27 +57,22 @@ class Chain:
 
 
 class Lattice:
-    """Immutable finite lattice on the elements 0..n-1 with precomputed
-    meet/join tables; each constructor documents how it numbers them.
+    """Immutable finite lattice on the elements 0..n-1, given by its order;
+    each constructor documents how it numbers the elements.
 
     Attributes:
         poset: the underlying order.
-        meet, join: read-only n-by-n int32 tables.
+        meet, join: read-only n-by-n int32 tables, both built on the first
+            read of either from the J- and M-keys of the poset's elements.
         bottom, top: indices of the least and greatest elements.
         join_irr: elements (other than bottom) covering exactly one element.
         meet_irr: elements (other than top) covered by exactly one element.
     """
 
-    __slots__ = ("poset", "meet", "join", "bottom", "top", "join_irr", "meet_irr")
+    __slots__ = ("poset", "bottom", "top", "join_irr", "meet_irr", "_meet", "_join")
 
-    def __init__(self, poset: Poset, meet, join, bottom: int, top: int):
+    def __init__(self, poset: Poset, bottom: int, top: int):
         self.poset = poset
-        meet = np.asarray(meet, dtype=np.int32)
-        join = np.asarray(join, dtype=np.int32)
-        meet.setflags(write=False)
-        join.setflags(write=False)
-        self.meet = meet
-        self.join = join
         self.bottom = bottom
         self.top = top
         self.join_irr = tuple(
@@ -97,6 +83,24 @@ class Lattice:
             x for x in range(poset.n)
             if x != top and len(poset.upper_covers(x)) == 1
         )
+        self._meet = self._join = None
+
+    @property
+    def meet(self) -> np.ndarray:
+        if self._meet is None:
+            self._build_tables()
+        return self._meet
+
+    @property
+    def join(self) -> np.ndarray:
+        if self._join is None:
+            self._build_tables()
+        return self._join
+
+    def _build_tables(self) -> None:
+        up, down = self.poset.up_mask, self.poset.down_mask
+        self._meet, self._join = _tables(_keys(list(map(up, self.join_irr)), self.n),
+                                         _keys(list(map(down, self.meet_irr)), self.n))
 
     @property
     def n(self) -> int:
@@ -125,15 +129,15 @@ class Lattice:
         return int(self.join[a, b])
 
     def join_all(self, elements) -> int:
-        out = self.bottom
+        out, join = self.bottom, self.join
         for x in elements:
-            out = int(self.join[out, x])
+            out = int(join[out, x])
         return out
 
     def meet_all(self, elements) -> int:
-        out = self.top
+        out, meet = self.top, self.meet
         for x in elements:
-            out = int(self.meet[out, x])
+            out = int(meet[out, x])
         return out
 
     def __repr__(self) -> str:
@@ -141,9 +145,33 @@ class Lattice:
 
 
 def lattice_from_poset(p: Poset) -> Lattice:
-    """Compute meet/join tables for p; raises NotALattice(x, y, kind) naming
-    the first incomparable pair (x < y, row-major) with no unique join, or
-    else no unique meet."""
+    """The lattice of p, proved on its up masks; raises NotALattice(x, y,
+    kind) naming the first incomparable pair (x < y, row-major) with no
+    unique join, or else no unique meet.
+
+    A poset with one minimal and one maximal element is a lattice exactly
+    when (b): for every x and every join-irreducible j, up(x) & up(j) is
+    the up set of some element.  This holds in a lattice, as
+    up(a) & up(b) = up(a v b).  Conversely, (b) implies (a): every x with
+    two or more lower covers has up(x) equal to the intersection of up(c)
+    over its lower covers c.  Else take a least x where (a) fails, some y
+    above its lower covers but not above x, and two of them, c and d.  A
+    join-irreducible j below c and not below d breaks (b): up(d) & up(j)
+    holds x and y, so its least element would lie in [d, x] = {d, x}.  So
+    c and d have the same set S of join-irreducibles below them, and
+    folding (b) over S gives s with up(s) the intersection of up(j) over S;
+    s < c.  A minimal m below c and not below s is no join-irreducible (it
+    would be in S), and its lower covers are below s while m is not: (a)
+    fails at m < x.
+
+    Then up(x) & up(y) is an up set for every y, by induction upward over
+    x: for the bottom it is up(y), for a join-irreducible x it is (b), and
+    otherwise (a) writes it as up(c_1) & ... & up(c_k) & up(y), which stays
+    an up set as each lower cover c_i, covered by the induction, is folded
+    in.  So every pair has a join, the least element of that up set, and a
+    finite poset with a bottom and all joins is a lattice.  Cost: n * |J|
+    big-int ANDs and set lookups.
+    """
     n = p.n
     if n == 0:
         raise NotALattice(0, 0, "bottom")
@@ -153,24 +181,12 @@ def lattice_from_poset(p: Poset) -> Lattice:
         raise NotALattice(mins[0], mins[1], "meet")
     if len(maxs) > 1:
         raise NotALattice(maxs[0], maxs[1], "join")
-    bottom, top = mins[0], maxs[0]
-
-    le = _order_matrix(p)
-    jirr = np.array([x for x in range(n) if len(p.lower_covers(x)) == 1], dtype=np.intp)
-    mirr = np.array([x for x in range(n) if len(p.upper_covers(x)) == 1], dtype=np.intp)
-    meet, join, hit = _tables(_pack_bool(le[jirr].T), _pack_bool(le[:, mirr]))
-    if not (hit and _joins_are_least(le, join)):
+    l = Lattice(p, mins[0], maxs[0])
+    up = list(map(p.up_mask, range(n)))
+    ups = set(up)
+    if not all(ups.issuperset(map(up[j].__and__, up)) for j in l.join_irr):
         raise _lattice_witness(p)
-    return Lattice(p, meet, join, bottom, top)
-
-
-def lattice_from_ideal_masks(order: Poset, masks: tuple[int, ...], width: int) -> Lattice:
-    """Distributive lattice with the given order on ideal bitmasks of a
-    width-element poset, sorted by size (meet/join are intersection/union;
-    masks must be closed under both).  Element i is the ideal masks[i]."""
-    full = (1 << width) - 1
-    meet, join, _ = _tables(_pack(masks, width), _pack([full ^ m for m in masks], width))
-    return Lattice(order, meet, join, 0, len(masks) - 1)
+    return l
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +199,9 @@ _BLOCK_CELLS = 1 << 14
 
 # tables of several row blocks are mirrored in square tiles of this side
 _TILE = 128
-_BELOW = np.tri(_TILE, k=-1, dtype=bool)
+
+# odd, so multiplying by it permutes the uint64 values
+_MIX = 0x9E3779B97F4A7C15
 
 
 def _row_blocks(rows: int, width: int):
@@ -195,57 +213,58 @@ def _row_blocks(rows: int, width: int):
 def _pack(masks, nbits: int) -> np.ndarray:
     """Python-int bitmasks of nbits bits as an (len(masks), w) uint64 array
     of keys, w >= 1."""
+    import numpy as np
+
     w = max(1, -(-nbits // 64))
     buf = b"".join(m.to_bytes(8 * w, "little") for m in masks)
     return np.frombuffer(buf, dtype="<u8").reshape(len(masks), w)
 
 
-def _pack_bool(rows: np.ndarray) -> np.ndarray:
-    """An (n, k) boolean array as (n, w) uint64 keys, w >= 1, one bit per
-    column."""
-    n, k = rows.shape
-    w = max(1, -(-k // 64))
-    out = np.zeros((n, 8 * w), dtype=np.uint8)
-    out[:, :-(-k // 8)] = np.packbits(rows, axis=1, bitorder="little")
+def _keys(masks, n: int) -> np.ndarray:
+    """Per element x < n, the set of t with bit x in masks[t] as (n, w)
+    uint64 keys, w >= 1: J-keys from the join-irreducibles' up masks,
+    M-keys from the meet-irreducibles' down masks."""
+    import numpy as np
+
+    rows = _bool_rows(masks, n).T
+    out = np.zeros((n, 8 * max(1, -(-len(masks) // 64))), dtype=np.uint8)
+    out[:, :-(-len(masks) // 8)] = np.packbits(rows, axis=1, bitorder="little")
     return out.view("<u8")
-
-
-# odd, so multiplying by it permutes the uint64 values
-_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _mix(words) -> np.ndarray:
     """One uint64 per key from its words (a sequence of equal-shaped
     arrays), folded nonlinearly; a key of one word is its own mix."""
+    import numpy as np
+
     h = words[0]
     for w in words[1:]:
-        h = (h ^ h >> np.uint64(31)) * _MIX ^ w
+        h = (h ^ h >> np.uint64(31)) * np.uint64(_MIX) ^ w
     return h
 
 
-def _tables(jkey: np.ndarray, mkey: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Meet and join tables from per-element keys.
+def _tables(jkey: np.ndarray, mkey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only meet and join tables of a lattice from per-element keys.
 
     meet[x, y] is the element whose J-key is jkey[x] & jkey[y], join[x, y]
     the one whose M-key is mkey[x] & mkey[y]: the first of the span slots
     from the AND's home (the top b bits of its mix times _MIX, 2**b >= 4n)
     whose key equals the AND in every word.  Linear probing in home order
-    puts every key fewer than span slots past its home; unfilled slots hold
-    element 0.  A key that repeats (in a non-lattice) is found by the AND
-    alone, so the lookup is a function of the key, as
-    :func:`_joins_are_least` needs.  Tables of several row blocks are looked
-    up from each block's first row and mirrored.  The third value is False
-    when some AND matches no key, which lattice keys never do.
+    puts every key fewer than span slots past its home.  Tables of several
+    row blocks are looked up from each block's first row and mirrored.
     """
+    import numpy as np
+
     n = len(jkey)
     b = (4 * n - 1).bit_length()
     shift = np.uint64(64 - b)
+    mix = np.uint64(_MIX)
     rank = np.arange(n)
+    below = np.tri(_TILE, k=-1, dtype=bool)
     tables = []
-    hit = True
     for key in (jkey, mkey):
         words = [key[:, k] for k in range(key.shape[1])]
-        home = (_mix(words) * _MIX >> shift).view(np.int64)
+        home = (_mix(words) * mix >> shift).view(np.int64)
         order = home.argsort(kind="stable")
         ranked = home[order]
         pos = np.maximum.accumulate(ranked - rank) + rank
@@ -256,29 +275,31 @@ def _tables(jkey: np.ndarray, mkey: np.ndarray) -> tuple[np.ndarray, np.ndarray,
         table = np.empty((n, n), dtype=np.int32)
         for r0, r1 in _row_blocks(n, n):
             want = [(w[r0:r1, None] & w[None, r0:]).reshape(-1) for w in words]
-            at = (_mix(want) * _MIX >> shift).view(np.int64)
+            at = (_mix(want) * mix >> shift).view(np.int64)
             miss = reduce(np.logical_or, [h[at] != v for h, v in zip(held, want)]).nonzero()[0]
             for _ in range(1, span):
                 if not len(miss):
                     break
                 at[miss] += 1
                 miss = miss[reduce(np.logical_or, [h[at[miss]] != v[miss] for h, v in zip(held, want)])]
-            hit = hit and not len(miss)
             table[r0:r1, r0:] = slots[at].reshape(r1 - r0, n - r0)
         for i0 in range(0, n, _TILE) if r0 else ():  # several blocks: mirror
             rows = slice(i0, i0 + _TILE)
             for j0 in range(0, i0, _TILE):
                 table[rows, j0:j0 + _TILE] = table[j0:j0 + _TILE, rows].T
             tile = table[rows, rows]
-            np.copyto(tile, tile.T, where=_BELOW[:len(tile), :len(tile)])
+            np.copyto(tile, tile.T, where=below[:len(tile), :len(tile)])
+        table.setflags(write=False)
         tables.append(table)
-    return tables[0], tables[1], hit
+    return tables[0], tables[1]
 
 
 def _containment(keys: np.ndarray) -> Poset:
     """The order a <= b iff keys[a] is contained in keys[b], that is
     keys[a] & keys[b] == keys[a], for keys indexed in a linear extension of
     it (sorted by size, say)."""
+    import numpy as np
+
     up: list[int] = []
     down: list[int] = []
     for r0, r1 in _row_blocks(len(keys), len(keys) * keys.shape[1]):
@@ -299,50 +320,17 @@ def _containment(keys: np.ndarray) -> Poset:
 
 
 def _bool_rows(masks, nbits: int) -> np.ndarray:
-    """Python-int bitmasks as a (len(masks), nbits) boolean array, the
-    inverse of :func:`_pack_bool`."""
+    """Python-int bitmasks as a (len(masks), nbits) boolean array."""
+    import numpy as np
+
     bits = _pack(masks, nbits).view(np.uint8)
     return np.unpackbits(bits, axis=1, count=nbits, bitorder="little").view(bool)
-
-
-def _ints(keys: np.ndarray) -> list[int]:
-    """(n, w) uint64 keys as Python-int bitmasks."""
-    if keys.shape[1] == 1:
-        return keys[:, 0].tolist()
-    return [int.from_bytes(row.tobytes(), "little") for row in keys]
-
-
-def _order_matrix(p: Poset) -> np.ndarray:
-    """The n-by-n boolean matrix of a <= b."""
-    return _bool_rows([p.up_mask(x) for x in range(p.n)], p.n)
-
-
-def _joins_are_least(le: np.ndarray, join: np.ndarray) -> bool:
-    """True iff every join[x, y] is the least upper bound of x and y, for a
-    join table that :func:`_tables` built from M-keys with every lookup hit.
-
-    Two tests: join[x, x] == x, and join[x, y] >= x (so also >= y, as the
-    table is symmetric).  Write e(K) for the element the lookup returns for
-    key K, so join[x, y] = e(M(x) & M(y)).  Let z = join[x, y] and u be any
-    upper bound of x and y.  Then M(u) is contained in M(x) & M(y) = M(z),
-    so join[u, z] = e(M(u)) = join[u, u], which is u by the first test; the
-    second gives u = join[u, z] >= z.
-    """
-    n = len(join)
-    cols = np.arange(n)
-    if not (join[cols, cols] == cols).all():
-        return False
-    flat = le.reshape(-1)  # le[x, z] is flat[x * n + z]
-    for r0, r1 in _row_blocks(n, n):
-        if not flat[cols[r0:r1, None] * n + join[r0:r1]].all():
-            return False
-    return True
 
 
 def _lattice_witness(p: Poset) -> NotALattice:
     """The first incomparable pair x < y, in row-major order, whose upper
     bounds have no least element ("join"), or else whose lower bounds have
-    no greatest element ("meet").  A scalar search, run only once the table
+    no greatest element ("meet").  A scalar search, run only once the mask
     check has failed; p must have a bottom and a top."""
     # in a topologically sorted label space the lowest set bit of a set of
     # bounds is a minimal one, the only candidate for its least element
@@ -369,34 +357,36 @@ def _lattice_witness(p: Poset) -> NotALattice:
             common = down_t[x] & down_t[y]
             if common & ~down_t[order[common.bit_length() - 1]]:
                 return NotALattice(x, y, "meet")
-    raise AssertionError("the table check rejected a lattice")
+    raise AssertionError("the mask check rejected a lattice")
 
 
 def _heights(l: Lattice) -> list[int]:
     """Longest-path distance from bottom, per element."""
-    return _longest_paths(l.n, l.poset.lower_covers, l.poset.upper_covers)
+    return _longest_paths(l.n, l.poset._lower, l.poset._upper)[0]
 
 
-def _coheights(l: Lattice) -> list[int]:
-    """Longest-path distance to top, per element."""
-    return _longest_paths(l.n, l.poset.upper_covers, l.poset.lower_covers)
+def _coheights(l: Lattice) -> tuple[list[int], list[int]]:
+    """Longest-path distance to top, per element, and the elements in the
+    order the pass reached them, a linear extension read from the top."""
+    return _longest_paths(l.n, l.poset._upper, l.poset._lower)
 
 
-def _longest_paths(n: int, below, above) -> list[int]:
-    """Longest path from a minimal element to each element, following
-    ``above``; Kahn's algorithm over the covers, O(n + covers)."""
-    missing = [len(below(x)) for x in range(n)]
+def _longest_paths(n: int, below, above) -> tuple[list[int], list[int]]:
+    """Longest path from a minimal element to each element, following the
+    cover tuples ``above`` (``below`` holds the opposite covers), and Kahn's
+    order of the elements; O(n + covers)."""
+    missing = list(map(len, below))
     order = [x for x in range(n) if not missing[x]]
     h = [0] * n
     for v in order:  # grows while it is walked
         hv = h[v] + 1
-        for w in above(v):
+        for w in above[v]:
             if h[w] < hv:
                 h[w] = hv
             missing[w] -= 1
             if not missing[w]:
                 order.append(w)
-    return h
+    return h, order
 
 
 def length(l: Lattice) -> int:
@@ -407,7 +397,7 @@ def length(l: Lattice) -> int:
 def maximal_length_chain(l: Lattice) -> Chain:
     """The deterministic maximal-length chain: follow covers that stay on a
     longest bottom-to-top path, tie-breaking on smallest element index."""
-    return _longest_chain(l, _coheights(l))
+    return _longest_chain(l, _coheights(l)[0])
 
 
 def _longest_chain(l: Lattice, co: list[int]) -> Chain:
@@ -428,11 +418,13 @@ def is_distributive(l: Lattice, witness: bool = False):
     Only when that fails and a witness is wanted does the triple scan run,
     for the first failing (x, y, z) in row-major order.
     """
-    key = _pack_bool(_bool_rows([l.poset.up_mask(j) for j in l.join_irr], l.n).T)
+    key = _keys([l.poset.up_mask(j) for j in l.join_irr], l.n)
     ok = all((key[l.join[r0:r1]] == key[r0:r1, None] | key[None]).all()
              for r0, r1 in _row_blocks(l.n, l.n * key.shape[1]))
     if ok or not witness:
         return (ok, None) if witness else ok
+    import numpy as np
+
     M, J = l.meet, l.join
     for x in range(l.n):
         ys, zs = np.nonzero(M[x][J] != J[M[x][:, None], M[x][None, :]])
@@ -453,8 +445,11 @@ def _is_extremal(l: Lattice, ln: int) -> bool:
 def _left_modular_test(l: Lattice):
     """x |-> whether (y v x) ^ z == y v (x ^ z) for every cover y covered-by
     z (which suffices for all y <= z), one numpy pass over the covers."""
+    import numpy as np
+
     ys, zs = np.array(l.covers, dtype=np.intp).reshape(-1, 2).T
-    return lambda x: bool((l.meet[l.join[ys, x], zs] == l.join[ys, l.meet[x, zs]]).all())
+    M, J = l.meet, l.join
+    return lambda x: bool((M[J[ys, x], zs] == J[ys, M[x, zs]]).all())
 
 
 def is_left_modular_element(l: Lattice, x: int) -> bool:
@@ -507,6 +502,8 @@ def _kappas(l: Lattice) -> list[int] | None:
     above j; each such set is joined pairwise through the table in log2(n)
     numpy steps (an odd middle column is joined with itself).
     """
+    import numpy as np
+
     out = []
     for table, unit, mask, irr, cover in (
             (l.join, l.bottom, l.poset.up_mask, l.join_irr, l.lower_covers),
@@ -536,8 +533,11 @@ def is_semidistributive(l: Lattice, witness: bool = False):
     ok = _kappas(l) is not None
     if ok or not witness:
         return (ok, None) if witness else ok
+    import numpy as np
+
+    sides = (("join", l.join, l.meet), ("meet", l.meet, l.join))
     for x in range(l.n):
-        for side, outer, inner in (("join", l.join, l.meet), ("meet", l.meet, l.join)):
+        for side, outer, inner in sides:
             row = outer[x]
             ys, zs = np.nonzero((row[:, None] == row[None, :]) & (row[inner] != row[:, None]))
             if len(ys):
@@ -556,17 +556,12 @@ def interval(l: Lattice, a: int, b: int) -> tuple[Lattice, tuple[int, ...]]:
     covers = [(index[y], index[z]) for y, z in l.covers
               if y in index and z in index]
     poset = poset_from_relations(len(members), covers)
-    rows = np.array(members, dtype=np.intp)
-    back = np.full(l.n, -1, dtype=np.int32)
-    back[rows] = np.arange(len(members))
-    sub_meet = back[l.meet[np.ix_(rows, rows)]]
-    sub_join = back[l.join[np.ix_(rows, rows)]]
-    return Lattice(poset, sub_meet, sub_join, index[a], index[b]), members
+    return Lattice(poset, index[a], index[b]), members
 
 
 def spine(l: Lattice) -> tuple[int, ...]:
     """Elements lying on some maximal-length chain of an extremal lattice."""
-    h, co = _heights(l), _coheights(l)
+    h, (co, _) = _heights(l), _coheights(l)
     if not _is_extremal(l, h[l.top]):
         raise NotExtremal("spine requires an extremal lattice")
     return tuple(x for x in range(l.n) if h[x] + co[x] == h[l.top])

@@ -275,7 +275,7 @@ def order_ideals(q: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS):
     """The distributive lattice J(q) of order ideals of q, ordered by
     containment, on the order of :func:`ideal_poset`.  Element 0 is the
     empty ideal; the top is all of q."""
-    from .lattice import lattice_from_ideal_masks
+    from .lattice import Lattice
 
-    masks, order = ideal_poset(q, max_elements)
-    return lattice_from_ideal_masks(order, masks, q.n)
+    order = ideal_poset(q, max_elements)[1]
+    return Lattice(order, 0, order.n - 1)

@@ -3,6 +3,8 @@ closure and cover scan that building a poset from its relations replaced,
 the pairwise containment that building ideal lattices from their covers
 replaced,
 the pure-Python table builders that the vectorised table kernel replaced,
+the table check that validation on up masks replaced and the eager table
+constructions that tables built on first read replaced,
 the scans that the trim pipeline and the property predicates replaced, the
 frozenset label-set code that the label bitmasks replaced, the pairwise
 rational Dyck relations, graph helpers for the canonical join graph tests,
@@ -59,16 +61,20 @@ from trimlat.lattice import (
     Chain,
     Congruence,
     Lattice,
+    _bool_rows,
     _containment,
     _heights,
+    _lattice_witness,
     _left_modular_test,
     _pack,
+    _row_blocks,
     congruence,
     is_extremal,
     is_semidistributive,
     is_trim,
 )
 from trimlat.poset import DEFAULT_MAX_ELEMENTS, _bits, canonical_extension
+from trimlat import lattice as lattice_module
 from trimlat.rowmotion import permutation_from_map
 
 
@@ -328,6 +334,16 @@ def oracle_ideal_poset(q: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS):
 # oracles that the kernel must match exactly
 # ---------------------------------------------------------------------------
 
+def eager_lattice(poset: Poset, meet, join, bottom: int, top: int) -> Lattice:
+    """A Lattice holding the given int32 tables from the start, as every
+    constructor built them before they were built on first read."""
+    l = Lattice(poset, bottom, top)
+    for table in (meet, join):
+        table.setflags(write=False)
+    l._meet, l._join = meet, join
+    return l
+
+
 def oracle_lattice_from_poset(p: Poset) -> Lattice:
     """Scan every pair: the least upper bound is the lowest common upper
     bound in a topological order, if it lies below all the others."""
@@ -378,7 +394,7 @@ def oracle_lattice_from_poset(p: Poset) -> Lattice:
                     raise NotALattice(x, y, "meet")
             join[x, y] = join[y, x] = j
             meet[x, y] = meet[y, x] = m
-    return Lattice(p, meet, join, bottom, top)
+    return eager_lattice(p, meet, join, bottom, top)
 
 
 def _containment_masks(keys) -> tuple[list[int], list[int]]:
@@ -413,7 +429,7 @@ def oracle_lattice_from_ideal_masks(q: Poset, masks) -> Lattice:
             b = masks[j]
             meet[i, j] = meet[j, i] = index[a & b]
             join[i, j] = join[j, i] = index[a | b]
-    return Lattice(Poset(n, covers, up, down), meet, join, 0, n - 1)
+    return eager_lattice(Poset(n, covers, up, down), meet, join, 0, n - 1)
 
 
 def oracle_lattice_from_graph(g: GaloisGraph) -> Lattice:
@@ -436,7 +452,7 @@ def oracle_lattice_from_graph(g: GaloisGraph) -> Lattice:
         for b in range(a, n):
             meet[a, b] = meet[b, a] = index[x_masks[a] & x_masks[b]]
             join[a, b] = join[b, a] = y_index[y_masks[a] & y_masks[b]]
-    return Lattice(Poset(n, covers, up, down), meet, join, 0, n - 1)
+    return eager_lattice(Poset(n, covers, up, down), meet, join, 0, n - 1)
 
 
 def oracle_interval(l: Lattice, a: int, b: int) -> tuple[Lattice, tuple[int, ...]]:
@@ -460,7 +476,7 @@ def oracle_interval(l: Lattice, a: int, b: int) -> tuple[Lattice, tuple[int, ...
         for j, y in enumerate(members):
             meet[i, j] = index[int(l.meet[x, y])]
             join[i, j] = index[int(l.join[x, y])]
-    return Lattice(Poset(k, covers, up, down), meet, join, index[a], index[b]), members
+    return eager_lattice(Poset(k, covers, up, down), meet, join, index[a], index[b]), members
 
 
 def _inversion_mask(perm, pair_index) -> int:
@@ -502,6 +518,145 @@ def assert_same_lattice(got: Lattice, want: Lattice) -> None:
     assert np.array_equal(got.join, want.join)
     assert (got.bottom, got.top) == (want.bottom, want.top)
     assert (got.join_irr, got.meet_irr) == (want.join_irr, want.meet_irr)
+
+
+# ---------------------------------------------------------------------------
+# the table check that validation on up masks replaced, and the eager table
+# constructions that tables built on first read replaced, kept as oracles:
+# the same verdicts and NotALattice witnesses, the same tables
+# ---------------------------------------------------------------------------
+
+def _pack_bool(rows) -> np.ndarray:
+    """An (n, k) boolean array as (n, w) uint64 keys, w >= 1, one bit per
+    column."""
+    n, k = rows.shape
+    w = max(1, -(-k // 64))
+    out = np.zeros((n, 8 * w), dtype=np.uint8)
+    out[:, :-(-k // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def _order_matrix(p: Poset) -> np.ndarray:
+    """The n-by-n boolean matrix of a <= b."""
+    return _bool_rows([p.up_mask(x) for x in range(p.n)], p.n)
+
+
+def _oracle_mix(words):
+    h = words[0]
+    for w in words[1:]:
+        h = (h ^ h >> np.uint64(31)) * np.uint64(lattice_module._MIX) ^ w
+    return h
+
+
+def oracle_tables(jkey, mkey):
+    """Meet and join tables from per-element keys, as ``lattice._tables``
+    built them with its hit flag: the third value is False when some AND
+    matches no key, which lattice keys never do.  A key that repeats (in a
+    non-lattice) is found by the AND alone, so the lookup is a function of
+    the key, as :func:`_joins_are_least` needs."""
+    n = len(jkey)
+    b = (4 * n - 1).bit_length()
+    shift = np.uint64(64 - b)
+    mix = np.uint64(lattice_module._MIX)
+    rank = np.arange(n)
+    tables = []
+    hit = True
+    for key in (jkey, mkey):
+        words = [key[:, k] for k in range(key.shape[1])]
+        home = (_oracle_mix(words) * mix >> shift).view(np.int64)
+        order = home.argsort(kind="stable")
+        ranked = home[order]
+        pos = np.maximum.accumulate(ranked - rank) + rank
+        span = (pos - ranked).max() + 1
+        slots = np.zeros((1 << b) + span, dtype=np.int32)
+        slots[pos] = order
+        held = [w[slots] for w in words]
+        table = np.empty((n, n), dtype=np.int32)
+        for r0, r1 in _row_blocks(n, n):
+            want = [(w[r0:r1, None] & w[None, :]).reshape(-1) for w in words]
+            at = (_oracle_mix(want) * mix >> shift).view(np.int64)
+            miss = np.logical_or.reduce([h[at] != v for h, v in zip(held, want)]).nonzero()[0]
+            for _ in range(1, span):
+                if not len(miss):
+                    break
+                at[miss] += 1
+                miss = miss[np.logical_or.reduce([h[at[miss]] != v[miss]
+                                                  for h, v in zip(held, want)])]
+            hit = hit and not len(miss)
+            table[r0:r1] = slots[at].reshape(r1 - r0, n)
+        tables.append(table)
+    return tables[0], tables[1], hit
+
+
+def _joins_are_least(le, join) -> bool:
+    """True iff every join[x, y] is the least upper bound of x and y, for a
+    join table that :func:`oracle_tables` built from M-keys with every
+    lookup hit.
+
+    Two tests: join[x, x] == x, and join[x, y] >= x (so also >= y, as the
+    table is symmetric).  Write e(K) for the element the lookup returns for
+    key K, so join[x, y] = e(M(x) & M(y)).  Let z = join[x, y] and u be any
+    upper bound of x and y.  Then M(u) is contained in M(x) & M(y) = M(z),
+    so join[u, z] = e(M(u)) = join[u, u], which is u by the first test; the
+    second gives u = join[u, z] >= z.
+    """
+    n = len(join)
+    cols = np.arange(n)
+    if not (join[cols, cols] == cols).all():
+        return False
+    return bool(le[cols[:, None], join].all())
+
+
+def table_check_lattice_from_poset(p: Poset) -> Lattice:
+    """``lattice_from_poset`` as it was: tables from the order matrix's
+    J- and M-keys, proved by the three table-wide tests (every AND hits,
+    join[x, x] == x, join[x, y] >= x), and the same scalar witness search
+    on failure."""
+    n = p.n
+    if n == 0:
+        raise NotALattice(0, 0, "bottom")
+    mins = [x for x in range(n) if not p.lower_covers(x)]
+    maxs = [x for x in range(n) if not p.upper_covers(x)]
+    if len(mins) > 1:
+        raise NotALattice(mins[0], mins[1], "meet")
+    if len(maxs) > 1:
+        raise NotALattice(maxs[0], maxs[1], "join")
+    le = _order_matrix(p)
+    jirr = [x for x in range(n) if len(p.lower_covers(x)) == 1]
+    mirr = [x for x in range(n) if len(p.upper_covers(x)) == 1]
+    meet, join, hit = oracle_tables(_pack_bool(le[jirr].T), _pack_bool(le[:, mirr]))
+    if not (hit and _joins_are_least(le, join)):
+        raise _lattice_witness(p)
+    return eager_lattice(p, meet, join, mins[0], maxs[0])
+
+
+def eager_lattice_from_ideal_masks(order: Poset, masks, width: int) -> Lattice:
+    """An ideal lattice with its tables keyed by the ideals and their
+    complements, as ``lattice_from_ideal_masks`` built it."""
+    full = (1 << width) - 1
+    meet, join, hit = oracle_tables(_pack(masks, width), _pack([full ^ m for m in masks], width))
+    assert hit
+    return eager_lattice(order, meet, join, 0, len(masks) - 1)
+
+
+def eager_lattice_from_graph(g: GaloisGraph) -> Lattice:
+    """The lattice of maximal orthogonal pairs with its tables keyed by the
+    X and Y masks, as ``lattice_from_graph`` built it."""
+    x_masks, y_masks = _pair_masks(g, DEFAULT_MAX_ELEMENTS)
+    meet, join, hit = oracle_tables(_pack(x_masks, g.n), _pack(y_masks, g.n))
+    assert hit
+    return eager_lattice(_containment(_pack(x_masks, g.n)), meet, join, 0, len(x_masks) - 1)
+
+
+def oracle_transposed_masks(l: Lattice, idx) -> tuple[list[int], list[int]]:
+    """The pair masks as ``index_irreducibles`` built them with numpy: the
+    up-sets of the j_i and the down-sets of the m_k, unpacked to rank-by-n
+    bits, transposed and packed again per element."""
+    out = []
+    for rows in (_bool_rows([l.poset.up_mask(t) for t in idx.j], l.n),
+                 _bool_rows([l.poset.down_mask(t) for t in idx.m], l.n)):
+        out.append([int.from_bytes(row.tobytes(), "little") for row in _pack_bool(rows.T)])
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,7 @@ def test_chain_independence(graph_lattices):
 def _all_maximal_chains(l):
     from trimlat.lattice import _coheights
 
-    co = _coheights(l)
+    co, _ = _coheights(l)
     n = co[l.bottom]
     out = []
 

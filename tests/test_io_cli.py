@@ -375,15 +375,85 @@ def test_gen_loads_no_numpy(family, params):
     assert proc.stdout == want + "\n"
 
 
+# a verb run as `python -m trimlat.cli` runs it; the last line of stderr
+# says whether the run loaded numpy
+CLI_CHILD = """
+import runpy, sys
+sys.argv = ["trimlat", *sys.argv[1:]]
+try:
+    runpy.run_module("trimlat.cli", run_name="__main__", alter_sys=True)
+finally:
+    print("numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def _cli_child(*argv, stdin: str):
+    proc = subprocess.run([sys.executable, "-c", CLI_CHILD, *argv], input=stdin,
+                          capture_output=True, text=True, env=CHILD_ENV)
+    *err, numpy = proc.stderr.splitlines()
+    return proc.returncode, proc.stdout, "\n".join(err), numpy == "True"
+
+
+TABLE_FREE_VERBS = (("galois", "--json"), ("complex",), ("rowmotion", "--orbits"), ("check",),
+                    ("export", "--dot", "hasse"))
+
+
+@pytest.mark.parametrize("argv", TABLE_FREE_VERBS, ids=" ".join)
+def test_table_free_verbs_load_no_numpy(argv):
+    lattice_json = gen("tamari", "4")
+    code, out, err, numpy = _cli_child(*argv, "-", stdin=lattice_json)
+    assert code == 0 and not numpy, err
+    assert (code, out) == run_cli(*argv, "-", stdin=lattice_json)[:2]
+
+
+def test_not_a_lattice_rejection_loads_no_numpy():
+    diamond = json.dumps({"n": 4, "covers": [[0, 2], [0, 3], [1, 2], [1, 3]]})
+    code, out, err, numpy = _cli_child("check", "--all", "-", stdin=diamond)
+    assert (code, out, numpy) == (2, "", False)
+    assert err == "error: elements 0 and 1 have no unique meet"
+    # the property matrix still reads tables
+    code, out, err, numpy = _cli_child("check", "--all", "-", stdin=gen("tamari", "4"))
+    assert code == 0 and "trim: true" in out.splitlines() and numpy, err
+
+
+def test_json_paths_are_strings(tmp_path):
+    from trimlat.io import load_json_path
+
+    # an int path would be a file descriptor, which reading closes: the
+    # child below tries 0, its stdin
+    for path in (None, 1.5, b"-", tmp_path):
+        with pytest.raises(InputError, match="must be a string"):
+            load_json_path(path)
+    code = ("import json, sys\n"
+            "from trimlat import FamilySpec, InputError, build_family\n"
+            "for family in ('order-ideals', 'galois-file'):\n"
+            "    try:\n"
+            "        build_family(FamilySpec(family, (0,)))\n"
+            "    except InputError as exc:\n"
+            "        print(exc)\n"
+            "print(json.load(sys.stdin)['n'])\n")
+    proc = subprocess.run([sys.executable, "-c", code], input='{"n": 1, "covers": []}',
+                          capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 and all("must be a string" in line for line in lines[:2])
+    assert lines[2] == "1"
+
+
 def test_import_loads_no_submodule():
+    # reading every name loads every exporting submodule, and still no
+    # numpy: only the functions that read tables import it
     code = ("import sys, trimlat; "
             "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('trimlat'))); "
             "[getattr(trimlat, name) for name in trimlat.__all__]; "
-            "print(len(trimlat.__all__), 'numpy' in sys.modules)")
+            "print(len(trimlat.__all__), 'numpy' in sys.modules); "
+            "print(*sorted(m for m in sys.modules if m.startswith('trimlat.')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["['trimlat']", f"{len(trimlat.__all__)} True"]
+    first, second, loaded = proc.stdout.splitlines()
+    assert [first, second] == ["['trimlat']", f"{len(trimlat.__all__)} False"]
+    assert {f"trimlat.{mod}" for mod in trimlat._EXPORTS} <= set(loaded.split())
     assert set(trimlat.__all__) <= set(dir(trimlat))
     with pytest.raises(AttributeError):
         trimlat.no_such_name

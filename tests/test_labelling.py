@@ -33,7 +33,7 @@ from trimlat import (
     weak_order_S,
 )
 from trimlat.labelling import CoverLabelling
-from conftest import brute_canonical_join_rep, dual_poset
+from conftest import brute_canonical_join_rep, dual_poset, eager_lattice
 
 V_POSET = poset_from_relations(3, [(0, 2), (1, 2)])
 
@@ -268,9 +268,7 @@ def test_extremal_semidistributive_implies_trim_small(graph_lattices):
 
 
 def _dual_lattice(l):
-    from trimlat.lattice import Lattice
-
-    return Lattice(dual_poset(l.poset), l.join, l.meet, l.top, l.bottom)
+    return eager_lattice(dual_poset(l.poset), l.join, l.meet, l.top, l.bottom)
 
 
 @pytest.mark.parametrize("make", [

@@ -176,7 +176,7 @@ def test_spine():
     # add up to the lattice length
     from trimlat.lattice import _coheights, _heights
 
-    h, co = _heights(l4), _coheights(l4)
+    h, (co, _) = _heights(l4), _coheights(l4)
     assert spine(l4) == tuple(x for x in range(l4.n) if h[x] + co[x] == 6)
     with pytest.raises(NotExtremal):
         spine(fixture("fig7_right"))
