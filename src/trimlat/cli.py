@@ -68,17 +68,18 @@ def cmd_gen(args) -> int:
 
 def _property_matrix(l) -> dict:
     from .galois import _fmt_set, _index, first_non_overlapping_cover
-    from .lattice import (_coheights, _is_extremal, is_distributive, is_left_modular_lattice,
-                          is_semidistributive)
+    from .lattice import (_coheights, _distributive_witness, _is_extremal, _is_graded,
+                          is_left_modular_lattice, is_semidistributive)
 
-    dist, dist_wit = is_distributive(l, witness=True)
     semi, semi_wit = is_semidistributive(l, witness=True)
-    # one longest-path pass: the length, extremality and the indexing
+    # one longest-path pass: the length, extremality, the indexing and the grading
     co, order = _coheights(l)
     ext = _is_extremal(l, co[l.bottom])
-    lm_chain = is_left_modular_lattice(l)
     non_overlap = first_non_overlapping_cover(l, _index(l, co, order)) if ext else None
     trim = ext and non_overlap is None
+    # distributive is graded and trim; trim is extremal and left modular
+    dist = trim and _is_graded(l, co)
+    lm = trim if ext else is_left_modular_lattice(l) is not None
     out = {
         "elements": l.n,
         "length": co[l.bottom],
@@ -86,20 +87,21 @@ def _property_matrix(l) -> dict:
         "meet_irreducibles": len(l.meet_irr),
         "distributive": dist,
         "extremal": ext,
-        "left_modular": lm_chain is not None,
+        "left_modular": lm,
         "semidistributive": semi,
         "trim": trim,
     }
     witness = {}
     if not dist:
-        witness["distributive"] = f"triple x={dist_wit[0]}, y={dist_wit[1]}, z={dist_wit[2]}"
+        x, y, z = _distributive_witness(l)
+        witness["distributive"] = f"triple x={x}, y={y}, z={z}"
     if not semi:
         side, x, y, z = semi_wit
         witness["semidistributive"] = f"{side} cancellation fails at x={x}, y={y}, z={z}"
     if not ext:
         witness["extremal"] = (f"length {out['length']} vs {out['join_irreducibles']} "
                                f"join- and {out['meet_irreducibles']} meet-irreducibles")
-    if lm_chain is None:
+    if not lm:
         witness["left_modular"] = "no maximal chain of left-modular elements"
     if non_overlap is not None:
         y, z, ym, zj = non_overlap

@@ -247,6 +247,8 @@ def orth_complete(g: GaloisGraph, mask: int, adj) -> int:
 def _pair_masks(g: GaloisGraph, max_elements: int) -> tuple[list[int], list[int]]:
     """The X and Y masks of all maximal orthogonal pairs, sorted by (|X|, X),
     the X masks via NextClosure on X |-> completion(completion(X))."""
+    if g.n + 1 > max_elements:  # a lattice of length g.n: past the cap before any closure
+        raise SizeLimitExceeded(g.n + 1, max_elements, "maximal orthogonal pairs")
     out, inn = _closure_tables(g)
     full = (1 << g.n) - 1
 

@@ -6,7 +6,8 @@ The left-modular labelling has one formula on the fast path: on a trim
 lattice the label of a cover y covered-by z is the single label in
 y_M & z_J, the cover's overlap mask that the irreducible indexing holds.
 Every other lattice runs three equivalent formulas on every cover and
-asserts them equal.
+asserts them equal.  The semidistributive labelling is read from the up
+and down masks, with no tables.
 
 A labelling is a map from Hasse edges (y, z) to hashable labels, distinct
 around each element.  Left-modular labellings use integer labels 1..n carrying
@@ -32,9 +33,8 @@ from .galois import IrreducibleIndexing, galois_graph, galois_poset, index_irred
 from .lattice import (
     Chain,
     Lattice,
-    _bool_rows,
+    _ends,
     _kappas,
-    _row_blocks,
     is_extremal,
     is_left_modular_lattice,
 )
@@ -287,9 +287,9 @@ def semidistributive_labelling(l: Lattice) -> SemidistributiveLabelling:
     When every kappa(j) and kappa^d(m) exists (:func:`trimlat.lattice._kappas`),
     the lattice is semidistributive, gamma_j(x covered-by y) is the unique
     join-irreducible j with j <= y, j not <= x and j_* <= x, and
-    gamma_m = kappa o gamma_j; gamma_j of all covers comes from one boolean
-    |J| x covers array (in blocks of covers) by argmax.  Otherwise the
-    per-cover scan names the failure (:func:`_labelling_error`).
+    gamma_m = kappa o gamma_j: j is the least element of down(y) minus
+    down(x) (:func:`trimlat.lattice._ends`).  Otherwise the per-cover scan
+    names the failure (:func:`_labelling_error`).
     """
     kappa = _kappas(l)
     if kappa is None:
@@ -298,46 +298,31 @@ def semidistributive_labelling(l: Lattice) -> SemidistributiveLabelling:
 
 
 def _sd_labelling(l: Lattice, kappa: list[int]) -> SemidistributiveLabelling:
-    """gamma_j by argmax and gamma_m = kappa o gamma_j, given the kappas of
+    """gamma_j on masks and gamma_m = kappa o gamma_j, given the kappas of
     a semidistributive lattice (:func:`semidistributive_labelling`)."""
-    import numpy as np
-
-    irr = np.array(l.join_irr, dtype=np.intp)
-    up = _bool_rows([l.poset.up_mask(j) for j in l.join_irr], l.n)
-    up_star = _bool_rows([l.poset.up_mask(l.lower_covers(j)[0]) for j in l.join_irr], l.n)
-    xs, ys = np.array(l.covers, dtype=np.intp).reshape(-1, 2).T
-    pos = np.empty(len(xs), dtype=np.intp)
-    for c0, c1 in _row_blocks(len(xs), len(irr)):
-        x, y = xs[c0:c1], ys[c0:c1]
-        pos[c0:c1] = (up[:, y] & ~up[:, x] & up_star[:, x]).argmax(axis=0)
-    return SemidistributiveLabelling(dict(zip(l.covers, irr[pos].tolist())),
-                                     dict(zip(l.covers, np.array(kappa)[pos].tolist())),
-                                     dict(zip(l.join_irr, kappa)))
+    p = l.poset
+    jirr = sum(1 << t for t in l.join_irr)
+    gamma_j = {(x, y): _ends(p._down[y] & ~p._down[x], jirr, p._lower)[0] for x, y in l.covers}
+    kappa_of = dict(zip(l.join_irr, kappa))
+    return SemidistributiveLabelling(gamma_j, {c: kappa_of[j] for c, j in gamma_j.items()},
+                                     kappa_of)
 
 
 def _labelling_error(l: Lattice) -> NotSemidistributive:
     """The first failure of the per-cover scan on a lattice that is not
-    semidistributive: per cover x covered-by y, {z : x v z = y} with no
-    least element ("minimal-join", its minimal members), then
-    {z : z ^ y = x} with no greatest ("maximal-meet"); then per j in
-    l.join_irr, kappa(j)'s set {z >= j_*, not >= j} with no greatest
-    ("kappa").  On m covered-by m^* the first set is kappa^d(m)'s, so one
-    set fails exactly when the lattice is not semidistributive."""
-    def sets():
-        for x, y in l.covers:
-            yield (x, y), "minimal-join", [z for z in range(l.n) if l.join_of(x, z) == y]
-            yield (x, y), "maximal-meet", [z for z in range(l.n) if l.meet_of(z, y) == x]
-        for j in l.join_irr:
-            j_star = l.lower_covers(j)[0]
-            yield (j_star, j), "kappa", [z for z in range(l.n)
-                                         if l.leq(j_star, z) and not l.leq(j, z)]
-
-    for cover, side, cand in sets():
-        least = side == "minimal-join"
-        if (l.meet_all(cand) if least else l.join_all(cand)) not in cand:
-            return NotSemidistributive(cover, side, tuple(
-                c for c in cand
-                if not any(l.lt(d, c) if least else l.lt(c, d) for d in cand)))
+    semidistributive: per cover x covered-by y, {z : x v z = y} = down(y)
+    minus down(x) with no least element ("minimal-join", its minimal
+    members), then {z : z ^ y = x} = up(x) minus up(y) with no greatest
+    ("maximal-meet").  The first set of m covered-by m^* is kappa^d(m)'s and
+    the second of j_* covered-by j is kappa(j)'s, so one set fails exactly
+    when the lattice is not semidistributive."""
+    p = l.poset
+    jirr, mirr = (sum(1 << t for t in irr) for irr in (l.join_irr, l.meet_irr))
+    for x, y in l.covers:
+        for side, ends in (("minimal-join", _ends(p._down[y] & ~p._down[x], jirr, p._lower)),
+                           ("maximal-meet", _ends(p._up[x] & ~p._up[y], mirr, p._upper))):
+            if len(ends) > 1:
+                return NotSemidistributive((x, y), side, tuple(ends))
     raise AssertionError("the kappa test rejected a semidistributive lattice")
 
 

@@ -14,12 +14,11 @@ element whose J-key equals J(x) & J(y), and join[x, y] dually, found in a
 linear-probing slot table from a home slot given by the AND's 64-bit mix
 (a fold of its words) and confirmed by a compare of all words.
 
-The predicates are exact and decide through the irreducibles, not over all
-triples; when a test says False and a witness is wanted, the triple scan
-it replaced runs and names the same first witness.  Rows are processed in
-blocks of about 2**14 cells, so temporaries stay small next to the tables.
-numpy is imported by the functions that use it, so reading a lattice and
-running the paper's pipeline on it load none.
+The predicates are exact.  Distributivity (graded and trim) and
+semidistributivity (every kappa exists) are decided on masks and the
+irreducible indexing; only the left-modular chain search, and the triple
+scan naming the first witness of a False verdict, read the tables.  numpy
+is imported by the functions that use it.
 """
 
 from __future__ import annotations
@@ -226,7 +225,8 @@ def _keys(masks, n: int) -> np.ndarray:
     M-keys from the meet-irreducibles' down masks."""
     import numpy as np
 
-    rows = _bool_rows(masks, n).T
+    bits = _pack(masks, n).view(np.uint8)
+    rows = np.unpackbits(bits, axis=1, count=n, bitorder="little").view(bool).T
     out = np.zeros((n, 8 * max(1, -(-len(masks) // 64))), dtype=np.uint8)
     out[:, :-(-len(masks) // 8)] = np.packbits(rows, axis=1, bitorder="little")
     return out.view("<u8")
@@ -319,14 +319,6 @@ def _containment(keys: np.ndarray) -> Poset:
     return Poset(len(keys), covers, up, down)
 
 
-def _bool_rows(masks, nbits: int) -> np.ndarray:
-    """Python-int bitmasks as a (len(masks), nbits) boolean array."""
-    import numpy as np
-
-    bits = _pack(masks, nbits).view(np.uint8)
-    return np.unpackbits(bits, axis=1, count=nbits, bitorder="little").view(bool)
-
-
 def _lattice_witness(p: Poset) -> NotALattice:
     """The first incomparable pair x < y, in row-major order, whose upper
     bounds have no least element ("join"), or else whose lower bounds have
@@ -413,24 +405,33 @@ def _longest_chain(l: Lattice, co: list[int]) -> Chain:
 def is_distributive(l: Lattice, witness: bool = False):
     """Whether x ^ (y v z) == (x ^ y) v (x ^ z) for all x, y, z.
 
-    Birkhoff: exactly when J(x v y) == J(x) | J(y) for all x, y, J(x) being
-    the join-irreducibles below x, compared as packed keys in row blocks.
-    Only when that fails and a witness is wanted does the triple scan run,
-    for the first failing (x, y, z) in row-major order.
+    Exactly when l is graded and trim: a distributive lattice is both, and a
+    graded trim lattice is distributive (Thomas, Order 23, 2006).  Only when
+    that fails and a witness is wanted does the triple scan run.
     """
-    key = _keys([l.poset.up_mask(j) for j in l.join_irr], l.n)
-    ok = all((key[l.join[r0:r1]] == key[r0:r1, None] | key[None]).all()
-             for r0, r1 in _row_blocks(l.n, l.n * key.shape[1]))
+    co, order = _coheights(l)
+    ok = _is_graded(l, co) and _is_trim(l, co, order)
     if ok or not witness:
         return (ok, None) if witness else ok
+    return False, _distributive_witness(l)
+
+
+def _is_graded(l: Lattice, co: list[int]) -> bool:
+    """Whether every cover steps down exactly one of the coheights ``co``."""
+    return all(co[y] == co[z] + 1 for y, z in l.covers)
+
+
+def _distributive_witness(l: Lattice) -> tuple[int, int, int]:
+    """The first (x, y, z), row-major, with x ^ (y v z) != (x ^ y) v (x ^ z),
+    on a lattice that is not distributive."""
     import numpy as np
 
     M, J = l.meet, l.join
     for x in range(l.n):
         ys, zs = np.nonzero(M[x][J] != J[M[x][:, None], M[x][None, :]])
         if len(ys):
-            return False, (x, int(ys[0]), int(zs[0]))
-    raise AssertionError("the J-key test rejected a distributive lattice")
+            return x, int(ys[0]), int(zs[0])
+    raise AssertionError("the graded trim test rejected a distributive lattice")
 
 
 def is_extremal(l: Lattice) -> bool:
@@ -483,43 +484,49 @@ def is_trim(l: Lattice) -> bool:
     The definitional route (extremal and some maximal chain is left modular)
     is available as :func:`is_trim_definitional`; the two must agree.
     """
-    from .galois import index_irreducibles
+    return _is_trim(l, *_coheights(l))
 
-    try:  # extremality from the indexing's coheights
-        return all(index_irreducibles(l).overlap)
-    except NotExtremal:
-        return False
+
+def _is_trim(l: Lattice, co: list[int], order: list[int]) -> bool:
+    """:func:`is_trim` from the coheights ``co`` and the order of their pass."""
+    from .galois import _index
+
+    return _is_extremal(l, co[l.bottom]) and all(_index(l, co, order).overlap)
 
 
 def is_trim_definitional(l: Lattice) -> bool:
     return is_extremal(l) and is_left_modular_lattice(l) is not None
 
 
+def _ends(s: int, irr: int, step) -> list[int]:
+    """The minimal members of s = down(b) minus down(a), ascending: the
+    join-irreducibles in s (mask ``irr``) whose lower cover (``step``) is
+    not in s, as two lower covers below a would put their join below a.
+    Dually, with the meet-irreducibles and upper covers, the maximal
+    members of s = up(a) minus up(b)."""
+    out = []
+    rest = s & irr
+    while rest:
+        low = rest & -rest
+        t = low.bit_length() - 1
+        if not s >> step[t][0] & 1:
+            out.append(t)
+        rest ^= low
+    return out
+
+
 def _kappas(l: Lattice) -> list[int] | None:
     """kappa(j), the greatest element above j_* and not above j, for each j
     in l.join_irr; None when some kappa(j), or dually some kappa^d(m), does
-    not exist.  kappa(j) exists iff the join of up(j_*) minus up(j) is not
-    above j; each such set is joined pairwise through the table in log2(n)
-    numpy steps (an odd middle column is joined with itself).
-    """
-    import numpy as np
-
-    out = []
-    for table, unit, mask, irr, cover in (
-            (l.join, l.bottom, l.poset.up_mask, l.join_irr, l.lower_covers),
-            (l.meet, l.top, l.poset.down_mask, l.meet_irr, l.upper_covers)):
-        ends: list[int] = []
-        for r0, r1 in _row_blocks(len(irr), l.n):
-            inside = _bool_rows([mask(cover(x)[0]) & ~mask(x) for x in irr[r0:r1]], l.n)
-            vals = np.where(inside, np.arange(l.n, dtype=np.int32), np.int32(unit))
-            while vals.shape[1] > 1:
-                half = (vals.shape[1] + 1) // 2
-                vals = table[vals[:, :half], vals[:, -half:]]
-            ends.extend(vals[:, 0].tolist())
-        if any(mask(x) >> e & 1 for x, e in zip(irr, ends)):
-            return None
-        out.append(ends)
-    return out[0]
+    not exist: when its set has more than one maximal (minimal) member
+    (:func:`_ends`)."""
+    p = l.poset
+    jirr, mirr = (sum(1 << t for t in irr) for irr in (l.join_irr, l.meet_irr))
+    kappa = [_ends(p._up[p._lower[j][0]] & ~p._up[j], mirr, p._upper) for j in l.join_irr]
+    dual = [_ends(p._down[p._upper[m][0]] & ~p._down[m], jirr, p._lower) for m in l.meet_irr]
+    if any(len(e) != 1 for e in kappa + dual):
+        return None
+    return [e[0] for e in kappa]
 
 
 def is_semidistributive(l: Lattice, witness: bool = False):

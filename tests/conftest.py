@@ -61,7 +61,6 @@ from trimlat.lattice import (
     Chain,
     Congruence,
     Lattice,
-    _bool_rows,
     _containment,
     _heights,
     _lattice_witness,
@@ -525,6 +524,12 @@ def assert_same_lattice(got: Lattice, want: Lattice) -> None:
 # constructions that tables built on first read replaced, kept as oracles:
 # the same verdicts and NotALattice witnesses, the same tables
 # ---------------------------------------------------------------------------
+
+def _bool_rows(masks, nbits: int) -> np.ndarray:
+    """Python-int bitmasks as a (len(masks), nbits) boolean array."""
+    bits = _pack(masks, nbits).view(np.uint8)
+    return np.unpackbits(bits, axis=1, count=nbits, bitorder="little").view(bool)
+
 
 def _pack_bool(rows) -> np.ndarray:
     """An (n, k) boolean array as (n, w) uint64 keys, w >= 1, one bit per

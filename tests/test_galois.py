@@ -349,3 +349,24 @@ def test_max_orth_pairs_size_cap():
 
     with pytest.raises(SizeLimitExceeded):
         max_orth_pairs(GaloisGraph(14, frozenset()), max_elements=200)
+
+
+def test_graph_past_the_cap_is_refused_before_any_closure(tmp_path, monkeypatch, capsys):
+    from trimlat import SizeLimitExceeded, cli, galois
+
+    def no_closure(*args):
+        raise AssertionError("a closure ran")
+
+    monkeypatch.setattr(galois, "orth_complete", no_closure)
+    # an edgeless graph on 200000 vertices has 2**200000 pairs
+    for call in (lambda: max_orth_pairs(GaloisGraph(200000, frozenset())),
+                 lambda: lattice_from_graph(GaloisGraph(5, frozenset()), max_elements=5)):
+        with pytest.raises(SizeLimitExceeded, match=r"\(\d+ > \d+\)"):
+            call()
+    path = tmp_path / "graph.json"
+    path.write_text('{"n": 200000, "edges": []}')
+    assert cli.main(["gen", "galois-file", str(path)]) == 3
+    assert "200001 > 100000" in capsys.readouterr().err
+    # at the cap itself the closures run
+    with pytest.raises(AssertionError, match="a closure ran"):
+        lattice_from_graph(GaloisGraph(5, frozenset()), max_elements=6)

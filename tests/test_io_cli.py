@@ -349,6 +349,23 @@ def test_cli_check_runs_one_longest_path_pass(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_property_matrix_columns_match_predicates(property_lattices):
+    from trimlat import (Lattice, boolean, is_distributive, is_left_modular_lattice,
+                         is_semidistributive, root_ideals)
+    from trimlat.cli import _property_matrix
+
+    for label, l in property_lattices:
+        m = _property_matrix(l)
+        assert m["left_modular"] == (is_left_modular_lattice(l) is not None), label
+        assert m["distributive"] == is_distributive(l), label
+        assert m["semidistributive"] == is_semidistributive(l), label
+    # distributive input needs no witness scan, so no tables
+    for shared in (boolean(5), root_ideals(4)):
+        l = Lattice(shared.poset, shared.bottom, shared.top)
+        assert _property_matrix(l)["distributive"]
+        assert l._meet is None and l._join is None
+
+
 # gen for each family that needs no tables, run as `python -m trimlat.cli`
 # does; stderr names numpy or trimlat.lattice if the run loaded them
 GEN_CHILD = """
@@ -394,13 +411,19 @@ def _cli_child(*argv, stdin: str):
     return proc.returncode, proc.stdout, "\n".join(err), numpy == "True"
 
 
-TABLE_FREE_VERBS = (("galois", "--json"), ("complex",), ("rowmotion", "--orbits"), ("check",),
-                    ("export", "--dot", "hasse"))
+TABLE_FREE_VERBS = [pytest.param(argv, ("tamari", "4"), id=" ".join(argv)) for argv in (
+    ("galois", "--json"), ("complex",), ("rowmotion", "--orbits"), ("check",),
+    ("export", "--dot", "hasse"))]
+# distributive input decides the property matrix with no witness scan, and a
+# semidistributive lattice that is not trim gets its labels on masks
+TABLE_FREE_VERBS += [
+    pytest.param(("check", "--all"), ("boolean", "4"), id="check --all boolean 4"),
+    pytest.param(("rowmotion", "--orbits"), ("weak-order", "4"), id="rowmotion --orbits weak-order 4")]
 
 
-@pytest.mark.parametrize("argv", TABLE_FREE_VERBS, ids=" ".join)
-def test_table_free_verbs_load_no_numpy(argv):
-    lattice_json = gen("tamari", "4")
+@pytest.mark.parametrize("argv, family", TABLE_FREE_VERBS)
+def test_table_free_verbs_load_no_numpy(argv, family):
+    lattice_json = gen(*family)
     code, out, err, numpy = _cli_child(*argv, "-", stdin=lattice_json)
     assert code == 0 and not numpy, err
     assert (code, out) == run_cli(*argv, "-", stdin=lattice_json)[:2]
