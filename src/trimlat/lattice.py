@@ -14,18 +14,19 @@ element whose J-key equals J(x) & J(y), and join[x, y] dually, found in a
 linear-probing slot table from a home slot given by the AND's 64-bit mix
 (a fold of its words) and confirmed by a compare of all words.
 
-The predicates are exact.  Distributivity (graded and trim) and
-semidistributivity (every kappa exists) are decided on masks and the
-irreducible indexing; only the left-modular chain search, and the triple
-scan naming the first witness of a False verdict, read the tables.  numpy
-is imported by the functions that use it.
+The predicates are exact.  Distributivity (graded and trim),
+semidistributivity (every kappa exists) and left modularity are decided on
+masks and the irreducibles, and so is the first distributive witness; only
+the scan naming a semidistributive witness reads the tables.  numpy is
+imported by the functions that use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -407,7 +408,7 @@ def is_distributive(l: Lattice, witness: bool = False):
 
     Exactly when l is graded and trim: a distributive lattice is both, and a
     graded trim lattice is distributive (Thomas, Order 23, 2006).  Only when
-    that fails and a witness is wanted does the triple scan run.
+    that fails and a witness is wanted is one searched for.
     """
     co, order = _coheights(l)
     ok = _is_graded(l, co) and _is_trim(l, co, order)
@@ -423,15 +424,25 @@ def _is_graded(l: Lattice, co: list[int]) -> bool:
 
 def _distributive_witness(l: Lattice) -> tuple[int, int, int]:
     """The first (x, y, z), row-major, with x ^ (y v z) != (x ^ y) v (x ^ z),
-    on a lattice that is not distributive."""
-    import numpy as np
+    on a lattice that is not distributive.
 
-    M, J = l.meet, l.join
-    for x in range(l.n):
-        ys, zs = np.nonzero(M[x][J] != J[M[x][:, None], M[x][None, :]])
-        if len(ys):
-            return x, int(ys[0]), int(zs[0])
-    raise AssertionError("the graded trim test rejected a distributive lattice")
+    f(v) = x ^ v preserves joins exactly when, for each meet-irreducible m,
+    S = {v : x ^ v <= m} is some down(t): if f preserves joins, S is a down
+    set closed under joins, down(max S); conversely, for w = f(y) v f(z),
+    {v : f(v) <= w} is the intersection of S over the m above w (w is their
+    meet), so it is down(t) with y v z <= t, and f(y v z) <= w.  S is the
+    complement of the union of up(j) over the join-irreducibles j <= x not
+    below m, as x ^ v <= m unless such a j is below v.  Only the first
+    failing x's (y, z) plane is scanned, on mask lookups, for y < z: the
+    law is symmetric in y and z and holds when y == z.
+    """
+    up, down, jirr = l.poset._up, l.poset._down, sum(1 << t for t in l.join_irr)
+    by_up, by_down = ({mask: v for v, mask in enumerate(masks)} for masks in (up, down))
+    x = next(x for x in range(l.n) if any(
+        down[l.top] ^ _union(up, down[x] & jirr & ~down[m]) not in by_down for m in l.meet_irr))
+    f = [by_down[down[x] & d] for d in down]
+    return next((x, y, z) for y in range(l.n) for z in range(y + 1, l.n)
+                if f[by_up[up[y] & up[z]]] != by_up[up[f[y]] & up[f[z]]])
 
 
 def is_extremal(l: Lattice) -> bool:
@@ -445,12 +456,21 @@ def _is_extremal(l: Lattice, ln: int) -> bool:
 
 def _left_modular_test(l: Lattice):
     """x |-> whether (y v x) ^ z == y v (x ^ z) for every cover y covered-by
-    z (which suffices for all y <= z), one numpy pass over the covers."""
-    import numpy as np
+    z (which suffices for all y <= z), from one pass over the covers.
 
-    ys, zs = np.array(l.covers, dtype=np.intp).reshape(-1, 2).T
-    M, J = l.meet, l.join
-    return lambda x: bool((M[J[ys, x], zs] == J[ys, M[x, zs]]).all())
+    Both sides lie in [y, z] = {y, z} and the right is below the left, so
+    the law fails exactly when the left is z and the right is y.  The right
+    is z exactly when some join-irreducible j <= x is in J(z) minus J(y)
+    (then x ^ z is not below y); the left is y exactly when some
+    meet-irreducible m >= x is in M(y) minus M(z).  So x is left modular
+    exactly when every cover has such a j below x or such an m above it.
+    """
+    p, lm = l.poset, (1 << l.n) - 1
+    jirr, mirr = (sum(1 << t for t in irr) for irr in (l.join_irr, l.meet_irr))
+    for y, z in l.covers:
+        lm &= (_union(p._up, (p._down[z] ^ p._down[y]) & jirr)
+               | _union(p._down, (p._up[y] ^ p._up[z]) & mirr))
+    return lambda x: lm >> x & 1 == 1
 
 
 def is_left_modular_element(l: Lattice, x: int) -> bool:
@@ -462,8 +482,8 @@ def is_left_modular_lattice(l: Lattice) -> Chain | None:
     """A saturated bottom-to-top chain of left-modular elements if one
     exists, else None.  The search walks covers inside the set of
     left-modular elements from the bottom (always one), smallest index
-    first, and tests each element only when it first reaches it."""
-    lm = cache(_left_modular_test(l))
+    first."""
+    lm = _left_modular_test(l)
     stack = [(l.bottom, (l.bottom,))]
     seen = set()
     while stack:
@@ -496,6 +516,11 @@ def _is_trim(l: Lattice, co: list[int], order: list[int]) -> bool:
 
 def is_trim_definitional(l: Lattice) -> bool:
     return is_extremal(l) and is_left_modular_lattice(l) is not None
+
+
+def _union(masks, s: int) -> int:
+    """The union of masks[t] over the members t of s."""
+    return reduce(or_, map(masks.__getitem__, _bits(s)), 0)
 
 
 def _ends(s: int, irr: int, step) -> list[int]:

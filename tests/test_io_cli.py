@@ -351,7 +351,7 @@ def test_cli_check_runs_one_longest_path_pass(tmp_path, monkeypatch, capsys):
 
 def test_property_matrix_columns_match_predicates(property_lattices):
     from trimlat import (Lattice, boolean, is_distributive, is_left_modular_lattice,
-                         is_semidistributive, root_ideals)
+                         is_semidistributive, root_ideals, tamari, weak_order_S)
     from trimlat.cli import _property_matrix
 
     for label, l in property_lattices:
@@ -359,10 +359,10 @@ def test_property_matrix_columns_match_predicates(property_lattices):
         assert m["left_modular"] == (is_left_modular_lattice(l) is not None), label
         assert m["distributive"] == is_distributive(l), label
         assert m["semidistributive"] == is_semidistributive(l), label
-    # distributive input needs no witness scan, so no tables
-    for shared in (boolean(5), root_ideals(4)):
+    # no column and no witness reads the tables
+    for shared in (boolean(5), root_ideals(4), tamari(5), weak_order_S(4)):
         l = Lattice(shared.poset, shared.bottom, shared.top)
-        assert _property_matrix(l)["distributive"]
+        assert _property_matrix(l)["distributive"] == is_distributive(shared)
         assert l._meet is None and l._join is None
 
 
@@ -414,10 +414,12 @@ def _cli_child(*argv, stdin: str):
 TABLE_FREE_VERBS = [pytest.param(argv, ("tamari", "4"), id=" ".join(argv)) for argv in (
     ("galois", "--json"), ("complex",), ("rowmotion", "--orbits"), ("check",),
     ("export", "--dot", "hasse"))]
-# distributive input decides the property matrix with no witness scan, and a
-# semidistributive lattice that is not trim gets its labels on masks
+# the property matrix reads no tables, distributive or not, extremal or not,
+# and a semidistributive lattice that is not trim gets its labels on masks
 TABLE_FREE_VERBS += [
     pytest.param(("check", "--all"), ("boolean", "4"), id="check --all boolean 4"),
+    pytest.param(("check", "--all"), ("tamari", "4"), id="check --all tamari 4"),
+    pytest.param(("check", "--all"), ("weak-order", "4"), id="check --all weak-order 4"),
     pytest.param(("rowmotion", "--orbits"), ("weak-order", "4"), id="rowmotion --orbits weak-order 4")]
 
 
@@ -434,9 +436,9 @@ def test_not_a_lattice_rejection_loads_no_numpy():
     code, out, err, numpy = _cli_child("check", "--all", "-", stdin=diamond)
     assert (code, out, numpy) == (2, "", False)
     assert err == "error: elements 0 and 1 have no unique meet"
-    # the property matrix still reads tables
+    # the property matrix names its witnesses on masks
     code, out, err, numpy = _cli_child("check", "--all", "-", stdin=gen("tamari", "4"))
-    assert code == 0 and "trim: true" in out.splitlines() and numpy, err
+    assert code == 0 and "trim: true" in out.splitlines() and not numpy, err
 
 
 def test_json_paths_are_strings(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from trimlat import (
     GaloisGraph,
+    NotALattice,
     NotSemidistributive,
     is_distributive,
     is_extremal,
@@ -19,6 +20,8 @@ from trimlat import (
     is_semidistributive,
     is_trim,
     lattice_from_graph,
+    lattice_from_poset,
+    poset_from_relations,
     semidistributive_labelling,
 )
 from conftest import (
@@ -81,3 +84,26 @@ def test_seeded_graph_lattices(n, seed):
     _, semi = _check_against_oracles(f"graph {sorted(edges)} on {n}", l)
     if is_extremal(l) and semi:
         assert is_trim(l)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(n=st.integers(6, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_seeded_bounded_lattices(n, seed):
+    """Bounded posets on 6-9 elements: a bottom and a top put around a
+    seeded poset on n - 2 elements, in a seeded labelling, drawn again until
+    it is a lattice.  Most are not extremal, so the left-modular chain
+    search runs beyond the n <= 5 sweeps."""
+    rng = random.Random(seed)
+    while True:
+        density = rng.random()
+        relations = [(a + 1, b + 1) for a in range(n - 2) for b in range(a + 1, n - 2)
+                     if rng.random() < density]
+        relations += [(0, a) for a in range(1, n - 1)] + [(a, n - 1) for a in range(1, n - 1)]
+        perm = rng.sample(range(n), n)
+        try:
+            l = lattice_from_poset(poset_from_relations(n, [(perm[a], perm[b])
+                                                            for a, b in relations]))
+        except NotALattice:
+            continue
+        _check_against_oracles(f"bounded {sorted(relations)} on {n} as {perm}", l)
+        return
