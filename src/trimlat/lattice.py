@@ -16,17 +16,17 @@ linear-probing slot table from a home slot given by the AND's 64-bit mix
 
 The predicates are exact.  Distributivity (graded and trim),
 semidistributivity (every kappa exists) and left modularity are decided on
-masks and the irreducibles, and so is the first distributive witness; only
-the scan naming a semidistributive witness reads the tables.  numpy is
-imported by the functions that use it.
+masks and the irreducibles, and the first distributive and
+semidistributive witnesses are found on masks too: no predicate reads the
+tables.  numpy is imported by the functions that use it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from operator import or_
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -432,14 +432,16 @@ def _distributive_witness(l: Lattice) -> tuple[int, int, int]:
     {v : f(v) <= w} is the intersection of S over the m above w (w is their
     meet), so it is down(t) with y v z <= t, and f(y v z) <= w.  S is the
     complement of the union of up(j) over the join-irreducibles j <= x not
-    below m, as x ^ v <= m unless such a j is below v.  Only the first
-    failing x's (y, z) plane is scanned, on mask lookups, for y < z: the
-    law is symmetric in y and z and holds when y == z.
+    below m, as x ^ v <= m unless such a j is below v; the minimal ones,
+    those of down(x) minus down(x ^ m) (:func:`_ends`), suffice.  Only the
+    first failing x's (y, z) plane is scanned, on mask lookups, for y < z:
+    the law is symmetric in y and z and holds when y == z.
     """
     up, down, jirr = l.poset._up, l.poset._down, sum(1 << t for t in l.join_irr)
     by_up, by_down = ({mask: v for v, mask in enumerate(masks)} for masks in (up, down))
     x = next(x for x in range(l.n) if any(
-        down[l.top] ^ _union(up, down[x] & jirr & ~down[m]) not in by_down for m in l.meet_irr))
+        down[l.top] ^ _ends_union(up, down[x] & ~down[m], jirr, l.poset._lower) not in by_down
+        for m in l.meet_irr))
     f = [by_down[down[x] & d] for d in down]
     return next((x, y, z) for y in range(l.n) for z in range(y + 1, l.n)
                 if f[by_up[up[y] & up[z]]] != by_up[up[f[y]] & up[f[z]]])
@@ -464,12 +466,25 @@ def _left_modular_test(l: Lattice):
     (then x ^ z is not below y); the left is y exactly when some
     meet-irreducible m >= x is in M(y) minus M(z).  So x is left modular
     exactly when every cover has such a j below x or such an m above it.
+
+    Only the minimal members of J(z) minus J(y) are needed, as every other
+    member lies above one (:func:`_ends`); dually for M(y) minus M(z).  The
+    bottom and the top are left modular and the other candidates only
+    shrink: a cover's meet side is skipped when its join side keeps every
+    candidate, and the pass stops when none is left.
     """
-    p, lm = l.poset, (1 << l.n) - 1
+    p = l.poset
+    up, down = p._up, p._down
     jirr, mirr = (sum(1 << t for t in irr) for irr in (l.join_irr, l.meet_irr))
+    bounds = 1 << l.bottom | 1 << l.top
+    lm = (1 << l.n) - 1 & ~bounds
     for y, z in l.covers:
-        lm &= (_union(p._up, (p._down[z] ^ p._down[y]) & jirr)
-               | _union(p._down, (p._up[y] ^ p._up[z]) & mirr))
+        if not lm:
+            break
+        below = _ends_union(up, down[z] ^ down[y], jirr, p._lower)
+        if lm & ~below:
+            lm &= below | _ends_union(down, up[y] ^ up[z], mirr, p._upper)
+    lm |= bounds
     return lambda x: lm >> x & 1 == 1
 
 
@@ -518,11 +533,6 @@ def is_trim_definitional(l: Lattice) -> bool:
     return is_extremal(l) and is_left_modular_lattice(l) is not None
 
 
-def _union(masks, s: int) -> int:
-    """The union of masks[t] over the members t of s."""
-    return reduce(or_, map(masks.__getitem__, _bits(s)), 0)
-
-
 def _ends(s: int, irr: int, step) -> list[int]:
     """The minimal members of s = down(b) minus down(a), ascending: the
     join-irreducibles in s (mask ``irr``) whose lower cover (``step``) is
@@ -536,6 +546,20 @@ def _ends(s: int, irr: int, step) -> list[int]:
         t = low.bit_length() - 1
         if not s >> step[t][0] & 1:
             out.append(t)
+        rest ^= low
+    return out
+
+
+def _ends_union(masks, s: int, irr: int, step) -> int:
+    """The union of masks[t] over the members t of :func:`_ends` (s, irr,
+    step), without building their list."""
+    out = 0
+    rest = s & irr
+    while rest:
+        low = rest & -rest
+        t = low.bit_length() - 1
+        if not s >> step[t][0] & 1:
+            out |= masks[t]
         rest ^= low
     return out
 
@@ -559,21 +583,46 @@ def is_semidistributive(l: Lattice, witness: bool = False):
 
     Freese-Jezek-Nation (Free Lattices, Thm 2.56): exactly when every
     kappa(j) and kappa^d(m) exists (:func:`_kappas`).  Only when one is
-    missing and a witness is wanted does the triple scan run, for the
-    first failing ("join" or "meet", x, y, z).
+    missing and a witness is wanted is one searched for
+    (:func:`_semidistributive_witness`).
     """
     ok = _kappas(l) is not None
     if ok or not witness:
         return (ok, None) if witness else ok
-    import numpy as np
+    return False, _semidistributive_witness(l)
 
-    sides = (("join", l.join, l.meet), ("meet", l.meet, l.join))
-    for x in range(l.n):
-        for side, outer, inner in sides:
-            row = outer[x]
-            ys, zs = np.nonzero((row[:, None] == row[None, :]) & (row[inner] != row[:, None]))
-            if len(ys):
-                return False, (side, x, int(ys[0]), int(zs[0]))
+
+def _semidistributive_witness(l: Lattice) -> tuple[str, int, int, int]:
+    """The first ("join", x, y, z) with x v y == x v z != x v (y ^ z), or
+    dually ("meet", ...), of a lattice that is not semidistributive: x in
+    index order, the join law before the meet law, then (y, z) row-major.
+
+    The join law holds at x exactly when each fibre {v : x v v = w} has a
+    least element, that is one minimal member: fibres are convex, and the
+    law folds to the fibre's meet.  A cover u covered-by v stays in one
+    fibre exactly when up(x) & up(u) lies in up(v), and there is a fibre
+    per w >= x, so the law holds exactly when n - |up(x)| elements have a
+    lower cover in their own fibre.  The meet law is the dual.  A failing
+    pair lies in a fibre with two minimal members; only those are scanned,
+    for y < z (the law is symmetric and holds at y == z), by mask lookups.
+    """
+    p, n = l.poset, l.n
+    # per side: the masks up and down its order and, for each cover u -> v
+    # going up it, v and up(u) minus up(v)
+    sides = (("join", p._up, p._down, [(v, p._up[u] & ~p._up[v]) for u, v in l.covers]),
+             ("meet", p._down, p._up, [(u, p._down[v] & ~p._down[u]) for u, v in l.covers]))
+    for x in range(n):
+        for side, up, down, gap in sides:
+            ux = up[x]
+            flat = {v for v, d in gap if not ux & d}
+            if len(flat) == n - ux.bit_count():
+                continue
+            by_up, by_down = ({mask: v for v, mask in enumerate(masks)} for masks in (up, down))
+            f = [by_up[ux & u] for u in up]
+            minimal = Counter(f[v] for v in range(n) if v not in flat)
+            return next((side, x, y, z) for y in range(n) if minimal[f[y]] > 1
+                        for z in range(y + 1, n)
+                        if f[z] == f[y] and f[by_down[down[y] & down[z]]] != f[y])
     raise AssertionError("the kappa test rejected a semidistributive lattice")
 
 

@@ -359,11 +359,15 @@ def test_property_matrix_columns_match_predicates(property_lattices):
         assert m["left_modular"] == (is_left_modular_lattice(l) is not None), label
         assert m["distributive"] == is_distributive(l), label
         assert m["semidistributive"] == is_semidistributive(l), label
-    # no column and no witness reads the tables
-    for shared in (boolean(5), root_ideals(4), tamari(5), weak_order_S(4)):
+    # no column and no witness reads the tables, semidistributive or not
+    families = [(f"{f.__name__}({k})", f(k)) for f, k in
+                ((boolean, 5), (root_ideals, 4), (tamari, 5), (weak_order_S, 4))]
+    for label, shared in [*property_lattices, *families]:
         l = Lattice(shared.poset, shared.bottom, shared.top)
-        assert _property_matrix(l)["distributive"] == is_distributive(shared)
-        assert l._meet is None and l._join is None
+        m = _property_matrix(l)
+        assert m == _property_matrix(shared), label
+        assert m["distributive"] == is_distributive(shared), label
+        assert l._meet is None and l._join is None, label
 
 
 # gen for each family that needs no tables, run as `python -m trimlat.cli`
@@ -411,6 +415,10 @@ def _cli_child(*argv, stdin: str):
     return proc.returncode, proc.stdout, "\n".join(err), numpy == "True"
 
 
+# M3, the smallest lattice that is not semidistributive
+M3 = json.dumps({"n": 5, "covers": [[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4]]})
+
+
 TABLE_FREE_VERBS = [pytest.param(argv, ("tamari", "4"), id=" ".join(argv)) for argv in (
     ("galois", "--json"), ("complex",), ("rowmotion", "--orbits"), ("check",),
     ("export", "--dot", "hasse"))]
@@ -439,6 +447,10 @@ def test_not_a_lattice_rejection_loads_no_numpy():
     # the property matrix names its witnesses on masks
     code, out, err, numpy = _cli_child("check", "--all", "-", stdin=gen("tamari", "4"))
     assert code == 0 and "trim: true" in out.splitlines() and not numpy, err
+    code, out, err, numpy = _cli_child("check", "--all", "-", stdin=M3)
+    assert code == 0 and not numpy, err
+    assert "semidistributive: false  (join cancellation fails at x=1, y=2, z=3)" in out.splitlines()
+    assert (code, out) == run_cli("check", "--all", "-", stdin=M3)[:2]
 
 
 def test_json_paths_are_strings(tmp_path):

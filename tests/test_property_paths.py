@@ -62,6 +62,34 @@ def _check_against_oracles(label, l) -> tuple[bool, bool]:
     return dist[0], semi[0]
 
 
+def _m3_on_cube(k: int):
+    """The subsets of {0, ..., k-1}, each numbered by its bitmask, with M3
+    put on the full set: semidistributivity first fails at x = 2**k, the
+    first atom of M3, after every element of the cube."""
+    n = 1 << k
+    covers = [(a, a | 1 << i) for a in range(n) for i in range(k) if not a >> i & 1]
+    covers += [(n - 1, n), (n - 1, n + 1), (n - 1, n + 2), (n, n + 3), (n + 1, n + 3),
+               (n + 2, n + 3)]
+    return lattice_from_poset(poset_from_relations(n + 4, covers))
+
+
+def test_late_semidistributive_witness():
+    for k in range(7):
+        l = _m3_on_cube(k)
+        x = 1 << k
+        assert is_semidistributive(l, witness=True) == (False, ("join", x, x + 1, x + 2)), k
+        _check_against_oracles(f"M3 on boolean({k})", l)
+
+
+def test_meet_side_semidistributive_witness():
+    # bounded(poset16) of the n <= 5 sweep: both laws hold at x = 0 and 1,
+    # and at x = 2 the join law holds and the meet law fails
+    l = lattice_from_poset(poset_from_relations(
+        6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)]))
+    assert is_semidistributive(l, witness=True) == (False, ("meet", 2, 3, 4))
+    _check_against_oracles("bounded(poset16)", l)
+
+
 def test_property_paths_match_oracles(property_lattices):
     assert len(property_lattices) > 1890
     verdicts = [_check_against_oracles(label, l) for label, l in property_lattices]
