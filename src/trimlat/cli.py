@@ -18,8 +18,8 @@ from .generators import FAMILIES, STRING_FAMILIES
 from .poset import DEFAULT_MAX_ELEMENTS
 
 # Each verb imports what it needs when it runs: `gen` of an integer family
-# loads neither numpy nor the lattice modules, and a verb that reads no
-# meet/join tables of a lattice from JSON loads no numpy.
+# loads no lattice module, and no verb reads meet/join tables, so none
+# loads numpy.
 
 
 def _load_lattice(args):

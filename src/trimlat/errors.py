@@ -16,9 +16,10 @@ class CycleDetected(TrimlatError):
 
 
 class SizeLimitExceeded(TrimlatError):
-    """An enumeration grew past the configured element cap."""
+    """An enumeration grew past the configured element cap; ``count`` is a
+    closed form (a str such as "2^20000") where it passes 64 bits."""
 
-    def __init__(self, count: int, cap: int, what: str = "elements"):
+    def __init__(self, count: int | str, cap: int, what: str = "elements"):
         self.count, self.cap, self.what = count, cap, what
         super().__init__(f"{what}: count exceeds cap ({count} > {cap})")
 

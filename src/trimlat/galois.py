@@ -13,17 +13,16 @@ edges come from the masks, trimness and the trim labels from the overlaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 
 from .errors import NotExtremal, NotTrim, SizeLimitExceeded
 from .lattice import (
     Chain,
     Lattice,
     _coheights,
-    _containment,
     _is_extremal,
     _longest_chain,
-    _pack,
     interval,
 )
 from .poset import DEFAULT_MAX_ELEMENTS, Poset, _bits, poset_from_relations
@@ -287,18 +286,39 @@ def lattice_from_graph(g: GaloisGraph,
                        ) -> tuple[Lattice, tuple[MaxOrthPair, ...]]:
     """The extremal lattice of maximal orthogonal pairs of g, ordered by
     containment of the X components.  Element i of the lattice is pairs[i];
-    meets intersect the first components, joins intersect the second."""
+    meets intersect the first components, joins intersect the second.
+
+    The order is built on masks.  With col[i] the mask of the pairs whose X
+    holds label i+1, X_a lies in X_b exactly when b is in col[i] for every
+    i in X_a, so up(a) is the AND of those columns.  The pairs are sorted
+    by |X|, a linear extension, so the lowest element of up(a) minus a is
+    an upper cover of a; dropping its up set and repeating finds the
+    others, as an element between a and one left would be left, and lower.
+    Down masks are pushed up along the covers in index order.
+    """
     x_masks, y_masks = _pair_masks(g, max_elements)
     n = len(x_masks)
-    poset = _containment(_pack(x_masks, g.n))  # x_masks are sorted by size
-    pairs = tuple(MaxOrthPair(_label_set(xm), _label_set(ym))
-                  for xm, ym in zip(x_masks, y_masks))
+    labels = [tuple(_bits(xm)) for xm in x_masks]
+    col = [0] * g.n
+    for a, xs in enumerate(labels):
+        for i in xs:
+            col[i] |= 1 << a
+    up = [reduce(and_, map(col.__getitem__, xs), (1 << n) - 1) for xs in labels]
+    covers = []
+    down = [1 << a for a in range(n)]
+    for a in range(n):
+        rest = up[a] ^ 1 << a
+        while rest:
+            b = (rest & -rest).bit_length() - 1
+            covers.append((a, b))
+            down[b] |= down[a]
+            rest &= ~up[b]
     # the closure of the empty set is contained in every closed set, and the
     # full label set is closed, so after sorting they sit at the two ends
-    lat = Lattice(poset, 0, n - 1)
-    assert [x for x in range(n) if not poset.lower_covers(x)] == [0]
-    assert [x for x in range(n) if not poset.upper_covers(x)] == [n - 1]
-    return lat, pairs
+    assert up[0] == down[-1] == (1 << n) - 1
+    pairs = tuple(MaxOrthPair(frozenset(i + 1 for i in xs), _label_set(ym))
+                  for xs, ym in zip(labels, y_masks))
+    return Lattice(Poset(n, covers, up, down), 0, n - 1), pairs
 
 
 def decompose(l: Lattice) -> tuple[tuple[Lattice, tuple[int, ...]],

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import permutations
-from math import comb, factorial, gcd
+from itertools import permutations, product
+from math import comb, factorial, gcd, prod
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError, SizeLimitExceeded
@@ -27,6 +27,8 @@ if TYPE_CHECKING:
     from .lattice import Lattice
 
 WEAK_ORDER_CAP = 7
+# a refused count past this many bits is named by its closed form, uncomputed
+EXACT_COUNT_BITS = 64
 
 
 def antichain_poset(n: int) -> Poset:
@@ -42,18 +44,22 @@ def _boolean_poset(n: int, max_elements: int) -> Poset:
     """The antichain on n, refused when 2^n exceeds max_elements."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if 2 ** n > max_elements:
-        raise SizeLimitExceeded(2 ** n, max_elements, "Boolean lattice")
+    if n >= max_elements.bit_length():  # 2^n > max_elements, decided on n
+        raise SizeLimitExceeded(2 ** n if n < EXACT_COUNT_BITS else f"2^{n}",
+                                max_elements, "Boolean lattice")
     return antichain_poset(n)
+
+
+def _chain_product_size(*sizes: int) -> int:
+    if not sizes or any(s < 1 for s in sizes):
+        raise ValueError("need at least one chain, all sizes >= 1")
+    return prod(sizes)
 
 
 def product_of_chains_poset(*sizes: int) -> Poset:
     """The product poset [a] x [b] x ... (each factor a chain)."""
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError("need at least one chain, all sizes >= 1")
-    elems = [()]
-    for s in sizes:
-        elems = [e + (i,) for e in elems for i in range(s)]
+    _chain_product_size(*sizes)
+    elems = list(product(*map(range, sizes)))
     index = {e: i for i, e in enumerate(elems)}
     rels = []
     for e in elems:
@@ -67,14 +73,19 @@ def product_of_chains_poset(*sizes: int) -> Poset:
 def chain_product(*sizes: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
     """J of a product of chains; for two factors [a] x [b] this has
     binomial(a+b, a) elements."""
-    return order_ideals(product_of_chains_poset(*sizes), max_elements)
+    return order_ideals(_family_poset("chain-product", sizes, max_elements), max_elements)
+
+
+def _root_poset_size(n: int) -> int:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return n * (n + 1) // 2
 
 
 def root_poset_A(n: int) -> Poset:
     """Positive roots of type A_n as the staircase poset: intervals [i, j]
     with 1 <= i <= j <= n ordered by containment."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _root_poset_size(n)
     # roots sorted by height so the index order is a linear extension
     elems = sorted(((i, j) for i in range(1, n + 1) for j in range(i, n + 1)),
                    key=lambda e: (e[1] - e[0], e[0]))
@@ -90,7 +101,7 @@ def root_poset_A(n: int) -> Poset:
 
 def root_ideals(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
     """J of the type-A_n root poset (Catalan(n+1) elements)."""
-    return order_ideals(root_poset_A(n), max_elements)
+    return order_ideals(_family_poset("root-ideals", (n,), max_elements), max_elements)
 
 
 def _trees(n: int):
@@ -128,16 +139,24 @@ def tamari(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
 def _tamari(n: int, max_elements: int) -> FamilyOrder:
     if n < 1:
         raise ValueError("n must be >= 1")
+    # 2^(n-1) <= Catalan(n) < 2^(2n): a large n is refused uncomputed
+    if 2 * n > EXACT_COUNT_BITS and n - 1 >= max_elements.bit_length():
+        raise SizeLimitExceeded(f"Catalan({n})", max_elements, "Tamari lattice")
     catalan = comb(2 * n, n) // (n + 1)  # the number of trees, refused before they are built
     if catalan > max_elements:
         raise SizeLimitExceeded(catalan, max_elements, "Tamari lattice")
     trees = list(_trees(n))
     index = {t: i for i, t in enumerate(trees)}
-    rels = []
-    for t in trees:
-        for t2 in _rotations(t):
-            rels.append((index[t], index[t2]))
+    rels = [(index[t], index[t2]) for t in trees for t2 in _rotations(t)]
     return FamilyOrder(poset_from_relations(len(trees), rels))
+
+
+def _rational_dyck_size(a: int, b: int) -> int:
+    if a < 1 or b < 1:
+        raise ValueError("a and b must be >= 1")
+    if gcd(a, b) != 1:
+        raise ValueError("a and b must be coprime")
+    return (a - 1) * (b - 1) // 2  # half the boxes that the diagonal misses
 
 
 def rational_dyck_poset(a: int, b: int) -> Poset:
@@ -149,10 +168,7 @@ def rational_dyck_poset(a: int, b: int) -> Poset:
     (i, j) <= (i2, j2) iff i <= i2 and j >= j2.  The boxes above the
     diagonal are an up-set of that grid order, so the steps to (i+1, j) and
     (i, j-1) stay among them and generate the order."""
-    if a < 1 or b < 1:
-        raise ValueError("a and b must be >= 1")
-    if gcd(a, b) != 1:
-        raise ValueError("a and b must be coprime")
+    _rational_dyck_size(a, b)
     # (row, -column) sorts each box after everything below it in the order
     boxes = sorted(((i, j) for i in range(a) for j in range(b)
                     if b * i >= a * (j + 1)), key=lambda e: (e[0], -e[1]))
@@ -165,7 +181,25 @@ def rational_dyck_poset(a: int, b: int) -> Poset:
 def rational_dyck(a: int, b: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
     """The distributive lattice of rational Dyck paths in the a x b
     rectangle, ordered by inclusion."""
-    return order_ideals(rational_dyck_poset(a, b), max_elements)
+    return order_ideals(_family_poset("rational-dyck", (a, b), max_elements), max_elements)
+
+
+# per family J(P): the builder of P, and |P|, which checks the parameters
+_IDEAL_FAMILIES = {
+    "chain-product": (product_of_chains_poset, _chain_product_size),
+    "root-ideals": (root_poset_A, _root_poset_size),
+    "rational-dyck": (rational_dyck_poset, _rational_dyck_size),
+}
+
+
+def _family_poset(fam: str, params, max_elements: int) -> Poset:
+    """The poset P of the family J(P), refused before it is built when its
+    ideals, at least |P| + 1 (a linear extension's prefixes), pass the cap."""
+    build, poset_size = _IDEAL_FAMILIES[fam]
+    size = poset_size(*params)
+    if size + 1 > max_elements:
+        raise SizeLimitExceeded(size + 1, max_elements, f"{fam} ideals")
+    return build(*params)
 
 
 def weak_order_S(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
@@ -180,19 +214,16 @@ def weak_order_S(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
 def _weak_order(n: int, max_elements: int) -> FamilyOrder:
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > WEAK_ORDER_CAP:
-        raise SizeLimitExceeded(factorial(n), WEAK_ORDER_CAP,
+    if n > WEAK_ORDER_CAP:  # n! < 2^(n * bits(n)), computed only when that is small
+        raise SizeLimitExceeded(factorial(n) if n * n.bit_length() <= EXACT_COUNT_BITS
+                                else f"{n}!", WEAK_ORDER_CAP,
                                 f"weak order S_{n} (cap n <= {WEAK_ORDER_CAP})")
     if factorial(n) > max_elements:
         raise SizeLimitExceeded(factorial(n), max_elements, f"weak order S_{n}")
     perms = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    covers = []
-    for p in perms:
-        for k in range(n - 1):
-            if p[k] < p[k + 1]:
-                q = p[:k] + (p[k + 1], p[k]) + p[k + 2:]
-                covers.append((index[p], index[q]))
+    covers = [(index[p], index[p[:k] + (p[k + 1], p[k]) + p[k + 2:]])
+              for p in perms for k in range(n - 1) if p[k] < p[k + 1]]
     return FamilyOrder(poset_from_relations(len(perms), covers))
 
 
@@ -255,17 +286,8 @@ def fixture_lattice(name: str, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Latt
     return obj
 
 
-FAMILIES = (
-    "boolean",
-    "chain-product",
-    "root-ideals",
-    "tamari",
-    "rational-dyck",
-    "weak-order",
-    "order-ideals",
-    "galois-file",
-    "fixture",
-)
+FAMILIES = ("boolean", "chain-product", "root-ideals", "tamari", "rational-dyck",
+            "weak-order", "order-ideals", "galois-file", "fixture")
 # the families whose one parameter is a string (a path or a fixture name);
 # every other family takes integers
 STRING_FAMILIES = ("order-ideals", "galois-file", "fixture")
@@ -309,17 +331,11 @@ def family_order(spec: FamilySpec,
         if fam == "boolean":
             (n,) = params
             return _ideals(_boolean_poset(n, max_elements), max_elements)
-        if fam == "chain-product":
-            return _ideals(product_of_chains_poset(*params), max_elements)
-        if fam == "root-ideals":
-            (n,) = params
-            return _ideals(root_poset_A(n), max_elements)
+        if fam in _IDEAL_FAMILIES:
+            return _ideals(_family_poset(fam, params, max_elements), max_elements)
         if fam == "tamari":
             (n,) = params
             return _tamari(n, max_elements)
-        if fam == "rational-dyck":
-            a, b = params
-            return _ideals(rational_dyck_poset(a, b), max_elements)
         if fam == "weak-order":
             (n,) = params
             return _weak_order(n, max_elements)
@@ -328,8 +344,7 @@ def family_order(spec: FamilySpec,
             from .io import load_json_path, poset_from_json
 
             obj = load_json_path(path)
-            # J(P) has at least n + 1 ideals (the chain of its prefixes
-            # along a linear extension), so refuse before building P
+            # J(P) has at least n + 1 ideals, so refuse before building P
             n = obj.get("n") if isinstance(obj, dict) else None
             if isinstance(n, int) and n + 1 > max_elements:
                 raise SizeLimitExceeded(n + 1, max_elements, "order ideals")

@@ -6,8 +6,8 @@ The left-modular labelling has one formula on the fast path: on a trim
 lattice the label of a cover y covered-by z is the single label in
 y_M & z_J, the cover's overlap mask that the irreducible indexing holds.
 Every other lattice runs three equivalent formulas on every cover and
-asserts them equal.  The semidistributive labelling is read from the up
-and down masks, with no tables.
+asserts them equal.  Both labellings are read from the up and down masks,
+with no tables.
 
 A labelling is a map from Hasse edges (y, z) to hashable labels, distinct
 around each element.  Left-modular labellings use integer labels 1..n carrying
@@ -147,18 +147,21 @@ def _indexed_labelling(l: Lattice, idx: IrreducibleIndexing) -> CoverLabelling:
 
 def _three_formula_labels(l: Lattice, xs) -> dict:
     """The three label formulas on every cover along the chain xs, raising
-    ThreeWayMismatch where they disagree."""
+    ThreeWayMismatch where they disagree; y v j = z exactly when
+    up(y) & up(j) = up(z), and dually for meets."""
     n = len(xs) - 1
+    up, down = l.poset._up, l.poset._down
+    by_down = {mask: v for v, mask in enumerate(down)}
     beta_j = {j: min(i for i in range(1, n + 1) if l.leq(j, xs[i]))
               for j in l.join_irr}
     beta_m = {m: max(i for i in range(1, n + 1) if l.leq(xs[i - 1], m))
               for m in l.meet_irr}
     labels: dict[tuple[int, int], int] = {}
     for y, z in l.covers:
-        v1 = min(beta_j[j] for j in l.join_irr if l.join_of(y, j) == z)
+        v1 = min(beta_j[j] for j in l.join_irr if up[y] & up[j] == up[z])
         v2 = min(i for i in range(1, n + 1)
-                 if l.join_of(y, l.meet_of(xs[i], z)) == z)
-        v3 = max(beta_m[m] for m in l.meet_irr if l.meet_of(z, m) == y)
+                 if up[y] & up[by_down[down[xs[i]] & down[z]]] == up[z])
+        v3 = max(beta_m[m] for m in l.meet_irr if down[z] & down[m] == down[y])
         if not (v1 == v2 == v3):
             raise ThreeWayMismatch((y, z), (v1, v2, v3))
         labels[(y, z)] = v1

@@ -3,9 +3,10 @@ structural predicates (distributive, extremal, left modular, semidistributive,
 trim), plus congruence validation and quotients.
 
 A lattice is its order: posets from outside are proved lattices on their
-up masks (:func:`lattice_from_poset`), and the paper's pipeline reads only
-covers and masks.  The read-only n-by-n int32 meet and join tables are
-built together on the first read of either, by one kernel, :func:`_tables`.
+up masks (:func:`lattice_from_poset`), and every algorithm reads only
+covers and masks.  The read-only n-by-n int32 meet and join tables, for
+callers of ``Lattice.meet`` and ``join``, are built together on the first
+read of either, by one kernel, :func:`_tables`.
 In a finite lattice x |-> J(x), the set of join-irreducibles below x, is
 injective and sends meets to intersections; x |-> M(x), the
 meet-irreducibles above x, does the same for joins (Markowsky).  Each
@@ -17,8 +18,8 @@ linear-probing slot table from a home slot given by the AND's 64-bit mix
 The predicates are exact.  Distributivity (graded and trim),
 semidistributivity (every kappa exists) and left modularity are decided on
 masks and the irreducibles, and the first distributive and
-semidistributive witnesses are found on masks too: no predicate reads the
-tables.  numpy is imported by the functions that use it.
+semidistributive witnesses, the lattice witness and congruences too: no
+function reads the tables, and only the table kernel imports numpy.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     NotComparable,
     NotExtremal,
 )
-from .poset import Poset, _bits, canonical_extension, poset_from_relations
+from .poset import Poset, _bits, poset_from_relations
 
 if TYPE_CHECKING:
     import numpy as np
@@ -210,23 +211,15 @@ def _row_blocks(rows: int, width: int):
         yield r0, min(rows, r0 + step)
 
 
-def _pack(masks, nbits: int) -> np.ndarray:
-    """Python-int bitmasks of nbits bits as an (len(masks), w) uint64 array
-    of keys, w >= 1."""
-    import numpy as np
-
-    w = max(1, -(-nbits // 64))
-    buf = b"".join(m.to_bytes(8 * w, "little") for m in masks)
-    return np.frombuffer(buf, dtype="<u8").reshape(len(masks), w)
-
-
 def _keys(masks, n: int) -> np.ndarray:
     """Per element x < n, the set of t with bit x in masks[t] as (n, w)
     uint64 keys, w >= 1: J-keys from the join-irreducibles' up masks,
     M-keys from the meet-irreducibles' down masks."""
     import numpy as np
 
-    bits = _pack(masks, n).view(np.uint8)
+    w = 8 * max(1, -(-n // 64))
+    buf = b"".join(m.to_bytes(w, "little") for m in masks)
+    bits = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), w)
     rows = np.unpackbits(bits, axis=1, count=n, bitorder="little").view(bool).T
     out = np.zeros((n, 8 * max(1, -(-len(masks) // 64))), dtype=np.uint8)
     out[:, :-(-len(masks) // 8)] = np.packbits(rows, axis=1, bitorder="little")
@@ -295,61 +288,23 @@ def _tables(jkey: np.ndarray, mkey: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return tables[0], tables[1]
 
 
-def _containment(keys: np.ndarray) -> Poset:
-    """The order a <= b iff keys[a] is contained in keys[b], that is
-    keys[a] & keys[b] == keys[a], for keys indexed in a linear extension of
-    it (sorted by size, say)."""
-    import numpy as np
-
-    up: list[int] = []
-    down: list[int] = []
-    for r0, r1 in _row_blocks(len(keys), len(keys) * keys.shape[1]):
-        block = keys[r0:r1, None, :]
-        common = block & keys[None, :, :]
-        for masks, rows in ((up, common == block), (down, common == keys[None])):
-            packed = np.packbits(rows.all(axis=2), axis=1, bitorder="little")
-            masks.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
-    covers = []
-    for a, above in enumerate(up):
-        # the lowest element left above a is minimal there: an upper cover
-        rest = above ^ (1 << a)
-        while rest:
-            b = (rest & -rest).bit_length() - 1
-            covers.append((a, b))
-            rest &= ~up[b]
-    return Poset(len(keys), covers, up, down)
-
-
 def _lattice_witness(p: Poset) -> NotALattice:
     """The first incomparable pair x < y, in row-major order, whose upper
     bounds have no least element ("join"), or else whose lower bounds have
-    no greatest element ("meet").  A scalar search, run only once the mask
-    check has failed; p must have a bottom and a top."""
-    # in a topologically sorted label space the lowest set bit of a set of
-    # bounds is a minimal one, the only candidate for its least element
-    order = canonical_extension(p)
-    pos = [0] * p.n
-    for i, v in enumerate(order):
-        pos[v] = i
-
-    def to_topo(mask: int) -> int:
-        out = 0
-        for v in _bits(mask):
-            out |= 1 << pos[v]
-        return out
-
-    up_t = [to_topo(p.up_mask(v)) for v in range(p.n)]
-    down_t = [to_topo(p.down_mask(v)) for v in range(p.n)]
-    for x in range(p.n):
-        for y in range(x + 1, p.n):
-            if p.leq(x, y) or p.leq(y, x):
-                continue
-            common = up_t[x] & up_t[y]
-            if common & ~up_t[order[(common & -common).bit_length() - 1]]:
-                return NotALattice(x, y, "join")
-            common = down_t[x] & down_t[y]
-            if common & ~down_t[order[common.bit_length() - 1]]:
-                return NotALattice(x, y, "meet")
+    no greatest element ("meet"), once the mask check has failed; p must
+    have a bottom and a top.  The upper bounds of x and y form the up set
+    up(x) & up(y), not empty as p has a top, and it has a least element z
+    exactly when it equals up(z).  Dually for the lower bounds.
+    """
+    up, down = p._up, p._down
+    ups, downs = set(up), set(down)
+    for x, y in combinations(range(p.n), 2):
+        if (up[x] | down[x]) >> y & 1:
+            continue
+        if up[x] & up[y] not in ups:
+            return NotALattice(x, y, "join")
+        if down[x] & down[y] not in downs:
+            return NotALattice(x, y, "meet")
     raise AssertionError("the mask check rejected a lattice")
 
 
@@ -668,14 +623,16 @@ def congruence(l: Lattice, classes) -> Congruence:
     seen = [x for c in cls for x in c]
     if sorted(seen) != list(range(l.n)):
         raise ValueError("classes do not partition the elements")
-    of = {x: i for i, c in enumerate(cls) for x in c}
-    M, J = l.meet, l.join
+    # the class of x ^ y is looked up by down(x) & down(y), of x v y dually
+    up, down = l.poset._up, l.poset._down
+    of_up = {up[x]: i for i, c in enumerate(cls) for x in c}
+    of_down = {down[x]: i for i, c in enumerate(cls) for x in c}
     for c in cls:
         for x1, x2 in combinations(c, 2):
             for y in range(l.n):
-                if of[int(M[x1, y])] != of[int(M[x2, y])]:
+                if of_down[down[x1] & down[y]] != of_down[down[x2] & down[y]]:
                     raise NotACongruence(x1, x2, y, "meet")
-                if of[int(J[x1, y])] != of[int(J[x2, y])]:
+                if of_up[up[x1] & up[y]] != of_up[up[x2] & up[y]]:
                     raise NotACongruence(x1, x2, y, "join")
     return Congruence(tuple(cls))
 

@@ -1,10 +1,11 @@
 """Shared test collections, independent brute-force oracles, the
 closure and cover scan that building a poset from its relations replaced,
-the pairwise containment that building ideal lattices from their covers
+the pairwise containment that building ideal and graph lattices on masks
 replaced,
 the pure-Python table builders that the vectorised table kernel replaced,
 the table check that validation on up masks replaced and the eager table
-constructions that tables built on first read replaced,
+constructions that tables built on first read replaced, the table reads
+that congruences and the three label formulas on masks replaced,
 the scans that the trim pipeline and the property predicates replaced, the
 frozenset label-set code that the label bitmasks replaced, the pairwise
 rational Dyck relations, graph helpers for the canonical join graph tests,
@@ -53,6 +54,7 @@ from trimlat.errors import (
     NotSemidistributive,
     NotTrim,
     SizeLimitExceeded,
+    ThreeWayMismatch,
 )
 from trimlat.galois import MaxOrthPair, _pair_masks, galois_graph
 from trimlat.generators import fixture_manifest
@@ -61,11 +63,9 @@ from trimlat.lattice import (
     Chain,
     Congruence,
     Lattice,
-    _containment,
     _heights,
     _lattice_witness,
     _left_modular_test,
-    _pack,
     _row_blocks,
     congruence,
     is_extremal,
@@ -304,10 +304,41 @@ def oracle_poset_from_relations(n: int, relations) -> Poset:
     return Poset(n, covers, up, down)
 
 
+def _pack(masks, nbits: int) -> np.ndarray:
+    """Python-int bitmasks of nbits bits as an (len(masks), w) uint64 array
+    of keys, w >= 1."""
+    w = max(1, -(-nbits // 64))
+    buf = b"".join(m.to_bytes(8 * w, "little") for m in masks)
+    return np.frombuffer(buf, dtype="<u8").reshape(len(masks), w)
+
+
+def _containment(keys: np.ndarray) -> Poset:
+    """The order a <= b iff keys[a] is contained in keys[b], that is
+    keys[a] & keys[b] == keys[a], for keys indexed in a linear extension of
+    it (sorted by size, say)."""
+    up: list[int] = []
+    down: list[int] = []
+    for r0, r1 in _row_blocks(len(keys), len(keys) * keys.shape[1]):
+        block = keys[r0:r1, None, :]
+        common = block & keys[None, :, :]
+        for masks, rows in ((up, common == block), (down, common == keys[None])):
+            packed = np.packbits(rows.all(axis=2), axis=1, bitorder="little")
+            masks.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
+    covers = []
+    for a, above in enumerate(up):
+        # the lowest element left above a is minimal there: an upper cover
+        rest = above ^ (1 << a)
+        while rest:
+            b = (rest & -rest).bit_length() - 1
+            covers.append((a, b))
+            rest &= ~up[b]
+    return Poset(len(keys), covers, up, down)
+
+
 def oracle_ideal_poset(q: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS):
     """The ideals of q by a breadth-first walk that keeps no covers, sorted
     by (popcount, value), and their order by comparing every pair of packed
-    masks (``lattice._containment``); the same SizeLimitExceeded."""
+    masks (:func:`_containment`); the same SizeLimitExceeded."""
     strict_down = [q.down_mask(x) ^ (1 << x) for x in range(q.n)]
     seen = {0}
     frontier = [0]
@@ -651,6 +682,50 @@ def eager_lattice_from_graph(g: GaloisGraph) -> Lattice:
     meet, join, hit = oracle_tables(_pack(x_masks, g.n), _pack(y_masks, g.n))
     assert hit
     return eager_lattice(_containment(_pack(x_masks, g.n)), meet, join, 0, len(x_masks) - 1)
+
+
+# ---------------------------------------------------------------------------
+# the table reads that congruences and the three label formulas on masks
+# replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+def oracle_congruence(l: Lattice, classes) -> Congruence:
+    """``congruence`` with every x1 ^ y and x1 v y read from the tables."""
+    cls = [tuple(sorted(c)) for c in classes]
+    cls.sort(key=lambda c: c[0])
+    seen = [x for c in cls for x in c]
+    if sorted(seen) != list(range(l.n)):
+        raise ValueError("classes do not partition the elements")
+    of = {x: i for i, c in enumerate(cls) for x in c}
+    M, J = l.meet, l.join
+    for c in cls:
+        for x1, x2 in combinations(c, 2):
+            for y in range(l.n):
+                if of[int(M[x1, y])] != of[int(M[x2, y])]:
+                    raise NotACongruence(x1, x2, y, "meet")
+                if of[int(J[x1, y])] != of[int(J[x2, y])]:
+                    raise NotACongruence(x1, x2, y, "join")
+    return Congruence(tuple(cls))
+
+
+def oracle_three_formula_labels(l: Lattice, xs) -> dict:
+    """``labelling._three_formula_labels`` with every meet and join read
+    from the tables."""
+    n = len(xs) - 1
+    beta_j = {j: min(i for i in range(1, n + 1) if l.leq(j, xs[i]))
+              for j in l.join_irr}
+    beta_m = {m: max(i for i in range(1, n + 1) if l.leq(xs[i - 1], m))
+              for m in l.meet_irr}
+    labels: dict[tuple[int, int], int] = {}
+    for y, z in l.covers:
+        v1 = min(beta_j[j] for j in l.join_irr if l.join_of(y, j) == z)
+        v2 = min(i for i in range(1, n + 1)
+                 if l.join_of(y, l.meet_of(xs[i], z)) == z)
+        v3 = max(beta_m[m] for m in l.meet_irr if l.meet_of(z, m) == y)
+        if not (v1 == v2 == v3):
+            raise ThreeWayMismatch((y, z), (v1, v2, v3))
+        labels[(y, z)] = v1
+    return labels
 
 
 def oracle_transposed_masks(l: Lattice, idx) -> tuple[list[int], list[int]]:

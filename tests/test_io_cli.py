@@ -251,6 +251,63 @@ def test_cli_order_ideals_file_honours_max_elements(tmp_path, monkeypatch, capsy
     assert json.loads(capsys.readouterr().out)["n"] == 5
 
 
+# |P| from the parameters
+IDEAL_FAMILIES = [
+    pytest.param("chain_product", ("chain-product", 400, 400), 160000, id="chain-product"),
+    pytest.param("root_ideals", ("root-ideals", 1000), 500500, id="root-ideals"),
+    pytest.param("rational_dyck", ("rational-dyck", 999, 1000), 498501, id="rational-dyck")]
+
+
+@pytest.mark.parametrize("function, argv, size", IDEAL_FAMILIES)
+def test_cli_ideal_families_honour_max_elements(function, argv, size, monkeypatch, capsys):
+    from trimlat import SizeLimitExceeded, cli, generators
+
+    # J(P) has at least |P| + 1 ideals: refused before P is built
+    monkeypatch.setattr(generators, "poset_from_relations", _never)
+    assert cli.main(["--max-elements", "10", "gen", *map(str, argv)]) == 3
+    assert f"({size + 1} > 10)" in capsys.readouterr().err
+    with pytest.raises(SizeLimitExceeded) as exc:
+        getattr(generators, function)(*argv[1:], max_elements=size)
+    assert (exc.value.count, exc.value.cap) == (size + 1, size)
+
+
+@pytest.mark.parametrize("params", [("boolean", "20000"), ("tamari", "10000"),
+                                    ("tamari", "5000"), ("weak-order", "3000")], ids=" ".join)
+def test_cli_huge_counts_refused_in_one_short_line(params, monkeypatch, capsys):
+    from trimlat import cli, generators
+
+    # decided on the parameter: neither count is computed
+    monkeypatch.setattr(generators, "comb", _never)
+    monkeypatch.setattr(generators, "factorial", _never)
+    assert cli.main(["gen", *params]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.encode()) < 200
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_small_counts_refused_exactly(capsys):
+    """A count that fits in 64 bits is refused as an int, whatever the cap."""
+    from math import comb, factorial
+
+    from trimlat import SizeLimitExceeded, cli, generators
+
+    for make, count in ((lambda: generators.boolean(20, max_elements=1000), 2 ** 20),
+                        (lambda: generators.boolean(63, max_elements=10), 2 ** 63),
+                        (lambda: generators.tamari(32, max_elements=10), comb(64, 32) // 33),
+                        (lambda: generators.weak_order_S(15), factorial(15))):
+        with pytest.raises(SizeLimitExceeded) as exc:
+            make()
+        assert exc.value.count == count
+    for make, count in ((lambda: generators.boolean(64, max_elements=10), "2^64"),
+                        (lambda: generators.tamari(33, max_elements=10), "Catalan(33)"),
+                        (lambda: generators.weak_order_S(16), "16!")):
+        with pytest.raises(SizeLimitExceeded) as exc:
+            make()
+        assert exc.value.count == count
+    assert cli.main(["--max-elements", "10", "gen", "boolean", "4"]) == 3
+    assert "(16 > 10)" in capsys.readouterr().err
+
+
 def test_cli_weak_order_honours_max_elements(monkeypatch, capsys):
     from trimlat import cli, generators, lattice
 
@@ -451,6 +508,26 @@ def test_not_a_lattice_rejection_loads_no_numpy():
     assert code == 0 and not numpy, err
     assert "semidistributive: false  (join cancellation fails at x=1, y=2, z=3)" in out.splitlines()
     assert (code, out) == run_cli("check", "--all", "-", stdin=M3)[:2]
+
+
+# the graph lattices are ordered, and the figures replayed, on masks
+FIG9 = Path(SRC) / "trimlat" / "fixtures" / "fig9_2cambrian.json"
+GRAPH_VERBS = [pytest.param(("verify-figures",), id="verify-figures"),
+               pytest.param(("gen", "fixture", "fig9_grid_tamari"), id="gen fixture"),
+               pytest.param(("gen", "galois-file", str(FIG9)), id="gen galois-file")]
+
+
+@pytest.mark.parametrize("argv", GRAPH_VERBS)
+def test_graph_verbs_load_no_numpy(argv):
+    from conftest import oracle_lattice_from_graph
+
+    code, out, err, numpy = _cli_child(*argv, stdin="")
+    assert code == 0 and not numpy, err
+    if argv[0] == "verify-figures":
+        assert out.count("PASS") == 7 and "7/7" in out
+    else:
+        want = lattice_to_json(oracle_lattice_from_graph(fixture(Path(argv[-1]).stem)))
+        assert out == json.dumps(want, sort_keys=True) + "\n"
 
 
 def test_json_paths_are_strings(tmp_path):
