@@ -214,10 +214,8 @@ def weak_order_S(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
 def _weak_order(n: int, max_elements: int) -> FamilyOrder:
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > WEAK_ORDER_CAP:  # n! < 2^(n * bits(n)), computed only when that is small
-        raise SizeLimitExceeded(factorial(n) if n * n.bit_length() <= EXACT_COUNT_BITS
-                                else f"{n}!", WEAK_ORDER_CAP,
-                                f"weak order S_{n} (cap n <= {WEAK_ORDER_CAP})")
+    if n > WEAK_ORDER_CAP:  # a cap on n, so n is the count it refuses
+        raise SizeLimitExceeded(n, WEAK_ORDER_CAP, f"weak order S_{n} (cap n <= {WEAK_ORDER_CAP})")
     if factorial(n) > max_elements:
         raise SizeLimitExceeded(factorial(n), max_elements, f"weak order S_{n}")
     perms = sorted(permutations(range(n)))

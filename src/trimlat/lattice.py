@@ -6,14 +6,8 @@ A lattice is its order: posets from outside are proved lattices on their
 up masks (:func:`lattice_from_poset`), and every algorithm reads only
 covers and masks.  The read-only n-by-n int32 meet and join tables, for
 callers of ``Lattice.meet`` and ``join``, are built together on the first
-read of either, by one kernel, :func:`_tables`.
-In a finite lattice x |-> J(x), the set of join-irreducibles below x, is
-injective and sends meets to intersections; x |-> M(x), the
-meet-irreducibles above x, does the same for joins (Markowsky).  Each
-element's key is its J or M set packed into uint64 words; meet[x, y] is the
-element whose J-key equals J(x) & J(y), and join[x, y] dually, found in a
-linear-probing slot table from a home slot given by the AND's 64-bit mix
-(a fold of its words) and confirmed by a compare of all words.
+read of either by :func:`_tables`, which walks a linear extension and
+builds each element's row from the rows of its covers and its mask.
 
 The predicates are exact.  Distributivity (graded and trim),
 semidistributivity (every kappa exists) and left modularity are decided on
@@ -26,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 from typing import TYPE_CHECKING
 
@@ -64,7 +57,7 @@ class Lattice:
     Attributes:
         poset: the underlying order.
         meet, join: read-only n-by-n int32 tables, both built on the first
-            read of either from the J- and M-keys of the poset's elements.
+            read of either from the covers and the up and down masks.
         bottom, top: indices of the least and greatest elements.
         join_irr: elements (other than bottom) covering exactly one element.
         meet_irr: elements (other than top) covered by exactly one element.
@@ -99,9 +92,7 @@ class Lattice:
         return self._join
 
     def _build_tables(self) -> None:
-        up, down = self.poset.up_mask, self.poset.down_mask
-        self._meet, self._join = _tables(_keys(list(map(up, self.join_irr)), self.n),
-                                         _keys(list(map(down, self.meet_irr)), self.n))
+        self._meet, self._join = _tables(self.poset)
 
     @property
     def n(self) -> int:
@@ -194,95 +185,49 @@ def lattice_from_poset(p: Poset) -> Lattice:
 # the table kernel
 # ---------------------------------------------------------------------------
 
-# Rows of a table are processed in blocks whose temporaries hold about this
-# many cells, so memory beyond the tables themselves stays bounded.
-_BLOCK_CELLS = 1 << 14
-
-# tables of several row blocks are mirrored in square tiles of this side
-_TILE = 128
-
-# odd, so multiplying by it permutes the uint64 values
-_MIX = 0x9E3779B97F4A7C15
+# masks are unpacked, and table rows remapped, this many rows at a time, so
+# memory beyond the tables themselves stays bounded
+_ROWS = 256
 
 
-def _row_blocks(rows: int, width: int):
-    step = max(1, _BLOCK_CELLS // max(1, width))
-    for r0 in range(0, rows, step):
-        yield r0, min(rows, r0 + step)
+def _tables(p: Poset) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-by-n int32 meet and join tables of the lattice p, by a
+    recursion over its covers along Kahn's order (a linear extension,
+    bottom first), in which each element's rank is its position.
 
-
-def _keys(masks, n: int) -> np.ndarray:
-    """Per element x < n, the set of t with bit x in masks[t] as (n, w)
-    uint64 keys, w >= 1: J-keys from the join-irreducibles' up masks,
-    M-keys from the meet-irreducibles' down masks."""
-    import numpy as np
-
-    w = 8 * max(1, -(-n // 64))
-    buf = b"".join(m.to_bytes(w, "little") for m in masks)
-    bits = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), w)
-    rows = np.unpackbits(bits, axis=1, count=n, bitorder="little").view(bool).T
-    out = np.zeros((n, 8 * max(1, -(-len(masks) // 64))), dtype=np.uint8)
-    out[:, :-(-len(masks) // 8)] = np.packbits(rows, axis=1, bitorder="little")
-    return out.view("<u8")
-
-
-def _mix(words) -> np.ndarray:
-    """One uint64 per key from its words (a sequence of equal-shaped
-    arrays), folded nonlinearly; a key of one word is its own mix."""
-    import numpy as np
-
-    h = words[0]
-    for w in words[1:]:
-        h = (h ^ h >> np.uint64(31)) * np.uint64(_MIX) ^ w
-    return h
-
-
-def _tables(jkey: np.ndarray, mkey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only meet and join tables of a lattice from per-element keys.
-
-    meet[x, y] is the element whose J-key is jkey[x] & jkey[y], join[x, y]
-    the one whose M-key is mkey[x] & mkey[y]: the first of the span slots
-    from the AND's home (the top b bits of its mix times _MIX, 2**b >= 4n)
-    whose key equals the AND in every word.  Linear probing in home order
-    puts every key fewer than span slots past its home.  Tables of several
-    row blocks are looked up from each block's first row and mirrored.
+    Row y of the meet table holds y on up(y), and elsewhere the elementwise
+    maximum, by rank, of the rows of y's lower covers.  Proof: if y is not
+    below x, then x ^ y < y lies below some lower cover c of y, so
+    x ^ y = x ^ c, and every other x ^ c' lies below x ^ y, so has a lower
+    rank.  The least element has no lower covers and is below everything.
+    The join table is the same walk reversed, over upper covers and down
+    masks.  Rows hold ranks until a table is done, then map back to
+    elements.
     """
     import numpy as np
 
-    n = len(jkey)
-    b = (4 * n - 1).bit_length()
-    shift = np.uint64(64 - b)
-    mix = np.uint64(_MIX)
-    rank = np.arange(n)
-    below = np.tri(_TILE, k=-1, dtype=bool)
+    n = p.n
+    w = -(-n // 8)
+    order = _longest_paths(n, p._lower, p._upper)[1]
     tables = []
-    for key in (jkey, mkey):
-        words = [key[:, k] for k in range(key.shape[1])]
-        home = (_mix(words) * mix >> shift).view(np.int64)
-        order = home.argsort(kind="stable")
-        ranked = home[order]
-        pos = np.maximum.accumulate(ranked - rank) + rank
-        span = (pos - ranked).max() + 1
-        slots = np.zeros((1 << b) + span, dtype=np.int32)
-        slots[pos] = order
-        held = [w[slots] for w in words]
+    for walk, below, masks in ((order, p._lower, p._up), (order[::-1], p._upper, p._down)):
         table = np.empty((n, n), dtype=np.int32)
-        for r0, r1 in _row_blocks(n, n):
-            want = [(w[r0:r1, None] & w[None, r0:]).reshape(-1) for w in words]
-            at = (_mix(want) * mix >> shift).view(np.int64)
-            miss = reduce(np.logical_or, [h[at] != v for h, v in zip(held, want)]).nonzero()[0]
-            for _ in range(1, span):
-                if not len(miss):
-                    break
-                at[miss] += 1
-                miss = miss[reduce(np.logical_or, [h[at[miss]] != v[miss] for h, v in zip(held, want)])]
-            table[r0:r1, r0:] = slots[at].reshape(r1 - r0, n - r0)
-        for i0 in range(0, n, _TILE) if r0 else ():  # several blocks: mirror
-            rows = slice(i0, i0 + _TILE)
-            for j0 in range(0, i0, _TILE):
-                table[rows, j0:j0 + _TILE] = table[j0:j0 + _TILE, rows].T
-            tile = table[rows, rows]
-            np.copyto(tile, tile.T, where=below[:len(tile), :len(tile)])
+        for i0 in range(0, n, _ROWS):
+            chunk = walk[i0:i0 + _ROWS]
+            buf = b"".join(masks[y].to_bytes(w, "little") for y in chunk)
+            bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(len(chunk), w),
+                                 axis=1, count=n, bitorder="little").view(bool)
+            for i, y in enumerate(chunk, i0):
+                row, covers = table[y], below[y]
+                if covers:
+                    row[:] = table[covers[0]]
+                    for c in covers[1:]:
+                        np.maximum(row, table[c], out=row)
+                np.copyto(row, i, where=bits[i - i0])
+        element = np.array(walk, dtype=np.int32)
+        for r0 in range(0, n, _ROWS):
+            block = table[r0:r0 + _ROWS]
+            np.take(element, block, out=block, mode="clip")  # unbuffered, unlike "raise"
         table.setflags(write=False)
         tables.append(table)
     return tables[0], tables[1]

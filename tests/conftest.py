@@ -3,8 +3,9 @@ closure and cover scan that building a poset from its relations replaced,
 the pairwise containment that building ideal and graph lattices on masks
 replaced,
 the pure-Python table builders that the vectorised table kernel replaced,
-the table check that validation on up masks replaced and the eager table
-constructions that tables built on first read replaced, the table reads
+the table check that validation on up masks replaced, the eager table
+constructions that tables built on first read replaced and the J/M-key
+hash lookup that the recursion over covers replaced, the table reads
 that congruences and the three label formulas on masks replaced,
 the scans that the trim pipeline and the property predicates replaced, the
 frozenset label-set code that the label bitmasks replaced, the pairwise
@@ -66,14 +67,12 @@ from trimlat.lattice import (
     _heights,
     _lattice_witness,
     _left_modular_test,
-    _row_blocks,
     congruence,
     is_extremal,
     is_semidistributive,
     is_trim,
 )
 from trimlat.poset import DEFAULT_MAX_ELEMENTS, _bits, canonical_extension
-from trimlat import lattice as lattice_module
 from trimlat.rowmotion import permutation_from_map
 
 
@@ -310,6 +309,20 @@ def _pack(masks, nbits: int) -> np.ndarray:
     w = max(1, -(-nbits // 64))
     buf = b"".join(m.to_bytes(8 * w, "little") for m in masks)
     return np.frombuffer(buf, dtype="<u8").reshape(len(masks), w)
+
+
+# Rows of the oracles' pairwise compares and lookups go in blocks whose
+# temporaries hold about this many cells, so their memory stays bounded.
+_BLOCK_CELLS = 1 << 14
+
+# odd, so multiplying by it permutes the uint64 values
+_MIX = 0x9E3779B97F4A7C15
+
+
+def _row_blocks(rows: int, width: int):
+    step = max(1, _BLOCK_CELLS // max(1, width))
+    for r0 in range(0, rows, step):
+        yield r0, min(rows, r0 + step)
 
 
 def _containment(keys: np.ndarray) -> Poset:
@@ -580,20 +593,22 @@ def _order_matrix(p: Poset) -> np.ndarray:
 def _oracle_mix(words):
     h = words[0]
     for w in words[1:]:
-        h = (h ^ h >> np.uint64(31)) * np.uint64(lattice_module._MIX) ^ w
+        h = (h ^ h >> np.uint64(31)) * np.uint64(_MIX) ^ w
     return h
 
 
 def oracle_tables(jkey, mkey):
-    """Meet and join tables from per-element keys, as ``lattice._tables``
-    built them with its hit flag: the third value is False when some AND
-    matches no key, which lattice keys never do.  A key that repeats (in a
-    non-lattice) is found by the AND alone, so the lookup is a function of
-    the key, as :func:`_joins_are_least` needs."""
+    """Meet and join tables from per-element keys, as the J/M-key hash
+    kernel that the recursion over covers replaced built them, with its hit
+    flag: each AND is looked up from its home slot (the top bits of its
+    64-bit mix times _MIX) in a linear-probing slot table.  The third value
+    is False when some AND matches no key, which lattice keys never do.  A
+    key that repeats (in a non-lattice) is found by the AND alone, so the
+    lookup is a function of the key, as :func:`_joins_are_least` needs."""
     n = len(jkey)
     b = (4 * n - 1).bit_length()
     shift = np.uint64(64 - b)
-    mix = np.uint64(lattice_module._MIX)
+    mix = np.uint64(_MIX)
     rank = np.arange(n)
     tables = []
     hit = True

@@ -1,11 +1,10 @@
-"""The vectorised meet/join table kernel against the pure-Python builders it
-replaced (kept in conftest as oracles): identical tables, covers and up/down
-masks on the exhaustive sweeps, the families, intervals and quotients, and
-the same NotALattice witness on every bounded poset."""
+"""The meet/join table kernel against the pure-Python builders it replaced
+(kept in conftest as oracles): identical tables, covers and up/down masks
+on the exhaustive sweeps, the families, intervals and quotients, and the
+same NotALattice witness on every bounded poset."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from trimlat import (
@@ -110,8 +109,9 @@ def test_quotients_match_oracle(small_posets, graph_lattices):
 
 
 def test_multiword_keys():
-    # 70 labels with every edge i -> k: a 71-element chain whose X and Y
-    # masks, and the 70 join-irreducibles of its poset, need two words
+    # 70 labels with every edge i -> k: a 71-element chain whose up and down
+    # masks pass 64 bits, as do the oracles' keys (its X and Y masks, and
+    # the 70 join-irreducibles of its poset)
     g = GaloisGraph(70, frozenset((i, k) for i in range(1, 71) for k in range(1, i)))
     chain = lattice_from_graph(g)[0]
     assert chain.n == 71 and len(chain.covers) == 70
@@ -130,35 +130,19 @@ def test_multiword_keys():
 
 
 def test_several_row_blocks():
-    # past 128 elements a table takes several row blocks; each is looked up
-    # on and above its first row, and the rest is copied across the diagonal
-    chain = poset_from_relations(150, [(i, i + 1) for i in range(149)])
-    for p in (tamari(6).poset, boolean(8).poset, chain):
-        assert p.n > 128
+    # past _ROWS elements the masks are unpacked, and the ranks mapped back
+    # to elements, in several blocks of rows, and the walk's ranks run on
+    # across them
+    chain = poset_from_relations(300, [(i, i + 1) for i in range(299)])
+    for p in (tamari(7).poset, boolean(9).poset, chain):
+        assert p.n > lattice._ROWS
         assert_same_lattice(lattice_from_poset(p), oracle_lattice_from_poset(p))
-    assert_same_lattice(boolean(8), _ideal_oracle(antichain_poset(8)))
-    # M_140 with two coatoms in place of its top
-    bad = poset_from_relations(144, [(0, a) for a in range(1, 141)]
-                               + [(a, c) for a in range(1, 141) for c in (141, 142)]
-                               + [(141, 143), (142, 143)])
+    assert_same_lattice(boolean(9), _ideal_oracle(antichain_poset(9)))
+    # M_300 with two coatoms in place of its top
+    bad = poset_from_relations(304, [(0, a) for a in range(1, 301)]
+                               + [(a, c) for a in range(1, 301) for c in (301, 302)]
+                               + [(301, 303), (302, 303)])
     assert not _assert_same_outcome(bad)
-
-
-@pytest.mark.parametrize("mixer", [
-    lambda words: np.zeros_like(words[0]),
-    lambda words: words[-1] & np.uint64(3),
-], ids=["one mix", "four mixes"])
-def test_colliding_mixes(monkeypatch, mixer):
-    # keys that share a mix are told apart by their words: the one- and
-    # two-word keys of the figures, the 71-element chain, M_70 and the
-    # tables of several row blocks are the same, and bounded non-lattices
-    # name the same witness
-    monkeypatch.setattr(lattice, "_mix", mixer)
-    test_fixtures_match_oracle()
-    test_multiword_keys()
-    test_several_row_blocks()
-    for relations, witness in WITNESS_CASES:
-        test_witness_cases(relations, witness)
 
 
 def _outcome(build, p):
