@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .errors import InputError, NotTrim, SizeLimitExceeded, TrimlatError
+from .errors import InputError, SizeLimitExceeded, TrimlatError
 from .generators import FAMILIES, STRING_FAMILIES
 from .poset import DEFAULT_MAX_ELEMENTS
 
@@ -38,16 +38,13 @@ def _emit(obj, as_json: bool, human: str) -> None:
 def _labelling_for(l):
     """Left-modular labelling for trim input, semidistributive labelling
     otherwise; the label poset is only available in the trim case."""
-    from .galois import _trim_index
-    from .labelling import _indexed_labelling, _sd_labelling
-    from .lattice import _kappas
+    from .labelling import left_modular_labelling, semidistributive_labelling
+    from .lattice import is_semidistributive, is_trim
 
-    try:
-        return _indexed_labelling(l, _trim_index(l, "not a trim lattice"))
-    except NotTrim:
-        kappa = _kappas(l)
-    if kappa is not None:
-        return _sd_labelling(l, kappa).gamma_j
+    if is_trim(l):
+        return left_modular_labelling(l)
+    if is_semidistributive(l):
+        return semidistributive_labelling(l).gamma_j
     raise InputError("rowmotion needs a trim or semidistributive lattice")
 
 
@@ -67,22 +64,20 @@ def cmd_gen(args) -> int:
 
 
 def _property_matrix(l) -> dict:
-    from .galois import _fmt_set, _index, first_non_overlapping_cover
-    from .lattice import (_coheights, _distributive_witness, _is_extremal, _is_graded,
-                          is_left_modular_lattice, is_semidistributive)
+    from .galois import _fmt_set, first_non_overlapping_cover
+    from .lattice import (is_distributive, is_extremal, is_left_modular_lattice,
+                          is_semidistributive, length)
 
     semi, semi_wit = is_semidistributive(l, witness=True)
-    # one longest-path pass: the length, extremality, the indexing and the grading
-    co, order = _coheights(l)
-    ext = _is_extremal(l, co[l.bottom])
-    non_overlap = first_non_overlapping_cover(l, _index(l, co, order)) if ext else None
+    dist, dist_wit = is_distributive(l, witness=True)
+    ext = is_extremal(l)
+    non_overlap = first_non_overlapping_cover(l) if ext else None
     trim = ext and non_overlap is None
-    # distributive is graded and trim; trim is extremal and left modular
-    dist = trim and _is_graded(l, co)
+    # trim is extremal and left modular
     lm = trim if ext else is_left_modular_lattice(l) is not None
     out = {
         "elements": l.n,
-        "length": co[l.bottom],
+        "length": length(l),
         "join_irreducibles": len(l.join_irr),
         "meet_irreducibles": len(l.meet_irr),
         "distributive": dist,
@@ -93,7 +88,7 @@ def _property_matrix(l) -> dict:
     }
     witness = {}
     if not dist:
-        x, y, z = _distributive_witness(l)
+        x, y, z = dist_wit
         witness["distributive"] = f"triple x={x}, y={y}, z={z}"
     if not semi:
         side, x, y, z = semi_wit
@@ -202,21 +197,19 @@ def _run_trace(l, labelling, args) -> int:
 
 
 def cmd_complex(args) -> int:
-    from .complexes import (_complementary, _label_complex, _label_family,
-                            independent_sets, is_flag, undirected)
-    from .galois import _fmt_set, _trim_index, galois_graph
+    from .complexes import (complement_check, independence_complex, independent_sets,
+                            is_flag, undirected)
+    from .galois import _fmt_set, galois_graph
 
     l = _load_lattice(args)
-    idx = _trim_index(l, "the independence complex needs a trim lattice")
-    family = _label_family(l, idx.overlap)
-    comp = _label_complex(l, family)
-    g = galois_graph(l, idx)
+    comp = independence_complex(l)
+    g = galois_graph(l)
     ind = independent_sets(undirected(g), args.max_elements)
     faces = sorted(sorted(f) for f in comp.faces)
     payload = {
         "faces": faces,
         "flag": is_flag(comp),
-        "complement_partition": _complementary(g, family),
+        "complement_partition": complement_check(l),
         "independent_sets": len(ind),
         "elements": l.n,
     }

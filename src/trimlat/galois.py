@@ -17,14 +17,7 @@ from functools import cached_property, reduce
 from operator import and_
 
 from .errors import NotExtremal, NotTrim, SizeLimitExceeded
-from .lattice import (
-    Chain,
-    Lattice,
-    _coheights,
-    _is_extremal,
-    _longest_chain,
-    interval,
-)
+from .lattice import Chain, Lattice, _coheights, interval, is_extremal, maximal_length_chain
 from .poset import DEFAULT_MAX_ELEMENTS, Poset, _bits, poset_from_relations
 
 
@@ -105,21 +98,16 @@ def index_irreducibles(l: Lattice, chain: Chain | None = None) -> IrreducibleInd
     exactly one new join-irreducible from below and retires exactly one
     meet-irreducible from above.  The pair masks come from one pass over
     the covers: x_J is the union of the lower covers' x_J, plus label i at
-    j_i, and x_M dually."""
-    # one pass of coheights gives the length, hence extremality, the
-    # default chain and an order for the pair masks
-    return _index(l, *_coheights(l), chain)
+    j_i, and x_M dually, in the order of the kept longest-path pass.
 
-
-def _index(l: Lattice, co: list[int], order: list[int],
-           chain: Chain | None = None) -> IrreducibleIndexing:
-    """:func:`index_irreducibles` from the coheights ``co`` and the order
-    of the pass that found them, top first."""
-    if not _is_extremal(l, co[l.bottom]):
+    The default chain's indexing is built once per lattice and kept on it;
+    a supplied chain's is built afresh on every call."""
+    if chain is None and l._index is not None:
+        return l._index
+    if not is_extremal(l):
         raise NotExtremal("irreducible indexing requires an extremal lattice")
-    if chain is None:
-        chain = _longest_chain(l, co)
-    xs = chain.elements
+    order = _coheights(l)[1]
+    xs = (maximal_length_chain(l) if chain is None else chain).elements
     if xs[0] != l.bottom or xs[-1] != l.top or any(
             xs[i + 1] not in l.upper_covers(xs[i]) for i in range(len(xs) - 1)):
         raise ValueError("chain must be saturated from bottom to top")
@@ -156,7 +144,10 @@ def _index(l: Lattice, co: list[int], order: list[int],
             for c in covers[x]:
                 acc |= masks[c]
             masks[x] = acc
-    return IrreducibleIndexing(chain, tuple(j), tuple(m), tuple(xj), tuple(ym), l.covers)
+    idx = IrreducibleIndexing(Chain(xs), tuple(j), tuple(m), tuple(xj), tuple(ym), l.covers)
+    if chain is None:
+        l._index = idx
+    return idx
 
 
 def _label_set(mask: int) -> frozenset[int]:
@@ -180,8 +171,8 @@ def first_non_overlapping_cover(l, idx=None):
 
 
 def _trim_index(l: Lattice, what: str) -> IrreducibleIndexing:
-    """The default indexing of a trim lattice, with extremality read from
-    its coheights; raises NotTrim(what) when l is not trim."""
+    """The default indexing of a trim lattice, kept on it; raises
+    NotTrim(what) when l is not trim."""
     try:
         idx = index_irreducibles(l)
     except NotExtremal:

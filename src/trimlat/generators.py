@@ -194,11 +194,27 @@ _IDEAL_FAMILIES = {
 
 def _family_poset(fam: str, params, max_elements: int) -> Poset:
     """The poset P of the family J(P), refused before it is built when its
-    ideals, at least |P| + 1 (a linear extension's prefixes), pass the cap."""
+    ideals pass the cap: first by their least number, |P| + 1 (a linear
+    extension's prefixes), then by their number, C(a+b, a) / over."""
     build, poset_size = _IDEAL_FAMILIES[fam]
     size = poset_size(*params)
     if size + 1 > max_elements:
         raise SizeLimitExceeded(size + 1, max_elements, f"{fam} ideals")
+    if fam == "root-ideals":  # Catalan(n+1) = C(2n+2, n+1) / (n+2)
+        a = b = params[0] + 1
+        over, form = a + 1, f"Catalan({a})"
+    elif len(params) > 2:  # three or more chain factors: the walk checks the cap
+        return build(*params)
+    else:  # J([a] x [b]), with [a] = [a] x [1]; rational Dyck paths: / (a+b)
+        a, b = (*params, 1)[:2]
+        over = a + b if fam == "rational-dyck" else 1
+        form = f"C({a + b},{a})" + f"/{over}" * (over > 1)
+    # 2^min(a,b) <= C(a+b, a) < 2^(a+b): a large count is refused uncomputed
+    if a + b > EXACT_COUNT_BITS and min(a, b) - over.bit_length() >= max_elements.bit_length():
+        raise SizeLimitExceeded(form, max_elements, f"{fam} ideals")
+    count = comb(a + b, a) // over
+    if count > max_elements:
+        raise SizeLimitExceeded(count, max_elements, f"{fam} ideals")
     return build(*params)
 
 

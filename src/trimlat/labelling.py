@@ -29,7 +29,7 @@ from .errors import (
     NotSemidistributive,
     ThreeWayMismatch,
 )
-from .galois import IrreducibleIndexing, galois_graph, galois_poset, index_irreducibles
+from .galois import galois_graph, galois_poset, index_irreducibles
 from .lattice import (
     Chain,
     Lattice,
@@ -108,8 +108,8 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None) -> CoverLabel
     Fast path: when the lattice is extremal and every cover overlaps (so it
     is trim), the label is the overlap label, the one i in y_M & z_J, one
     AND of the indexing's pair masks per cover (Thomas-Williams).  On an
-    extremal lattice the indexing also validates the chain.  Extremality is
-    read from the indexing's coheights.
+    extremal lattice the indexing also validates the chain, and the label
+    poset is the Galois poset.
 
     Full path (every other lattice): three formulas, asserted equal on
     every cover,
@@ -125,7 +125,10 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None) -> CoverLabel
             raise
         idx = None
     if idx is not None:
-        return _indexed_labelling(l, idx)
+        overlap = idx.overlap
+        labels = (dict(zip(l.covers, map(int.bit_length, overlap))) if all(overlap)
+                  else _three_formula_labels(l, idx.chain.elements))
+        return CoverLabelling(labels, galois_poset(galois_graph(l, idx)))
     if chain is None:
         chain = is_left_modular_lattice(l)
         if chain is None:
@@ -133,16 +136,6 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None) -> CoverLabel
     n = chain.length
     discrete = tuple(1 << i for i in range(n))
     return CoverLabelling(_three_formula_labels(l, chain.elements), Poset(n, (), discrete, discrete))
-
-
-def _indexed_labelling(l: Lattice, idx: IrreducibleIndexing) -> CoverLabelling:
-    """The left-modular labelling of an extremal lattice along its
-    indexing: the overlap labels when every cover overlaps (l is trim),
-    else the three formulas; the label poset is the Galois poset."""
-    overlap = idx.overlap
-    labels = (dict(zip(l.covers, map(int.bit_length, overlap))) if all(overlap)
-              else _three_formula_labels(l, idx.chain.elements))
-    return CoverLabelling(labels, galois_poset(galois_graph(l, idx)))
 
 
 def _three_formula_labels(l: Lattice, xs) -> dict:
@@ -297,12 +290,6 @@ def semidistributive_labelling(l: Lattice) -> SemidistributiveLabelling:
     kappa = _kappas(l)
     if kappa is None:
         raise _labelling_error(l)
-    return _sd_labelling(l, kappa)
-
-
-def _sd_labelling(l: Lattice, kappa: list[int]) -> SemidistributiveLabelling:
-    """gamma_j on masks and gamma_m = kappa o gamma_j, given the kappas of
-    a semidistributive lattice (:func:`semidistributive_labelling`)."""
     p = l.poset
     jirr = sum(1 << t for t in l.join_irr)
     gamma_j = {(x, y): _ends(p._down[y] & ~p._down[x], jirr, p._lower)[0] for x, y in l.covers}

@@ -4,10 +4,11 @@ trim), plus congruence validation and quotients.
 
 A lattice is its order: posets from outside are proved lattices on their
 up masks (:func:`lattice_from_poset`), and every algorithm reads only
-covers and masks.  The read-only n-by-n int32 meet and join tables, for
-callers of ``Lattice.meet`` and ``join``, are built together on the first
-read of either by :func:`_tables`, which walks a linear extension and
-builds each element's row from the rows of its covers and its mask.
+covers and masks.  A lattice keeps what it derives, built on first use:
+the longest-path pass (:func:`_coheights`), the default irreducible
+indexing, and the read-only n-by-n int32 meet and join tables, built
+together on the first read of ``Lattice.meet`` or ``join`` by
+:func:`_tables`, each element's row from the rows of its covers and its mask.
 
 The predicates are exact.  Distributivity (graded and trim),
 semidistributivity (every kappa exists) and left modularity are decided on
@@ -61,9 +62,12 @@ class Lattice:
         bottom, top: indices of the least and greatest elements.
         join_irr: elements (other than bottom) covering exactly one element.
         meet_irr: elements (other than top) covered by exactly one element.
+        _co, _index: None until first use, then kept: the longest-path pass
+            (:func:`_coheights`) and the default irreducible indexing.
     """
 
-    __slots__ = ("poset", "bottom", "top", "join_irr", "meet_irr", "_meet", "_join")
+    __slots__ = ("poset", "bottom", "top", "join_irr", "meet_irr", "_meet", "_join",
+                 "_co", "_index")
 
     def __init__(self, poset: Poset, bottom: int, top: int):
         self.poset = poset
@@ -77,7 +81,7 @@ class Lattice:
             x for x in range(poset.n)
             if x != top and len(poset.upper_covers(x)) == 1
         )
-        self._meet = self._join = None
+        self._meet = self._join = self._co = self._index = None
 
     @property
     def meet(self) -> np.ndarray:
@@ -92,7 +96,7 @@ class Lattice:
         return self._join
 
     def _build_tables(self) -> None:
-        self._meet, self._join = _tables(self.poset)
+        self._meet, self._join = _tables(self)
 
     @property
     def n(self) -> int:
@@ -190,27 +194,27 @@ def lattice_from_poset(p: Poset) -> Lattice:
 _ROWS = 256
 
 
-def _tables(p: Poset) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only n-by-n int32 meet and join tables of the lattice p, by a
-    recursion over its covers along Kahn's order (a linear extension,
-    bottom first), in which each element's rank is its position.
+def _tables(l: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-by-n int32 meet and join tables of l, by a recursion
+    over its covers along the kept pass's order reversed (a linear
+    extension, bottom first), in which each element's rank is its position.
 
     Row y of the meet table holds y on up(y), and elsewhere the elementwise
     maximum, by rank, of the rows of y's lower covers.  Proof: if y is not
     below x, then x ^ y < y lies below some lower cover c of y, so
     x ^ y = x ^ c, and every other x ^ c' lies below x ^ y, so has a lower
-    rank.  The least element has no lower covers and is below everything.
-    The join table is the same walk reversed, over upper covers and down
-    masks.  Rows hold ranks until a table is done, then map back to
-    elements.
+    rank in any linear extension.  The least element has no lower covers and
+    is below everything.  The join table is the same walk reversed, over
+    upper covers and down masks.  Rows hold ranks until a table is done,
+    then map back to elements.
     """
     import numpy as np
 
-    n = p.n
+    p, n = l.poset, l.n
     w = -(-n // 8)
-    order = _longest_paths(n, p._lower, p._upper)[1]
+    order = _coheights(l)[1]  # top first
     tables = []
-    for walk, below, masks in ((order, p._lower, p._up), (order[::-1], p._upper, p._down)):
+    for walk, below, masks in ((order[::-1], p._lower, p._up), (order, p._upper, p._down)):
         table = np.empty((n, n), dtype=np.int32)
         for i0 in range(0, n, _ROWS):
             chunk = walk[i0:i0 + _ROWS]
@@ -258,10 +262,14 @@ def _heights(l: Lattice) -> list[int]:
     return _longest_paths(l.n, l.poset._lower, l.poset._upper)[0]
 
 
-def _coheights(l: Lattice) -> tuple[list[int], list[int]]:
+def _coheights(l: Lattice) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Longest-path distance to top, per element, and the elements in the
-    order the pass reached them, a linear extension read from the top."""
-    return _longest_paths(l.n, l.poset._upper, l.poset._lower)
+    order the pass reached them, a linear extension read from the top; the
+    pass runs once per lattice, and its result is kept on it."""
+    if l._co is None:
+        co, order = _longest_paths(l.n, l.poset._upper, l.poset._lower)
+        l._co = tuple(co), tuple(order)
+    return l._co
 
 
 def _longest_paths(n: int, below, above) -> tuple[list[int], list[int]]:
@@ -284,17 +292,13 @@ def _longest_paths(n: int, below, above) -> tuple[list[int], list[int]]:
 
 def length(l: Lattice) -> int:
     """The maximum length of a chain in l."""
-    return _heights(l)[l.top]
+    return _coheights(l)[0][l.bottom]
 
 
 def maximal_length_chain(l: Lattice) -> Chain:
     """The deterministic maximal-length chain: follow covers that stay on a
     longest bottom-to-top path, tie-breaking on smallest element index."""
-    return _longest_chain(l, _coheights(l)[0])
-
-
-def _longest_chain(l: Lattice, co: list[int]) -> Chain:
-    """:func:`maximal_length_chain` from the coheights ``co``."""
+    co = _coheights(l)[0]
     chain = [l.bottom]
     cur = l.bottom
     while cur != l.top:
@@ -310,16 +314,11 @@ def is_distributive(l: Lattice, witness: bool = False):
     graded trim lattice is distributive (Thomas, Order 23, 2006).  Only when
     that fails and a witness is wanted is one searched for.
     """
-    co, order = _coheights(l)
-    ok = _is_graded(l, co) and _is_trim(l, co, order)
+    co = _coheights(l)[0]
+    ok = all(co[y] == co[z] + 1 for y, z in l.covers) and is_trim(l)  # graded and trim
     if ok or not witness:
         return (ok, None) if witness else ok
     return False, _distributive_witness(l)
-
-
-def _is_graded(l: Lattice, co: list[int]) -> bool:
-    """Whether every cover steps down exactly one of the coheights ``co``."""
-    return all(co[y] == co[z] + 1 for y, z in l.covers)
 
 
 def _distributive_witness(l: Lattice) -> tuple[int, int, int]:
@@ -348,12 +347,7 @@ def _distributive_witness(l: Lattice) -> tuple[int, int, int]:
 
 
 def is_extremal(l: Lattice) -> bool:
-    return _is_extremal(l, length(l))
-
-
-def _is_extremal(l: Lattice, ln: int) -> bool:
-    """Extremality of l given its length ln, from one longest-path pass."""
-    return len(l.join_irr) == len(l.meet_irr) == ln
+    return len(l.join_irr) == len(l.meet_irr) == length(l)
 
 
 def _left_modular_test(l: Lattice):
@@ -419,14 +413,9 @@ def is_trim(l: Lattice) -> bool:
     The definitional route (extremal and some maximal chain is left modular)
     is available as :func:`is_trim_definitional`; the two must agree.
     """
-    return _is_trim(l, *_coheights(l))
+    from .galois import index_irreducibles
 
-
-def _is_trim(l: Lattice, co: list[int], order: list[int]) -> bool:
-    """:func:`is_trim` from the coheights ``co`` and the order of their pass."""
-    from .galois import _index
-
-    return _is_extremal(l, co[l.bottom]) and all(_index(l, co, order).overlap)
+    return is_extremal(l) and all(index_irreducibles(l).overlap)
 
 
 def is_trim_definitional(l: Lattice) -> bool:
@@ -542,9 +531,9 @@ def interval(l: Lattice, a: int, b: int) -> tuple[Lattice, tuple[int, ...]]:
 
 def spine(l: Lattice) -> tuple[int, ...]:
     """Elements lying on some maximal-length chain of an extremal lattice."""
-    h, (co, _) = _heights(l), _coheights(l)
-    if not _is_extremal(l, h[l.top]):
+    if not is_extremal(l):
         raise NotExtremal("spine requires an extremal lattice")
+    h, co = _heights(l), _coheights(l)[0]
     return tuple(x for x in range(l.n) if h[x] + co[x] == h[l.top])
 
 

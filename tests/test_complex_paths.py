@@ -194,7 +194,6 @@ def test_seeded_graph_complexes(n, seed):
 @pytest.mark.parametrize("build", [lambda: fixture("fig4"), lambda: tamari(5),
                                    lambda: boolean(4)])
 def test_trim_entry_points_take_one_longest_path_pass(build, monkeypatch):
-    l = build()
     calls = []
     longest_paths = lattice._longest_paths
 
@@ -203,7 +202,14 @@ def test_trim_entry_points_take_one_longest_path_pass(build, monkeypatch):
         return longest_paths(*args)
 
     monkeypatch.setattr(lattice, "_longest_paths", counted)
-    for fn in (is_trim, independence_complex, complement_check, left_modular_labelling):
+    entry_points = (is_trim, independence_complex, complement_check, left_modular_labelling)
+    for fn in entry_points:
         calls.clear()
-        fn(l)
+        fn(build())
         assert len(calls) == 1, fn.__name__
+    # the pass is kept on the lattice: all four on one lattice take one
+    l = build()
+    calls.clear()
+    for fn in entry_points:
+        fn(l)
+    assert len(calls) == 1

@@ -271,6 +271,32 @@ def test_cli_ideal_families_honour_max_elements(function, argv, size, monkeypatc
     assert (exc.value.count, exc.value.cap) == (size + 1, size)
 
 
+def test_cli_ideal_families_refused_by_their_count(monkeypatch, capsys):
+    from math import comb
+
+    from trimlat import SizeLimitExceeded, cli, generators
+
+    # past the |P| + 1 check, the number of ideals refuses before any is walked
+    monkeypatch.setattr(generators, "ideal_poset", _never)
+    monkeypatch.setattr(generators, "order_ideals", _never)
+    for argv, count in ((("chain-product", 20, 20), 137846528820),
+                        (("root-ideals", 30), comb(62, 31) // 32),
+                        (("rational-dyck", 29, 31), comb(60, 29) // 60)):
+        assert cli.main(["gen", *map(str, argv)]) == 3
+        assert f"({count} > 100000)" in capsys.readouterr().err, argv
+    # past 64 bits the count is named in closed form, uncomputed
+    monkeypatch.setattr(generators, "comb", _never)
+    assert cli.main(["gen", "chain-product", "100", "100"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.encode()) < 200
+    assert captured.err.count("\n") == 1 and "(C(200,100) > 100000)" in captured.err
+    monkeypatch.undo()
+    with pytest.raises(SizeLimitExceeded) as exc:
+        generators.chain_product(3, 3, max_elements=19)
+    assert (exc.value.count, exc.value.cap) == (20, 19)
+    assert generators.chain_product(3, 3, max_elements=20).n == 20
+
+
 @pytest.mark.parametrize("params", [("boolean", "20000"), ("tamari", "10000"),
                                     ("tamari", "5000"), ("weak-order", "3000")], ids=" ".join)
 def test_cli_huge_counts_refused_in_one_short_line(params, monkeypatch, capsys):
@@ -370,10 +396,11 @@ def test_cli_complex_and_rowmotion_index_once(tmp_path, monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    index = counted("index", galois.index_irreducibles)
+    # builds, not calls: the default indexing is kept on the lattice
+    index = counted("index", galois.IrreducibleIndexing)
     label_complex = counted("complex", complexes._label_complex)
     for name, module in list(sys.modules.items()):
-        for attr, fn in (("index_irreducibles", index), ("_label_complex", label_complex)):
+        for attr, fn in (("IrreducibleIndexing", index), ("_label_complex", label_complex)):
             if name.startswith("trimlat.") and hasattr(module, attr):
                 monkeypatch.setattr(module, attr, fn)
     path = tmp_path / "fig4.json"

@@ -6,7 +6,9 @@ left-modular labelling against the three label formulas."""
 
 from __future__ import annotations
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -19,22 +21,35 @@ from conftest import (
     oracle_index,
     oracle_pair_masks,
 )
+import trimlat.cli
 from trimlat import (
+    Chain,
+    Lattice,
     NotExtremal,
     boolean,
     canonical_extension,
     chain_product,
     element_pair,
+    fixture,
     galois_graph,
     index_irreducibles,
+    is_distributive,
     is_extremal,
+    is_left_modular_lattice,
+    is_semidistributive,
     is_trim,
+    is_trim_definitional,
     left_modular_labelling,
+    length,
+    maximal_length_chain,
     order_ideals,
     rational_dyck,
     root_ideals,
+    spine,
     tamari,
+    weak_order_S,
 )
+from trimlat.errors import TrimlatError
 from trimlat.galois import first_non_overlapping_cover
 from trimlat.labelling import _three_formula_labels
 from trimlat.lattice import _coheights, _heights
@@ -47,7 +62,7 @@ def test_canonical_extension_matches_bit_scan(small_posets, graph_lattices):
     for q in small_posets + [l.poset for l in lattices]:
         assert canonical_extension(q) == oracle_canonical_extension(q), q
     for l in lattices:
-        assert (_heights(l), _coheights(l)[0]) == oracle_heights(l), l
+        assert (_heights(l), list(_coheights(l)[0])) == oracle_heights(l), l
 
 
 def test_pair_masks_match_scalar_scan(trim_collection, graph_lattices):
@@ -107,3 +122,78 @@ def test_chain_not_ending_at_top_is_refused():
     chain = replace(index_irreducibles(l).chain, elements=(0, 1))
     with pytest.raises(ValueError, match="saturated from bottom to top"):
         left_modular_labelling(l, chain)
+
+
+# ---------------------------------------------------------------------------
+# the invariants kept on the lattice: the longest-path pass and the default
+# indexing
+# ---------------------------------------------------------------------------
+
+
+def test_default_indexing_is_kept():
+    l = tamari(4)
+    assert index_irreducibles(l) is index_irreducibles(l)
+
+
+def test_supplied_chain_builds_a_fresh_indexing():
+    l = fixture("fig4")
+    default = index_irreducibles(l)
+    co = _coheights(l)[0]
+    xs = [l.bottom]
+    while xs[-1] != l.top:  # the largest cover on a longest path, not the smallest
+        xs.append(max(w for w in l.upper_covers(xs[-1]) if co[w] == co[xs[-1]] - 1))
+    other = Chain(tuple(xs))
+    assert other != default.chain
+    idx = index_irreducibles(l, other)
+    assert idx.chain == other and idx is not index_irreducibles(l, other)
+    assert index_irreducibles(l) is default and default.chain == maximal_length_chain(l)
+
+
+def test_not_extremal_raises_on_every_call():
+    l = weak_order_S(4)
+    for _ in range(2):
+        with pytest.raises(NotExtremal):
+            index_irreducibles(l)
+    assert l._index is None
+
+
+def _outcome(fn, l):
+    try:
+        return fn(l)
+    except TrimlatError as exc:
+        return type(exc), str(exc)
+
+
+# every predicate and witness that reads the kept pass or indexing
+_READERS = (
+    length,
+    maximal_length_chain,
+    is_extremal,
+    index_irreducibles,
+    first_non_overlapping_cover,
+    is_trim,
+    is_trim_definitional,
+    is_left_modular_lattice,
+    lambda l: is_distributive(l, witness=True),
+    lambda l: is_semidistributive(l, witness=True),
+    spine,
+    left_modular_labelling,
+)
+
+
+def test_kept_invariants_do_not_depend_on_call_order(property_lattices):
+    """Each reader gives on a fresh lattice what it gives when all of them
+    run, last first, on one lattice."""
+    for label, l in property_lattices:
+        fresh = [_outcome(fn, Lattice(l.poset, l.bottom, l.top)) for fn in _READERS]
+        one = Lattice(l.poset, l.bottom, l.top)
+        assert [_outcome(fn, one) for fn in reversed(_READERS)] == fresh[::-1], label
+
+
+def test_cli_imports_no_private_lattice_names():
+    tree = ast.parse(Path(trimlat.cli.__file__).read_text(encoding="utf-8"))
+    private = {(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module in ("lattice", "labelling", "complexes", "galois")
+               for alias in node.names if alias.name.startswith("_")}
+    assert private == {("galois", "_fmt_set")}
