@@ -17,7 +17,7 @@ from functools import cached_property, reduce
 from operator import and_
 
 from .errors import NotExtremal, NotTrim, SizeLimitExceeded
-from .lattice import Chain, Lattice, _coheights, interval, is_extremal, maximal_length_chain
+from .lattice import Chain, Lattice, _pair_keys, interval, is_extremal, maximal_length_chain
 from .poset import DEFAULT_MAX_ELEMENTS, Poset, _bits, poset_from_relations
 
 
@@ -96,9 +96,10 @@ def index_irreducibles(l: Lattice, chain: Chain | None = None) -> IrreducibleInd
     """Index the irreducibles of an extremal lattice along a maximal-length
     chain (default: the deterministic one).  Each chain step introduces
     exactly one new join-irreducible from below and retires exactly one
-    meet-irreducible from above.  The pair masks come from one pass over
-    the covers: x_J is the union of the lower covers' x_J, plus label i at
-    j_i, and x_M dually, in the order of the kept longest-path pass.
+    meet-irreducible from above.  The pair masks are the keys of
+    :func:`trimlat.lattice._pair_keys` seeded with the chain's j and m, the
+    pass that the left-modular test also runs: x_J is the union of the
+    lower covers' x_J, plus label i at j_i, and x_M dually.
 
     The default chain's indexing is built once per lattice and kept on it;
     a supplied chain's is built afresh on every call."""
@@ -106,7 +107,6 @@ def index_irreducibles(l: Lattice, chain: Chain | None = None) -> IrreducibleInd
         return l._index
     if not is_extremal(l):
         raise NotExtremal("irreducible indexing requires an extremal lattice")
-    order = _coheights(l)[1]
     xs = (maximal_length_chain(l) if chain is None else chain).elements
     if xs[0] != l.bottom or xs[-1] != l.top or any(
             xs[i + 1] not in l.upper_covers(xs[i]) for i in range(len(xs) - 1)):
@@ -134,16 +134,7 @@ def index_irreducibles(l: Lattice, chain: Chain | None = None) -> IrreducibleInd
             "join-prefix identity failed"
         assert p.down_mask(xs[i + 1]) & p.down_mask(m[i]) == p.down_mask(xs[i]), \
             "meet-suffix identity failed"
-    xj, ym = [0] * l.n, [0] * l.n
-    for i in range(n):
-        xj[j[i]] = ym[m[i]] = 1 << i
-    # x_J from the lower covers, bottom up; x_M from the upper covers, top down
-    for masks, covers, walk in ((xj, p._lower, reversed(order)), (ym, p._upper, order)):
-        for x in walk:
-            acc = masks[x]
-            for c in covers[x]:
-                acc |= masks[c]
-            masks[x] = acc
+    xj, ym = _pair_keys(l, j, m)
     idx = IrreducibleIndexing(Chain(xs), tuple(j), tuple(m), tuple(xj), tuple(ym), l.covers)
     if chain is None:
         l._index = idx

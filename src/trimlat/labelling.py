@@ -22,6 +22,7 @@ popcount (:func:`_label_masks`); frozensets are built only for output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (
     NotExtremal,
@@ -35,6 +36,7 @@ from .lattice import (
     Lattice,
     _ends,
     _kappas,
+    _pair_keys,
     is_extremal,
     is_left_modular_lattice,
 )
@@ -282,17 +284,21 @@ def semidistributive_labelling(l: Lattice) -> SemidistributiveLabelling:
 
     When every kappa(j) and kappa^d(m) exists (:func:`trimlat.lattice._kappas`),
     the lattice is semidistributive, gamma_j(x covered-by y) is the unique
-    join-irreducible j with j <= y, j not <= x and j_* <= x, and
-    gamma_m = kappa o gamma_j: j is the least element of down(y) minus
-    down(x) (:func:`trimlat.lattice._ends`).  Otherwise the per-cover scan
-    names the failure (:func:`_labelling_error`).
+    join-irreducible j with j <= y, j not <= x and j_* <= x, the least
+    element of down(y) minus down(x), and gamma_m = kappa o gamma_j.  It is
+    read from the J-keys of :func:`trimlat.lattice._pair_keys`: D =
+    key[y] ^ key[x] holds the join-irreducibles below y and not below x,
+    and j_* <= x exactly when key[j_*] misses D, as j_* <= j <= y; so the
+    label depends only on D and is found once per distinct D.  Otherwise
+    the per-cover scan names the failure (:func:`_labelling_error`).
     """
     kappa = _kappas(l)
     if kappa is None:
         raise _labelling_error(l)
-    p = l.poset
-    jirr = sum(1 << t for t in l.join_irr)
-    gamma_j = {(x, y): _ends(p._down[y] & ~p._down[x], jirr, p._lower)[0] for x, y in l.covers}
+    key = _pair_keys(l, l.join_irr, ())[0]
+    js, lower = l.join_irr, l.poset._lower
+    label = cache(lambda d: next(js[i] for i in _bits(d) if not key[lower[js[i]][0]] & d))
+    gamma_j = {(x, y): label(key[y] ^ key[x]) for x, y in l.covers}
     kappa_of = dict(zip(l.join_irr, kappa))
     return SemidistributiveLabelling(gamma_j, {c: kappa_of[j] for c, j in gamma_j.items()},
                                      kappa_of)

@@ -14,7 +14,9 @@ The predicates are exact.  Distributivity (graded and trim),
 semidistributivity (every kappa exists) and left modularity are decided on
 masks and the irreducibles, and the first distributive and
 semidistributive witnesses, the lattice witness and congruences too: no
-function reads the tables, and only the table kernel imports numpy.
+function reads the tables, and only the table kernel imports numpy.  One
+pass gives each element's J-key and M-key (:func:`_pair_keys`), which the
+left-modular test, the irreducible indexing and gamma_j all read.
 """
 
 from __future__ import annotations
@@ -331,16 +333,16 @@ def _distributive_witness(l: Lattice) -> tuple[int, int, int]:
     {v : f(v) <= w} is the intersection of S over the m above w (w is their
     meet), so it is down(t) with y v z <= t, and f(y v z) <= w.  S is the
     complement of the union of up(j) over the join-irreducibles j <= x not
-    below m, as x ^ v <= m unless such a j is below v; the minimal ones,
-    those of down(x) minus down(x ^ m) (:func:`_ends`), suffice.  Only the
-    first failing x's (y, z) plane is scanned, on mask lookups, for y < z:
-    the law is symmetric in y and z and holds when y == z.
+    below m, as x ^ v <= m unless such a j is below v; they are the bits of
+    key[x] minus key[m] (:func:`_pair_keys`).  Only the first failing x's
+    (y, z) plane is scanned, on mask lookups, for y < z: the law is
+    symmetric in y and z and holds when y == z.
     """
-    up, down, jirr = l.poset._up, l.poset._down, sum(1 << t for t in l.join_irr)
+    up, down, key = l.poset._up, l.poset._down, _pair_keys(l, l.join_irr, ())[0]
+    ups = [up[j] for j in l.join_irr]
     by_up, by_down = ({mask: v for v, mask in enumerate(masks)} for masks in (up, down))
     x = next(x for x in range(l.n) if any(
-        down[l.top] ^ _ends_union(up, down[x] & ~down[m], jirr, l.poset._lower) not in by_down
-        for m in l.meet_irr))
+        down[l.top] ^ _key_union(ups, key[x] & ~key[m]) not in by_down for m in l.meet_irr))
     f = [by_down[down[x] & d] for d in down]
     return next((x, y, z) for y in range(l.n) for z in range(y + 1, l.n)
                 if f[by_up[up[y] & up[z]]] != by_up[up[f[y]] & up[f[z]]])
@@ -350,34 +352,72 @@ def is_extremal(l: Lattice) -> bool:
     return len(l.join_irr) == len(l.meet_irr) == length(l)
 
 
+def _pair_keys(l: Lattice, js, ms) -> tuple[list[int], list[int]]:
+    """Per element x, its J-key (bit i when js[i] <= x) and its M-key (bit
+    k when x <= ms[k]), from one pass over the covers in the order of the
+    kept longest-path pass: a J-key is the OR of its lower covers' keys,
+    plus bit i at js[i], and an M-key dually; O(n + covers)."""
+    p = l.poset
+    order = _coheights(l)[1]  # top first
+    xj, ym = [0] * l.n, [0] * l.n
+    for keys, seeds, covers, walk in ((xj, js, p._lower, reversed(order)),
+                                      (ym, ms, p._upper, order)):
+        for i, t in enumerate(seeds):
+            keys[t] = 1 << i
+        for x in walk if seeds else ():  # with no seeds every key is 0
+            acc = keys[x]
+            for c in covers[x]:
+                acc |= keys[c]
+            keys[x] = acc
+    return xj, ym
+
+
+def _key_union(masks, key: int) -> int:
+    """The union of masks[i] over the bits i of key."""
+    out = 0
+    while key:
+        low = key & -key
+        out |= masks[low.bit_length() - 1]
+        key ^= low
+    return out
+
+
 def _left_modular_test(l: Lattice):
     """x |-> whether (y v x) ^ z == y v (x ^ z) for every cover y covered-by
-    z (which suffices for all y <= z), from one pass over the covers.
+    z (which suffices for all y <= z), decided once per distinct pair of
+    cover keys.
 
     Both sides lie in [y, z] = {y, z} and the right is below the left, so
     the law fails exactly when the left is z and the right is y.  The right
-    is z exactly when some join-irreducible j <= x is in J(z) minus J(y)
+    is z exactly when some join-irreducible j <= x is in D = J(z) minus J(y)
     (then x ^ z is not below y); the left is y exactly when some
-    meet-irreducible m >= x is in M(y) minus M(z).  So x is left modular
-    exactly when every cover has such a j below x or such an m above it.
-
-    Only the minimal members of J(z) minus J(y) are needed, as every other
-    member lies above one (:func:`_ends`); dually for M(y) minus M(z).  The
-    bottom and the top are left modular and the other candidates only
-    shrink: a cover's meet side is skipped when its join side keeps every
-    candidate, and the pass stops when none is left.
+    meet-irreducible m >= x is in E = M(y) minus M(z).  So x passes the
+    cover exactly when it lies in U(D) | V(E), U(D) the union of up(j) over
+    D and V(E) of down(m) over E (the same sets as the unions over the
+    minimal members of D and maximal members of E alone, as every other
+    member lies above or below one).  The left-modular set is the AND of
+    U(D) | V(E) over the distinct (D, E), read from the keys of
+    :func:`_pair_keys`, with each union built once per distinct key:
+    boolean(12) has 24576 covers and 12 pairs.  The bottom and the top are
+    left modular and the other candidates only shrink: V is skipped when U
+    keeps every candidate, and the walk stops when none is left.
     """
     p = l.poset
-    up, down = p._up, p._down
-    jirr, mirr = (sum(1 << t for t in irr) for irr in (l.join_irr, l.meet_irr))
+    w = len(l.meet_irr)
+    keys = [a << w | b for a, b in zip(*_pair_keys(l, l.join_irr, l.meet_irr))]
+    ups, downs = [p._up[j] for j in l.join_irr], [p._down[m] for m in l.meet_irr]
+    U, V = {}, {}
     bounds = 1 << l.bottom | 1 << l.top
     lm = (1 << l.n) - 1 & ~bounds
-    for y, z in l.covers:
+    # J(y) lies in J(z) and M(z) in M(y), so XOR takes both differences;
+    # neither is empty at a cover, so no union is 0
+    for de in {keys[y] ^ keys[z] for y, z in l.covers}:
         if not lm:
             break
-        below = _ends_union(up, down[z] ^ down[y], jirr, p._lower)
-        if lm & ~below:
-            lm &= below | _ends_union(down, up[y] ^ up[z], mirr, p._upper)
+        d, e = de >> w, de & (1 << w) - 1
+        u = U.get(d) or U.setdefault(d, _key_union(ups, d))
+        if lm & ~u:
+            lm &= u | (V.get(e) or V.setdefault(e, _key_union(downs, e)))
     lm |= bounds
     return lambda x: lm >> x & 1 == 1
 
@@ -435,20 +475,6 @@ def _ends(s: int, irr: int, step) -> list[int]:
         t = low.bit_length() - 1
         if not s >> step[t][0] & 1:
             out.append(t)
-        rest ^= low
-    return out
-
-
-def _ends_union(masks, s: int, irr: int, step) -> int:
-    """The union of masks[t] over the members t of :func:`_ends` (s, irr,
-    step), without building their list."""
-    out = 0
-    rest = s & irr
-    while rest:
-        low = rest & -rest
-        t = low.bit_length() - 1
-        if not s >> step[t][0] & 1:
-            out |= masks[t]
         rest ^= low
     return out
 

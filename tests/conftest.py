@@ -21,7 +21,9 @@ appears), and all Galois graphs on <= 5 vertices.
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
 from itertools import combinations, permutations
+from operator import and_
 
 import numpy as np
 import pytest
@@ -531,13 +533,19 @@ def _inversion_mask(perm, pair_index) -> int:
     return mask
 
 
+def _inversion_sets(perms, n: int) -> list[int]:
+    """The inversion set of each permutation of 0..n-1, as a mask over the
+    pairs of values in lexicographic order."""
+    pair_index = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
+    return [_inversion_mask(p, pair_index) for p in perms]
+
+
 def oracle_weak_order_S(n: int) -> Lattice:
     """Weak order on S_n with the order read off inversion sets one pair at
     a time and the tables from :func:`oracle_lattice_from_poset`."""
     perms = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    pair_index = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
-    inv = [_inversion_mask(p, pair_index) for p in perms]
+    inv = _inversion_sets(perms, n)
     covers = []
     for p in perms:
         for k in range(n - 1):
@@ -546,6 +554,50 @@ def oracle_weak_order_S(n: int) -> Lattice:
                 covers.append((index[p], index[q]))
     up, down = _containment_masks(inv)
     return oracle_lattice_from_poset(Poset(len(perms), covers, up, down))
+
+
+def _cambrian_avoids(perm, lower) -> bool:
+    """Whether perm avoids 2-31 at each lower-barred value (those in
+    ``lower``) and 31-2 at each upper-barred one: no value v between the
+    two values of a descent perm[j] > perm[j + 1] stands left of it while
+    lower-barred, or right of it while upper-barred.  Swapping every bar
+    gives the dual convention and the same family of lattices."""
+    for j in range(len(perm) - 1):
+        hi, lo = perm[j], perm[j + 1]
+        if hi > lo and any(lo < v < hi and (i < j) == (v in lower)
+                           for i, v in enumerate(perm) if i not in (j, j + 1)):
+            return False
+    return True
+
+
+def cambrian(n: int, lower=()) -> Lattice:
+    """The type-A Cambrian lattice of a barring (Reading, Cambrian
+    lattices, 2006): the permutations of 0..n-1 that avoid the barred
+    patterns of :func:`_cambrian_avoids`, the values 1..n-2 in ``lower``
+    lower-barred and the others upper-barred, ordered by containment of
+    inversion sets as in :func:`oracle_weak_order_S`.  A sublattice of the
+    weak order with Catalan(n) elements, numbered by (inversion count,
+    inversion mask); built on masks and proved a lattice by
+    lattice_from_poset."""
+    kept = [p for p in permutations(range(n)) if _cambrian_avoids(p, set(lower))]
+    inv = sorted(_inversion_sets(kept, n), key=lambda m: (m.bit_count(), m))
+    k, full = len(inv), (1 << len(inv)) - 1
+    # col[t]: the elements whose inversion set holds pair t
+    col = [sum(1 << a for a, m in enumerate(inv) if m >> t & 1) for t in range(n * (n - 1) // 2)]
+    up = [reduce(and_, map(col.__getitem__, _bits(m)), full) for m in inv]
+    down = [0] * k
+    covers = []
+    # numbered along a linear extension, so the lowest element of up(a)
+    # minus a is an upper cover of a; drop its up set and repeat
+    for a in range(k):
+        rest = up[a] ^ 1 << a
+        while rest:
+            b = (rest & -rest).bit_length() - 1
+            covers.append((a, b))
+            rest &= ~up[b]
+        for b in _bits(up[a]):
+            down[b] |= 1 << a
+    return lattice_from_poset(Poset(k, covers, up, down))
 
 
 def assert_same_lattice(got: Lattice, want: Lattice) -> None:

@@ -1,7 +1,9 @@
 """The property predicates' irreducible tests against the scans they
 replaced (the oracles in conftest): distributive and semidistributive
 verdicts and witnesses, left-modular element sets and chains, and
-semidistributive labellings with their dict order and error arguments."""
+semidistributive labellings with their dict order and error arguments;
+past the sweeps on larger families and cubes, and the left-modular
+test's one union per distinct cover key."""
 
 from __future__ import annotations
 
@@ -13,6 +15,8 @@ from trimlat import (
     GaloisGraph,
     NotALattice,
     NotSemidistributive,
+    boolean,
+    chain_product,
     is_distributive,
     is_extremal,
     is_left_modular_element,
@@ -23,7 +27,11 @@ from trimlat import (
     lattice_from_poset,
     poset_from_relations,
     semidistributive_labelling,
+    tamari,
+    weak_order_S,
 )
+from trimlat import lattice
+from trimlat.lattice import _left_modular_test
 from conftest import (
     left_modular_elements,
     oracle_is_distributive,
@@ -62,15 +70,25 @@ def _check_against_oracles(label, l) -> tuple[bool, bool]:
     return dist[0], semi[0]
 
 
-def _m3_on_cube(k: int):
-    """The subsets of {0, ..., k-1}, each numbered by its bitmask, with M3
-    put on the full set: semidistributivity first fails at x = 2**k, the
-    first atom of M3, after every element of the cube."""
+def _on_cube(k: int, top):
+    """The subsets of {0, ..., k-1}, each numbered by its bitmask, with a
+    five-element lattice put on the full set t = 2**k - 1: ``top`` holds
+    its covers (a, b) for the elements t + a < t + b."""
     n = 1 << k
     covers = [(a, a | 1 << i) for a in range(n) for i in range(k) if not a >> i & 1]
-    covers += [(n - 1, n), (n - 1, n + 1), (n - 1, n + 2), (n, n + 3), (n + 1, n + 3),
-               (n + 2, n + 3)]
+    covers += [(n - 1 + a, n - 1 + b) for a, b in top]
     return lattice_from_poset(poset_from_relations(n + 4, covers))
+
+
+def _m3_on_cube(k: int):
+    """M3 put on the cube: semidistributivity first fails at x = 2**k, the
+    first atom of M3, after every element of the cube."""
+    return _on_cube(k, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+
+
+def _n5_on_cube(k: int):
+    """N5 put on the cube: t < t + 1 < t + 2 < t + 4 and t < t + 3 < t + 4."""
+    return _on_cube(k, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
 
 
 def test_late_semidistributive_witness():
@@ -88,6 +106,47 @@ def test_meet_side_semidistributive_witness():
         6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)]))
     assert is_semidistributive(l, witness=True) == (False, ("meet", 2, 3, 4))
     _check_against_oracles("bounded(poset16)", l)
+
+
+def test_left_modular_past_the_sweeps():
+    """The keyed left-modular test on lattices past the n <= 5 sweeps: a
+    trim, a non-extremal and a distributive family, and M3 and N5 put on
+    cubes, where one cover key pair stands for many covers."""
+    lattices = [("tamari(7)", tamari(7)), ("weak_order_S(6)", weak_order_S(6)),
+                ("boolean(9)", boolean(9))]
+    lattices += [(f"{name} on boolean({k})", on_cube(k)) for k in range(7)
+                 for name, on_cube in (("M3", _m3_on_cube), ("N5", _n5_on_cube))]
+    for label, l in lattices:
+        assert left_modular_elements(l) == oracle_left_modular_elements(l), label
+        assert is_left_modular_lattice(l) == oracle_left_modular_chain(l), label
+
+
+def test_gamma_past_the_sweeps():
+    for l in (tamari(7), boolean(9)):
+        got = _labelling_outcome(semidistributive_labelling, l)
+        assert got == _labelling_outcome(oracle_semidistributive_labelling, l), l
+
+
+def test_one_join_union_per_distinct_key(monkeypatch):
+    """At a cover of a distributive lattice J(z) minus J(y) is one
+    join-irreducible, so the test builds one union of up masks per
+    join-irreducible, not one per cover: boolean(k) builds k, and the 252
+    ideals of the 5 x 5 grid build 25.  (boolean(1) has only its bottom
+    and top, both left modular, so it builds none.)"""
+    unions = []
+    key_union = lattice._key_union
+
+    def counted(masks, key):
+        unions.append((masks, key))
+        return key_union(masks, key)
+
+    monkeypatch.setattr(lattice, "_key_union", counted)
+    for l, want in [(boolean(k), k) for k in range(2, 9)] + [(chain_product(5, 5), 25)]:
+        unions.clear()
+        _left_modular_test(l)
+        ups = [l.poset.up_mask(j) for j in l.join_irr]
+        assert sum(masks == ups for masks, _ in unions) == want, l
+        assert len({(id(masks), key) for masks, key in unions}) == len(unions), l
 
 
 def test_property_paths_match_oracles(property_lattices):

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import replace
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from conftest import (
+    cambrian,
     oracle_canonical_extension,
     oracle_element_pair,
     oracle_first_non_overlapping_cover,
@@ -29,6 +31,7 @@ from trimlat import (
     boolean,
     canonical_extension,
     chain_product,
+    complement_check,
     element_pair,
     fixture,
     galois_graph,
@@ -40,11 +43,14 @@ from trimlat import (
     is_trim,
     is_trim_definitional,
     left_modular_labelling,
+    lattice_from_graph,
     length,
     maximal_length_chain,
     order_ideals,
     rational_dyck,
     root_ideals,
+    rowmotion_global,
+    rowmotion_slow,
     spine,
     tamari,
     weak_order_S,
@@ -53,7 +59,7 @@ from trimlat.errors import TrimlatError
 from trimlat.galois import first_non_overlapping_cover
 from trimlat.labelling import _three_formula_labels
 from trimlat.lattice import _coheights, _heights
-from trimlat.poset import _bits
+from trimlat.poset import _bits, canonical_extension
 
 
 def test_canonical_extension_matches_bit_scan(small_posets, graph_lattices):
@@ -197,3 +203,44 @@ def test_cli_imports_no_private_lattice_names():
                and node.module in ("lattice", "labelling", "complexes", "galois")
                for alias in node.names if alias.name.startswith("_")}
     assert private == {("galois", "_fmt_set")}
+
+
+def _pair_positions(l, pairs) -> list[int]:
+    """Each element's position in ``pairs`` (lattice_from_graph's list),
+    found by its maximal orthogonal pair; asserted a bijection that carries
+    the covers of l onto those of the pairs' lattice."""
+    where = {q: i for i, q in enumerate(pairs)}
+    iso = [where[element_pair(l, x)] for x in range(l.n)]
+    assert sorted(iso) == list(range(l.n))
+    return iso
+
+
+def test_cambrian_lattices():
+    """Every type-A Cambrian lattice on n <= 7 (Catalan(n) elements, up to
+    429, one per barring of 2..n-1) is trim by both routes, so the keyed
+    left-modular test runs on all of them; its overlap labels equal the
+    three formulas, slow rowmotion is global rowmotion, complementation
+    holds, the Galois graph gives it back, and the all-lower barring is the
+    Tamari lattice."""
+    for n in range(1, 8):
+        for bars in range(1 << max(n - 2, 0)):
+            lower = tuple(v for v in range(1, n - 1) if bars >> v - 1 & 1)
+            l = cambrian(n, lower)
+            assert l.n == comb(2 * n, n) // (n + 1), (n, lower)
+            assert is_trim(l) is is_trim_definitional(l) is True, (n, lower)
+            gamma = left_modular_labelling(l)
+            idx = index_irreducibles(l)
+            assert gamma.labels == _three_formula_labels(l, idx.chain.elements), (n, lower)
+            ext = tuple(x + 1 for x in canonical_extension(gamma.label_poset))
+            assert rowmotion_slow(l, gamma, ext) == rowmotion_global(l, gamma), (n, lower)
+            assert complement_check(l), (n, lower)
+            g = galois_graph(l, idx)
+            lat, pairs = lattice_from_graph(g)
+            iso = _pair_positions(l, pairs)
+            assert {(iso[a], iso[b]) for a, b in l.covers} == set(lat.covers), (n, lower)
+            if len(lower) == max(n - 2, 0):
+                t = tamari(n)
+                assert galois_graph(t) == g, n
+                # both are the lattice of g, so composing the maps is an isomorphism
+                back = {i: y for y, i in enumerate(_pair_positions(t, pairs))}
+                assert {(back[iso[a]], back[iso[b]]) for a, b in l.covers} == set(t.covers), n
