@@ -22,7 +22,7 @@ _EXPORTS = {
               "NotALinearExtension NotComparable NotDescriptive NotExtremal "
               "NotLeftModular NotSemidistributive NotTrim SizeLimitExceeded "
               "ThreeWayMismatch TrimlatError",
-    "poset": "DEFAULT_MAX_ELEMENTS Poset antichains canonical_extension ideal_masks "
+    "poset": "DEFAULT_MAX_ELEMENTS Poset antichains ideal_masks "
              "linear_extensions order_ideals poset_from_relations",
     "lattice": "Chain Congruence Lattice congruence interval "
                "is_distributive is_extremal is_left_modular_element "

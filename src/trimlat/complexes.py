@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NotExtremal, NotSemidistributive, SizeLimitExceeded
+from .errors import SizeLimitExceeded
 from .galois import GaloisGraph, _trim_index, galois_graph, index_irreducibles
 from .labelling import _label_masks, down_up_labels, semidistributive_labelling
 from .lattice import Lattice
@@ -133,14 +133,8 @@ def _complementary(g: GaloisGraph, family: set[int]) -> bool:
 def canonical_join_graph(l: Lattice) -> SimpleGraph:
     """Edges {a, b} of irreducible labels such that {j_a, j_b} is a canonical
     join representation, for an extremal semidistributive lattice."""
-    try:
-        sdl = semidistributive_labelling(l)
-    except NotSemidistributive:
-        raise NotSemidistributive((l.bottom, l.top), "lattice", ()) from None
-    try:
-        idx = index_irreducibles(l)
-    except NotExtremal:
-        raise NotExtremal("canonical join graph here uses the Galois indexing") from None
+    sdl = semidistributive_labelling(l)
+    idx = index_irreducibles(l)
     down = down_up_labels(l, sdl.gamma_j).down
     return SimpleGraph(idx.n, frozenset(
         e for d in down for e in combinations(sorted(map(idx.beta_j, d)), 2)))

@@ -150,11 +150,10 @@ def _fmt_set(s) -> str:
     return "{" + ",".join(map(str, sorted(s))) + "}"
 
 
-def first_non_overlapping_cover(l, idx=None):
+def first_non_overlapping_cover(l):
     """The first (in cover order) non-overlapping cover of an extremal
-    lattice, as (y, z, y_M, z_J), or None; idx is its default indexing."""
-    if idx is None:
-        idx = index_irreducibles(l)
+    lattice, as (y, z, y_M, z_J), or None, read from its default indexing."""
+    idx = index_irreducibles(l)
     for (y, z), o in zip(idx.covers, idx.overlap):
         if not o:
             return y, z, _label_set(idx.ym[y]), _label_set(idx.xj[z])

@@ -100,32 +100,20 @@ def load_json_path(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _dot(head: str, prefix: str, nodes, edges, arrow: str) -> str:
+    lines = [head, *(f'  {prefix}{v} [label="{v}"];' for v in nodes),
+             *(f"  {prefix}{a} {arrow} {prefix}{b};" for a, b in edges), "}"]
+    return "\n".join(lines) + "\n"
+
+
 def dot_hasse(l: Lattice) -> str:
     """DOT for the Hasse diagram, bottom-up."""
-    lines = ["digraph hasse {", "  rankdir=BT;"]
-    for x in range(l.n):
-        lines.append(f'  e{x} [label="{x}"];')
-    for a, b in l.covers:
-        lines.append(f"  e{a} -> e{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("digraph hasse {\n  rankdir=BT;", "e", range(l.n), l.covers, "->")
 
 
 def dot_galois(g: GaloisGraph) -> str:
-    lines = ["digraph galois {"]
-    for v in range(1, g.n + 1):
-        lines.append(f'  v{v} [label="{v}"];')
-    for i, k in g.sorted_edges():
-        lines.append(f"  v{i} -> v{k};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("digraph galois {", "v", range(1, g.n + 1), g.sorted_edges(), "->")
 
 
 def dot_simple(g: SimpleGraph, name: str = "graph0") -> str:
-    lines = [f"graph {name} {{"]
-    for v in range(1, g.n + 1):
-        lines.append(f'  v{v} [label="{v}"];')
-    for a, b in sorted(g.edges):
-        lines.append(f"  v{a} -- v{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(f"graph {name} {{", "v", range(1, g.n + 1), sorted(g.edges), "--")

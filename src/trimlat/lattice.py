@@ -2,13 +2,13 @@
 structural predicates (distributive, extremal, left modular, semidistributive,
 trim), plus congruence validation and quotients.
 
-A lattice is its order: posets from outside are proved lattices on their
-up masks (:func:`lattice_from_poset`), and every algorithm reads only
-covers and masks.  A lattice keeps what it derives, built on first use:
-the longest-path pass (:func:`_coheights`), the default irreducible
-indexing, and the read-only n-by-n int32 meet and join tables, built
-together on the first read of ``Lattice.meet`` or ``join`` by
-:func:`_tables`, each element's row from the rows of its covers and its mask.
+A lattice is its order (a Poset subclass): posets from outside are proved
+lattices on their up masks (:func:`lattice_from_poset`), and every algorithm
+reads only covers and masks.  A lattice keeps what it derives, built on first
+use: the longest-path pass (:func:`_coheights`), the default irreducible
+indexing, and the read-only n-by-n int32 meet and join tables, built together
+on the first read of ``Lattice.meet`` or ``join`` by :func:`_tables`, each
+element's row from the rows of its covers and its mask.
 
 The predicates are exact.  Distributivity (graded and trim),
 semidistributivity (every kappa exists) and left modularity are decided on
@@ -53,12 +53,12 @@ class Chain:
         return len(self.elements) - 1
 
 
-class Lattice:
-    """Immutable finite lattice on the elements 0..n-1, given by its order;
+class Lattice(Poset):
+    """Immutable finite lattice on the elements 0..n-1, a :class:`Poset`;
     each constructor documents how it numbers the elements.
 
     Attributes:
-        poset: the underlying order.
+        poset: the lattice itself, which is its own order.
         meet, join: read-only n-by-n int32 tables, both built on the first
             read of either from the covers and the up and down masks.
         bottom, top: indices of the least and greatest elements.
@@ -68,57 +68,36 @@ class Lattice:
             (:func:`_coheights`) and the default irreducible indexing.
     """
 
-    __slots__ = ("poset", "bottom", "top", "join_irr", "meet_irr", "_meet", "_join",
-                 "_co", "_index")
+    __slots__ = ("bottom", "top", "join_irr", "meet_irr", "_meet", "_join", "_co", "_index")
 
     def __init__(self, poset: Poset, bottom: int, top: int):
-        self.poset = poset
+        for name in Poset.__slots__:  # shared, not rebuilt
+            setattr(self, name, getattr(poset, name))
         self.bottom = bottom
         self.top = top
         self.join_irr = tuple(
-            x for x in range(poset.n)
-            if x != bottom and len(poset.lower_covers(x)) == 1
+            x for x in range(self.n)
+            if x != bottom and len(self._lower[x]) == 1
         )
         self.meet_irr = tuple(
-            x for x in range(poset.n)
-            if x != top and len(poset.upper_covers(x)) == 1
+            x for x in range(self.n)
+            if x != top and len(self._upper[x]) == 1
         )
         self._meet = self._join = self._co = self._index = None
+
+    poset = property(lambda self: self)
 
     @property
     def meet(self) -> np.ndarray:
         if self._meet is None:
-            self._build_tables()
+            self._meet, self._join = _tables(self)
         return self._meet
 
     @property
     def join(self) -> np.ndarray:
         if self._join is None:
-            self._build_tables()
+            self._meet, self._join = _tables(self)
         return self._join
-
-    def _build_tables(self) -> None:
-        self._meet, self._join = _tables(self)
-
-    @property
-    def n(self) -> int:
-        return self.poset.n
-
-    def leq(self, a: int, b: int) -> bool:
-        return self.poset.leq(a, b)
-
-    def lt(self, a: int, b: int) -> bool:
-        return self.poset.lt(a, b)
-
-    def upper_covers(self, x: int) -> tuple[int, ...]:
-        return self.poset.upper_covers(x)
-
-    def lower_covers(self, x: int) -> tuple[int, ...]:
-        return self.poset.lower_covers(x)
-
-    @property
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        return self.poset.covers
 
     def meet_of(self, a: int, b: int) -> int:
         return int(self.meet[a, b])
@@ -579,10 +558,10 @@ def congruence(l: Lattice, classes) -> Congruence:
     NotACongruence with the witness triple on failure.
     """
     cls = [tuple(sorted(c)) for c in classes]
-    cls.sort(key=lambda c: c[0])
     seen = [x for c in cls for x in c]
-    if sorted(seen) != list(range(l.n)):
+    if not all(cls) or sorted(seen) != list(range(l.n)):
         raise ValueError("classes do not partition the elements")
+    cls.sort(key=lambda c: c[0])
     # the class of x ^ y is looked up by down(x) & down(y), of x v y dually
     up, down = l.poset._up, l.poset._down
     of_up = {up[x]: i for i, c in enumerate(cls) for x in c}

@@ -1,13 +1,11 @@
 """Finite posets on elements 0..n-1, with order ideals, antichains, and
-linear extensions.
+linear extensions; :class:`~trimlat.lattice.Lattice` subclasses Poset.
 
 Elements are dense integer indices; subsets of elements are manipulated as
 Python-int bitmasks throughout, so every relation query is a shift-and-test.
 """
 
 from __future__ import annotations
-
-from heapq import heappop, heappush
 
 from .errors import CycleDetected, SizeLimitExceeded
 
@@ -154,25 +152,6 @@ def _cycle(nexts, left: list[int]) -> CycleDetected:
     raise AssertionError("Kahn's algorithm left no cycle")
 
 
-def canonical_extension(q: Poset) -> tuple[int, ...]:
-    """The deterministic linear extension: repeatedly remove the
-    smallest-index minimal element.
-
-    Kahn's algorithm over the covers with a min-heap of the elements whose
-    lower covers are all removed, O((n + covers) log n)."""
-    missing = [len(q.lower_covers(x)) for x in range(q.n)]
-    ready = [x for x in range(q.n) if not missing[x]]
-    out = []
-    while ready:
-        x = heappop(ready)
-        out.append(x)
-        for w in q.upper_covers(x):
-            missing[w] -= 1
-            if not missing[w]:
-                heappush(ready, w)
-    return tuple(out)
-
-
 def linear_extensions(q: Poset, limit: int) -> list[tuple[int, ...]]:
     """Enumerate linear extensions in lexicographic order, up to ``limit``.
 
@@ -184,9 +163,7 @@ def linear_extensions(q: Poset, limit: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
-    def rec(remaining: int):
-        if len(out) >= limit:
-            return
+    def rec(remaining: int):  # called only while out is short of limit
         if remaining == 0:
             out.append(tuple(prefix))
             return
@@ -235,25 +212,32 @@ def ideal_poset(q: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> tuple[tup
 
     A breadth-first walk from the empty ideal, a size at a time, finds each
     ideal's upper covers I | {x} (in ascending x, so ascending number) and
-    checks the cap after each ideal.  The numbering by size is a linear
-    extension, so the up masks come from one pass down the numbers and the
-    down masks from one pass up them; no pair of ideals is compared."""
-    full = (1 << q.n) - 1
+    checks the cap after each ideal.  It visits only each ideal's addable
+    set, the x outside I with all lower covers in I: that of I | {x} is I's
+    minus x, plus the upper covers of x with all lower covers in I | {x}.
+    The numbering by size is a linear extension, so the up masks come from
+    one pass down the numbers and the down masks from one pass up them; no
+    pair of ideals is compared."""
     strict_down = [q.down_mask(x) ^ (1 << x) for x in range(q.n)]
-    seen = {0}
+    free = {0: sum(1 << x for x in range(q.n) if not strict_down[x])}  # ideal: addable set
     frontier = [0]
     levels, ups = [], {}
     while frontier:
         nxt = []
         for ideal in frontier:
-            ups[ideal] = kids = [ideal | 1 << x for x in _bits(full & ~ideal)
-                                 if strict_down[x] & ~ideal == 0]
-            for new in kids:
-                if new not in seen:
-                    seen.add(new)
+            ups[ideal] = kids = []
+            for x in _bits(free[ideal]):
+                new = ideal | 1 << x
+                kids.append(new)
+                if new not in free:
+                    addable = free[ideal] ^ 1 << x
+                    for w in q._upper[x]:
+                        if not strict_down[w] & ~new:
+                            addable |= 1 << w
+                    free[new] = addable
                     nxt.append(new)
-            if len(seen) > max_elements:
-                raise SizeLimitExceeded(len(seen), max_elements, "order ideals")
+            if len(free) > max_elements:
+                raise SizeLimitExceeded(len(free), max_elements, "order ideals")
         levels.append(sorted(frontier))
         frontier = nxt
     masks = tuple(m for level in levels for m in level)

@@ -31,12 +31,6 @@ class LatticePermutation:
     def __call__(self, x: int) -> int:
         return self.forward[x]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LatticePermutation) and self.forward == other.forward
-
-    def __hash__(self) -> int:
-        return hash(self.forward)
-
 
 def permutation_from_map(forward) -> LatticePermutation:
     """Canonicalize a forward map: cycles start at their least element and

@@ -74,7 +74,7 @@ from trimlat.lattice import (
     is_semidistributive,
     is_trim,
 )
-from trimlat.poset import DEFAULT_MAX_ELEMENTS, _bits, canonical_extension
+from trimlat.poset import DEFAULT_MAX_ELEMENTS, _bits
 from trimlat.rowmotion import permutation_from_map
 
 
@@ -402,7 +402,7 @@ def oracle_lattice_from_poset(p: Poset) -> Lattice:
     if len(maxs) > 1:
         raise NotALattice(maxs[0], maxs[1], "join")
     bottom, top = mins[0], maxs[0]
-    order = canonical_extension(p)
+    order = oracle_canonical_extension(p)
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i

@@ -139,6 +139,20 @@ def test_canonical_join_graph_requires_preconditions():
         canonical_join_graph(fixture("fig3_right"))
 
 
+def test_canonical_join_graph_names_the_failing_cover():
+    """The error comes from the labelling: a cover of the lattice and the
+    witnesses with no unique maximal meet."""
+    from trimlat import NotSemidistributive
+
+    m3 = lattice_from_poset(poset_from_relations(5, [(0, 1), (0, 2), (0, 3),
+                                                     (1, 4), (2, 4), (3, 4)]))
+    for l, cover, witnesses in ((m3, (0, 1), (2, 3)), (fixture("fig7_left"), (0, 3), (4, 5))):
+        with pytest.raises(NotSemidistributive) as exc:
+            canonical_join_graph(l)
+        assert exc.value.cover in l.covers
+        assert (exc.value.cover, exc.value.witnesses) == (cover, witnesses)
+
+
 def test_same_canonical_join_graph_family():
     """The B2 Cambrian lattice, the weak order on S3, J([2]x[2]), and the
     ideals of the type-B2 root poset all share one canonical join graph."""

@@ -64,14 +64,57 @@ def test_galois_json():
             galois_from_json(bad)
 
 
+FIG1_DOT = {
+    "hasse": """digraph hasse {
+  rankdir=BT;
+  e0 [label="0"];
+  e1 [label="1"];
+  e2 [label="2"];
+  e3 [label="3"];
+  e4 [label="4"];
+  e0 -> e1;
+  e0 -> e2;
+  e1 -> e3;
+  e2 -> e3;
+  e3 -> e4;
+}
+""",
+    "galois": """digraph galois {
+  v1 [label="1"];
+  v2 [label="2"];
+  v3 [label="3"];
+  v3 -> v1;
+  v3 -> v2;
+}
+""",
+    "indep": """graph independence {
+  v1 [label="1"];
+  v2 [label="2"];
+  v3 [label="3"];
+  v1 -- v2;
+}
+""",
+    "cjg": """graph canonical_join {
+  v1 [label="1"];
+  v2 [label="2"];
+  v3 [label="3"];
+  v1 -- v2;
+}
+""",
+}
+
+
 def test_dot_outputs():
-    l = fixture("fig1")
-    hasse = dot_hasse(l)
-    assert "e0 -> e1;" in hasse and hasse.startswith("digraph")
+    """The full DOT text of fig1, in process and through every export."""
     from trimlat import galois_graph
 
-    gal = dot_galois(galois_graph(l))
-    assert "v3 -> v1;" in gal
+    l = fixture("fig1")
+    assert dot_hasse(l) == FIG1_DOT["hasse"]
+    assert dot_galois(galois_graph(l)) == FIG1_DOT["galois"]
+    lattice_json = gen("fixture", "fig1")
+    for kind, want in FIG1_DOT.items():
+        code, out, err = run_cli("export", "--dot", kind, "-", stdin=lattice_json)
+        assert (code, out) == (0, want), err
 
 
 # the CLI children import the same trimlat as this test process
@@ -379,10 +422,11 @@ def test_cli_export_canonical_join_graph():
     lattice_json = gen("fixture", "fig8")
     code, out, _ = run_cli("export", "--dot", "cjg", "-", stdin=lattice_json)
     assert code == 0 and "v1 -- v4;" in out
-    # not semidistributive: structured error, exit 2
+    # not semidistributive: the labelling's error, naming a cover, exit 2
     code, _, err = run_cli("export", "--dot", "cjg", "-",
                            stdin=gen("fixture", "fig3_left"))
     assert code == 2
+    assert "cover (0, 4): no unique maximal-meet witness among [2, 3]" in err
 
 
 def test_cli_complex_and_rowmotion_index_once(tmp_path, monkeypatch, capsys):

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from trimlat import (
+    Lattice,
     NotACongruence,
     NotALattice,
     NotComparable,
     NotExtremal,
+    Poset,
     boolean,
     congruence,
     fixture,
@@ -32,6 +34,16 @@ from trimlat import (
     weak_order_S,
 )
 from conftest import all_congruences, brute_distributive, brute_left_modular, is_graded
+
+
+def test_lattice_is_its_poset():
+    """A lattice is a poset sharing the tuples of the poset it was built on."""
+    p = poset_from_relations(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    l = Lattice(p, 0, 3)
+    assert isinstance(l, Poset) and l.poset is l
+    assert l._up is p._up and l._down is p._down and l.covers is p.covers
+    assert l.lower_covers(3) == (1, 2) and l.lt(0, 3) and not l.leq(1, 2)
+    assert Lattice(l.poset, l.bottom, l.top)._upper is p._upper
 
 
 def test_lattice_from_poset_boolean():
@@ -188,8 +200,9 @@ def test_congruence_validation():
     assert len(c.classes) == 5
     with pytest.raises(NotACongruence):
         congruence(l, [[0, 4], [1], [2], [3]])
-    with pytest.raises(ValueError):
-        congruence(l, [[0, 1]])
+    for bad in ([[0, 1]], [[0], [1], [2], [3], [4], []]):
+        with pytest.raises(ValueError, match="do not partition"):
+            congruence(l, bad)
 
 
 def test_quotient_trivial_partitions():

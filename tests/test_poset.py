@@ -12,7 +12,6 @@ from trimlat import (
     CycleDetected,
     SizeLimitExceeded,
     antichains,
-    canonical_extension,
     ideal_masks,
     linear_extensions,
     order_ideals,
@@ -25,7 +24,7 @@ from trimlat.generators import (
     root_poset_A,
 )
 from trimlat.poset import ideal_poset
-from conftest import oracle_ideal_poset, oracle_poset_from_relations
+from conftest import oracle_canonical_extension, oracle_ideal_poset, oracle_poset_from_relations
 
 V_POSET = poset_from_relations(3, [(0, 2), (1, 2)])
 
@@ -176,6 +175,27 @@ def test_order_ideals_size_cap():
         order_ideals(poset_from_relations(6, []), max_elements=10)
 
 
+def test_ideal_walk_visits_only_addable_elements(monkeypatch):
+    """Past the cap, the [20]^3 walk refuses after visiting the addable
+    elements of 2000 ideals, a few thousand bits; a scan of every element
+    outside each ideal would visit about nine million."""
+    import trimlat.poset
+
+    q = product_of_chains_poset(20, 20, 20)
+    bits, visited = trimlat.poset._bits, []
+
+    def counting_bits(mask):
+        for x in bits(mask):
+            visited.append(x)
+            yield x
+
+    monkeypatch.setattr(trimlat.poset, "_bits", counting_bits)
+    with pytest.raises(SizeLimitExceeded) as exc:
+        ideal_poset(q, 2000)
+    assert (exc.value.count, exc.value.cap) == (2001, 2000)
+    assert len(visited) <= 20_000
+
+
 def _assert_same_ideal_poset(q):
     """The walk's cover-built order equals pairwise containment: masks,
     covers, up and down masks, and the SizeLimitExceeded arguments at a cap
@@ -250,7 +270,7 @@ def test_linear_extensions_limit_and_canonical():
     q = poset_from_relations(4, [])
     exts = linear_extensions(q, 3)
     assert len(exts) == 3
-    assert exts[0] == canonical_extension(q) == (0, 1, 2, 3)
+    assert exts[0] == oracle_canonical_extension(q) == (0, 1, 2, 3)
     with pytest.raises(ValueError):
         linear_extensions(q, 0)
 
@@ -261,7 +281,7 @@ def test_extensions_refine_order(small_posets):
             pos = {x: i for i, x in enumerate(ext)}
             assert all(pos[a] < pos[b]
                        for a in range(q.n) for b in range(q.n) if q.lt(a, b))
-        assert canonical_extension(q) == linear_extensions(q, 1)[0]
+        assert oracle_canonical_extension(q) == linear_extensions(q, 1)[0]
 
 
 def test_antichains_fig1_poset():
