@@ -213,35 +213,32 @@ def _closure_tables(g: GaloisGraph) -> tuple[list[int], list[int]]:
     return out, inn
 
 
-def orth_complete(g: GaloisGraph, mask: int, adj) -> int:
-    """The largest label set disjoint from ``mask`` and from its ``adj``
-    neighbours: with the out-table of :func:`_closure_tables` the Y that
-    completes X = mask (no X -> Y arrow), with the in-table the X that
-    completes Y = mask."""
-    forbidden = mask
-    for i in _bits(mask):
-        forbidden |= adj[i + 1]
-    return ~forbidden & ((1 << g.n) - 1)
-
-
 def _pair_masks(g: GaloisGraph, max_elements: int) -> tuple[list[int], list[int]]:
     """The X and Y masks of all maximal orthogonal pairs, sorted by (|X|, X),
-    the X masks via NextClosure on X |-> completion(completion(X))."""
+    the X masks via NextClosure on X |-> completion(completion(X)).  A
+    completion of S is the largest label set disjoint from S and from its
+    neighbours under a table of :func:`_closure_tables`: under the out-table
+    the Y completing X = S (no X -> Y arrow), under the in-table dually."""
     if g.n + 1 > max_elements:  # a lattice of length g.n: past the cap before any closure
         raise SizeLimitExceeded(g.n + 1, max_elements, "maximal orthogonal pairs")
     out, inn = _closure_tables(g)
     full = (1 << g.n) - 1
 
-    def close(x: int) -> int:
-        return orth_complete(g, orth_complete(g, x, out), inn)
+    def complete(x: int, adj) -> int:
+        f = x
+        while x:
+            low = x & -x
+            f |= adj[low.bit_length()]  # label k is bit k - 1
+            x ^= low
+        return full & ~f
 
     masks = []
-    a = close(0)
+    a = complete(complete(0, out), inn)
     masks.append(a)
     while a != full:
         for i in range(g.n - 1, -1, -1):
             if not (a >> i) & 1:
-                b = close((a & ((1 << i) - 1)) | (1 << i))
+                b = complete(complete((a & ((1 << i) - 1)) | (1 << i), out), inn)
                 if b & ((1 << i) - 1) & ~a == 0:
                     a = b
                     break
@@ -252,7 +249,7 @@ def _pair_masks(g: GaloisGraph, max_elements: int) -> tuple[list[int], list[int]
             raise SizeLimitExceeded(len(masks), max_elements,
                                     "maximal orthogonal pairs")
     masks.sort(key=lambda m: (m.bit_count(), m))
-    return masks, [orth_complete(g, xm, out) for xm in masks]
+    return masks, [complete(xm, out) for xm in masks]
 
 
 def max_orth_pairs(g: GaloisGraph,

@@ -3,12 +3,12 @@ structural predicates (distributive, extremal, left modular, semidistributive,
 trim), plus congruence validation and quotients.
 
 A lattice is its order (a Poset subclass): posets from outside are proved
-lattices on their up masks (:func:`lattice_from_poset`), and every algorithm
-reads only covers and masks.  A lattice keeps what it derives, built on first
-use: the longest-path pass (:func:`_coheights`), the default irreducible
-indexing, and the read-only n-by-n int32 meet and join tables, built together
-on the first read of ``Lattice.meet`` or ``join`` by :func:`_tables`, each
-element's row from the rows of its covers and its mask.
+lattices on their covers and J-keys (:func:`lattice_from_poset`), and every
+algorithm reads only covers and masks.  A lattice keeps what it derives,
+built on first use: the longest-path pass (:func:`_coheights`), the default
+irreducible indexing, and the read-only n-by-n int32 meet and join tables,
+built together on the first read of ``Lattice.meet`` or ``join`` by
+:func:`_tables`, each element's row from the rows of its covers and its mask.
 
 The predicates are exact.  Distributivity (graded and trim),
 semidistributivity (every kappa exists) and left modularity are decided on
@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, repeat
+from operator import and_
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -122,32 +124,30 @@ class Lattice(Poset):
 
 
 def lattice_from_poset(p: Poset) -> Lattice:
-    """The lattice of p, proved on its up masks; raises NotALattice(x, y,
-    kind) naming the first incomparable pair (x < y, row-major) with no
-    unique join, or else no unique meet.
+    """The lattice of p, proved on its covers and its J-keys; raises
+    NotALattice(x, y, kind) naming the first incomparable pair (x < y,
+    row-major) with no unique join, or else no unique meet.
 
-    A poset with one minimal and one maximal element is a lattice exactly
-    when (b): for every x and every join-irreducible j, up(x) & up(j) is
-    the up set of some element.  This holds in a lattice, as
-    up(a) & up(b) = up(a v b).  Conversely, (b) implies (a): every x with
-    two or more lower covers has up(x) equal to the intersection of up(c)
-    over its lower covers c.  Else take a least x where (a) fails, some y
-    above its lower covers but not above x, and two of them, c and d.  A
-    join-irreducible j below c and not below d breaks (b): up(d) & up(j)
-    holds x and y, so its least element would lie in [d, x] = {d, x}.  So
-    c and d have the same set S of join-irreducibles below them, and
-    folding (b) over S gives s with up(s) the intersection of up(j) over S;
-    s < c.  A minimal m below c and not below s is no join-irreducible (it
-    would be in S), and its lower covers are below s while m is not: (a)
-    fails at m < x.
+    With K(x) the J-key of x (bit i when join_irr[i] <= x, :func:`_pair_keys`),
+    a poset with one minimal element 0 and one maximal element 1 is a
+    lattice exactly when (a) every x with two or more lower covers has up(x)
+    equal to the AND of its lower covers' up masks, and (c) for every x and
+    every meet-irreducible m, K(x) & K(m) is the key of some element.
 
-    Then up(x) & up(y) is an up set for every y, by induction upward over
-    x: for the bottom it is up(y), for a join-irreducible x it is (b), and
-    otherwise (a) writes it as up(c_1) & ... & up(c_k) & up(y), which stays
-    an up set as each lower cover c_i, covered by the induction, is folded
-    in.  So every pair has a join, the least element of that up set, and a
-    finite poset with a bottom and all joins is a lattice.  Cost: n * |J|
-    big-int ANDs and set lookups.
+    1. Under (a), K(w) <= K(z) implies w <= z, by induction upward on w: 0
+       is trivial, a join-irreducible w is in its own key, and otherwise z
+       lies in the AND of up(c) over w's lower covers c, up(w).
+    2. Every y != 1 has K(y) = AND of K(m) over the meet-irreducibles
+       m >= y, by induction downward: a non-meet-irreducible y has upper
+       covers u != v, neither 1; folding (c) over K(v) = AND of K(m),
+       m >= v, gives w with K(w) = K(u) & K(v), and by 1 y <= w <= u, v, so
+       w = y (w = u would force u <= v).
+    3. Folding (c) along 2 gives, for any x and y, a z with K(z) =
+       K(x) & K(y), by 1 their meet; with a top and all meets, p is a lattice.
+
+    Conversely, in a lattice an x with lower covers c != c' is c v c', and
+    K(x ^ m) = K(x) & K(m).  Cost: an n-bit AND per cover, one key pass and
+    n * |M| ANDs of |J|-bit keys.
     """
     n = p.n
     if n == 0:
@@ -159,11 +159,14 @@ def lattice_from_poset(p: Poset) -> Lattice:
     if len(maxs) > 1:
         raise NotALattice(maxs[0], maxs[1], "join")
     l = Lattice(p, mins[0], maxs[0])
-    up = list(map(p.up_mask, range(n)))
-    ups = set(up)
-    if not all(ups.issuperset(map(up[j].__and__, up)) for j in l.join_irr):
-        raise _lattice_witness(p)
-    return l
+    up = p._up
+    if all(up[x] == reduce(and_, map(up.__getitem__, cs))
+           for x, cs in enumerate(p._lower) if len(cs) > 1):  # (a)
+        key = _pair_keys(l, l.join_irr, ())[0]
+        keys = set(key)
+        if all(keys.issuperset(map(and_, key, repeat(key[m], n))) for m in l.meet_irr):  # (c)
+            return l
+    raise _lattice_witness(p)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +224,7 @@ def _tables(l: Lattice) -> tuple[np.ndarray, np.ndarray]:
 def _lattice_witness(p: Poset) -> NotALattice:
     """The first incomparable pair x < y, in row-major order, whose upper
     bounds have no least element ("join"), or else whose lower bounds have
-    no greatest element ("meet"), once the mask check has failed; p must
+    no greatest element ("meet"), once the lattice check has failed; p must
     have a bottom and a top.  The upper bounds of x and y form the up set
     up(x) & up(y), not empty as p has a top, and it has a least element z
     exactly when it equals up(z).  Dually for the lower bounds.

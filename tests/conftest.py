@@ -90,6 +90,18 @@ def naturally_labeled_posets(n: int) -> list[Poset]:
     return out
 
 
+def random_extension(rng, q) -> tuple[int, ...]:
+    """A linear extension of the label poset q as labels 1..n, minimal
+    labels first, each step a uniform choice among the minimal ones left."""
+    left = (1 << q.n) - 1
+    out = []
+    while left:
+        x = rng.choice([x for x in _bits(left) if q.down_mask(x) & left == 1 << x])
+        out.append(x + 1)
+        left ^= 1 << x
+    return tuple(out)
+
+
 def all_galois_graphs(n: int) -> list[GaloisGraph]:
     pairs = [(i, k) for i in range(1, n + 1) for k in range(1, i)]
     out = []

@@ -19,6 +19,7 @@ from conftest import (
     oracle_independent_sets,
     oracle_label_complex,
     oracle_rowmotion_global,
+    random_extension,
 )
 from trimlat import (
     GaloisGraph,
@@ -50,7 +51,6 @@ from trimlat import (
 from trimlat import lattice
 from trimlat.complexes import _label_family
 from trimlat.errors import TrimlatError
-from trimlat.poset import _bits
 
 
 def _outcome(fn, *args, **kwargs):
@@ -155,18 +155,6 @@ def test_errors_match_oracles():
         assert _outcome(independent_sets, g, 7)[0] is SizeLimitExceeded
 
 
-def _random_extension(rng: random.Random, q) -> tuple[int, ...]:
-    """A linear extension of the label poset q as labels 1..n, minimal
-    labels first, each step a uniform choice among the minimal ones left."""
-    left = (1 << q.n) - 1
-    out = []
-    while left:
-        x = rng.choice([x for x in _bits(left) if q.down_mask(x) & left == 1 << x])
-        out.append(x + 1)
-        left ^= 1 << x
-    return tuple(out)
-
-
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(n=st.integers(6, 9), seed=st.integers(0, 2 ** 32 - 1))
 def test_seeded_graph_complexes(n, seed):
@@ -188,7 +176,7 @@ def test_seeded_graph_complexes(n, seed):
     gamma = left_modular_labelling(l)
     row = rowmotion_global(l, gamma)
     for _ in range(3):
-        assert rowmotion_slow(l, gamma, _random_extension(rng, gamma.label_poset)) == row
+        assert rowmotion_slow(l, gamma, random_extension(rng, gamma.label_poset)) == row
 
 
 @pytest.mark.parametrize("build", [lambda: fixture("fig4"), lambda: tamari(5),
@@ -207,9 +195,10 @@ def test_trim_entry_points_take_one_longest_path_pass(build, monkeypatch):
         calls.clear()
         fn(build())
         assert len(calls) == 1, fn.__name__
-    # the pass is kept on the lattice: all four on one lattice take one
-    l = build()
+    # the pass is kept on the lattice: building it (validation included)
+    # and all four on it take one
     calls.clear()
+    l = build()
     for fn in entry_points:
         fn(l)
     assert len(calls) == 1

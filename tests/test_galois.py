@@ -357,7 +357,7 @@ def test_graph_past_the_cap_is_refused_before_any_closure(tmp_path, monkeypatch,
     def no_closure(*args):
         raise AssertionError("a closure ran")
 
-    monkeypatch.setattr(galois, "orth_complete", no_closure)
+    monkeypatch.setattr(galois, "_closure_tables", no_closure)
     # an edgeless graph on 200000 vertices has 2**200000 pairs
     for call in (lambda: max_orth_pairs(GaloisGraph(200000, frozenset())),
                  lambda: lattice_from_graph(GaloisGraph(5, frozenset()), max_elements=5)):

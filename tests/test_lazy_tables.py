@@ -16,6 +16,7 @@ from trimlat import (
     InputError,
     Lattice,
     NotALattice,
+    Poset,
     boolean,
     chain_product,
     complement_check,
@@ -103,6 +104,51 @@ def test_seeded_bounded_verdicts_match_table_check():
     assert counts[1] >= 1000
 
 
+def _near_lattice(rng: random.Random) -> Poset:
+    """A closure system on 3 to 7 atoms (random sets closed under
+    intersection, with the full set) with 1 to 3 sets removed or added,
+    ordered by inclusion, in a random labelling."""
+    k = rng.randint(3, 7)
+    sets = {(1 << k) - 1}
+    for _ in range(rng.randint(1, 2 * k)):
+        s = rng.getrandbits(k)
+        sets |= {s & t for t in sets}
+    for _ in range(rng.randint(1, 3)):
+        if len(sets) > 1 and rng.random() < 0.5:
+            sets.remove(rng.choice(sorted(sets)))
+        else:
+            sets.add(rng.getrandbits(k))
+    members = sorted(sets)
+    rng.shuffle(members)
+    return poset_from_relations(len(members), [
+        (a, b) for a, s in enumerate(members) for b, t in enumerate(members)
+        if s != t and s & t == s])
+
+
+def test_near_lattice_verdicts_match_table_check():
+    # about 2700 draws: of their 1000 non-lattices, a certificate with (a)
+    # dropped accepts 59, and one with (c) cut to meet-irreducible x accepts 7
+    rng = random.Random(25)
+    counts = [0, 0]
+    while counts[0] < 1000:
+        counts[_same_verdict(_near_lattice(rng))] += 1
+    assert counts[1] >= 1000
+
+
+# a non-lattice on 16 elements that (c) for meet-irreducible x alone, with
+# each key the AND of its upper covers' keys, would accept
+SIXTEEN = {"n": 16, "covers": [
+    [0, 1], [0, 2], [1, 3], [1, 4], [1, 10], [2, 5], [2, 6], [2, 11], [3, 7], [3, 9],
+    [4, 7], [4, 11], [5, 8], [5, 9], [6, 8], [6, 10], [7, 13], [8, 12], [9, 12], [9, 13],
+    [10, 12], [10, 14], [11, 13], [11, 14], [12, 15], [13, 15], [14, 15]]}
+
+
+def test_sixteen_element_non_lattice_is_refused():
+    # the table check agrees: it is a JSON case below
+    p = poset_from_relations(16, SIXTEEN["covers"])
+    assert _outcome(lattice_from_poset, p) == (1, 2, "join")
+
+
 JSON_CASES = [
     {"n": 2, "covers": [[0, 1], [1, 0]]},  # a cycle
     {"n": 3, "covers": [[1, 0], [1, 2], [2, 1]]},  # a cycle reached from above
@@ -116,6 +162,7 @@ JSON_CASES = [
     {"n": 3, "covers": [[0, 1], [0, 2]]},
     {"n": 4, "covers": [[0, 2], [0, 3], [1, 2], [1, 3]]},
     [],
+    SIXTEEN,
 ]
 
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import oracle_ideal_poset, random_extension
 from trimlat import (
     NotALinearExtension,
     boolean,
@@ -22,7 +26,7 @@ from trimlat import (
     rowmotion_slow,
     slow_trace,
 )
-from trimlat.poset import ideal_masks
+from trimlat.poset import ideal_masks, ideal_poset
 from trimlat.rowmotion import permutation_from_map
 
 V_POSET = poset_from_relations(3, [(0, 2), (1, 2)])
@@ -154,6 +158,32 @@ def test_distributive_antichain_oracle(small_posets):
         row = rowmotion_global(l, left_modular_labelling(l))
         oracle = ideal_rowmotion(q, masks)
         assert row == oracle
+
+
+@st.composite
+def natural_posets(draw, max_n: int = 8):
+    """Naturally labelled posets (a < b only when a < b as integers) on at
+    most max_n elements."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return poset_from_relations(n, draw(st.lists(st.sampled_from(pairs), unique=True))
+                                if pairs else [])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(q=natural_posets(), seed=st.integers(0, 2 ** 32 - 1))
+def test_ideal_lattices_past_the_sweeps(q, seed):
+    """On J(q) for q on <= 8 elements: the ideal walk equals the pairwise
+    oracle, and slow rowmotion on 3 sampled label-poset extensions and the
+    antichain rowmotion both equal global rowmotion."""
+    assert ideal_poset(q) == oracle_ideal_poset(q)
+    l = order_ideals(q)
+    gamma = left_modular_labelling(l)
+    row = rowmotion_global(l, gamma)
+    rng = random.Random(seed)
+    for _ in range(3):
+        assert rowmotion_slow(l, gamma, random_extension(rng, gamma.label_poset)) == row
+    assert ideal_rowmotion(q, ideal_masks(q)) == row
 
 
 def test_ideal_rowmotion_map_direction():
