@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import SizeLimitExceeded
-from .galois import GaloisGraph, _trim_index, galois_graph, index_irreducibles
+from .galois import GaloisGraph, _MaskGraph, _trim_index, galois_graph, index_irreducibles
 from .labelling import _label_masks, down_up_labels, semidistributive_labelling
 from .lattice import Lattice
 from .poset import DEFAULT_MAX_ELEMENTS
@@ -34,22 +34,29 @@ class SimplicialComplex:
         return frozenset(tuple(sorted(f)) for f in self.faces if len(f) == 2)
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Loop-free undirected graph on vertices 1..n, edges as sorted pairs."""
+class SimpleGraph(_MaskGraph):
+    """Loop-free undirected graph on vertices 1..n, held as adj[v-1], the
+    mask of v's neighbours; its edges are sorted pairs."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for a, b in self.edges:
-            if not (1 <= a < b <= self.n):
+    def __init__(self, n: int, edges):
+        adj = [0] * n
+        for a, b in edges:
+            if not 1 <= a < b <= n:
                 raise ValueError(f"edge ({a}, {b}) out of range")
+            adj[a - 1] |= 1 << b - 1
+            adj[b - 1] |= 1 << a - 1
+        self._set(tuple(adj))
+
+    def _set(self, adj: tuple[int, ...]) -> None:
+        self.n, self.adj, self._masks = len(adj), adj, adj
+
+    def _edge_masks(self) -> list[int]:
+        return [m >> a << a for a, m in enumerate(self.adj)]  # the neighbours above each vertex
 
 
 def undirected(g: GaloisGraph) -> SimpleGraph:
     """Forget edge directions of a Galois graph."""
-    return SimpleGraph(g.n, frozenset((k, i) for i, k in g.edges))
+    return SimpleGraph._of_masks(tuple([o | i for o, i in zip(g.out, g.inn)]))
 
 
 def _label_family(l: Lattice, overlap: tuple[int, ...]) -> set[int]:
@@ -80,13 +87,19 @@ def independence_complex(l: Lattice) -> SimplicialComplex:
 
 
 def is_flag(c: SimplicialComplex) -> bool:
-    """True iff every clique of the 1-skeleton is a face."""
-    edges = c.skeleton_edges()  # sorted pairs
-    cliques = [()]  # the cliques of one size, each an ascending tuple
+    """True iff every clique of the 1-skeleton is a face, a size at a time,
+    each clique grown by the vertices above its largest that are adjacent
+    to all of it, so the work follows the cliques, not the vertex pairs."""
+    nbrs = {v: set() for v in c.vertices}
+    for a, b in c.skeleton_edges():
+        if a in nbrs and b in nbrs:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    cliques = [((), set(c.vertices))]  # each clique, ascending, with the vertices that grow it
     while cliques:
-        cliques = [cl + (v,) for cl in cliques for v in c.vertices
-                   if (not cl or v > cl[-1]) and all((u, v) in edges for u in cl)]
-        if any(frozenset(cl) not in c.faces for cl in cliques):
+        cliques = [(cl + (v,), {u for u in free & nbrs[v] if u > v})
+                   for cl, free in cliques for v in free]
+        if any(frozenset(cl) not in c.faces for cl, _ in cliques):
             return False
     return frozenset() in c.faces or not c.faces
 
@@ -94,40 +107,45 @@ def is_flag(c: SimplicialComplex) -> bool:
 def independent_sets(g: SimpleGraph,
                      max_count: int = DEFAULT_MAX_ELEMENTS) -> frozenset[frozenset[int]]:
     """All vertex subsets containing no edge, including the empty set,
-    depth first from each face, with ``free`` the mask (bit v-1 for vertex
-    v) of the vertices above its largest and adjacent to none of it."""
-    adj = [0] * (g.n + 1)
-    for a, b in g.edges:
-        adj[a] |= 1 << (b - 1)
-        adj[b] |= 1 << (a - 1)
-    out = []
-
-    def rec(face: frozenset, free: int):
-        out.append(face)
-        if len(out) > max_count:
-            raise SizeLimitExceeded(len(out), max_count, "independent sets")
-        while free:
-            v = (free & -free).bit_length()
-            free &= free - 1
-            rec(face | {v}, free & ~adj[v])
-
-    rec(frozenset(), (1 << g.n) - 1)
-    return frozenset(out)
+    depth first from each face, smallest vertex first, on a stack of frames
+    (t, free): face t of ``made`` and the mask (bit v-1 for vertex v) of
+    the vertices above its largest, adjacent to none of it and not yet
+    tried, never empty.  A face is recorded as its parent's index and its
+    largest vertex, and its set is built only once the search is done."""
+    made = [(0, 0)]
+    stack = [(0, (1 << g.n) - 1)] if g.n else []
+    while len(made) <= max_count:
+        if not stack:
+            faces = [frozenset()]
+            for t, v in made[1:]:
+                faces.append(faces[t] | {v})
+            return frozenset(faces)
+        t, free = stack.pop()
+        low = free & -free
+        if free ^ low:
+            stack.append((t, free ^ low))
+        v = low.bit_length()
+        made.append((t, v))
+        free &= ~g.adj[v - 1] & ~low
+        if free:
+            stack.append((len(made) - 1, free))
+    raise SizeLimitExceeded(len(made), max_count, "independent sets")
 
 
 def complement_check(l: Lattice) -> bool:
     """Whether the undirected Galois graph and the independence graph of a
-    trim lattice partition the edges of the complete graph."""
+    trim lattice partition the edges of the complete graph: per label k,
+    the sources of its in-edges and the labels i > k with {k, i} a face of
+    the label family are disjoint and are every label above k."""
     idx = _trim_index(l, "complement check is defined for trim lattices")
-    return _complementary(galois_graph(l, idx), _label_family(l, idx.overlap))
-
-
-def _complementary(g: GaloisGraph, family: set[int]) -> bool:
-    """Whether the undirected g and the 1-skeleton of the label family (its
-    masks of two labels) partition the edges of the complete graph."""
-    gal = {1 << i - 1 | 1 << k - 1 for i, k in g.edges}
-    indep = {m for m in family if m.bit_count() == 2}
-    return not gal & indep and len(gal) + len(indep) == g.n * (g.n - 1) // 2
+    g = galois_graph(l, idx)
+    pairs = [0] * g.n
+    for m in _label_family(l, idx.overlap):
+        if m.bit_count() == 2:
+            pairs[(m & -m).bit_length() - 1] |= m & m - 1
+    full = (1 << g.n) - 1
+    return all(not i & f and i | f == full >> k + 1 << k + 1
+               for k, (i, f) in enumerate(zip(g.inn, pairs)))
 
 
 def canonical_join_graph(l: Lattice) -> SimpleGraph:

@@ -17,8 +17,9 @@ from functools import cached_property, reduce
 from operator import and_
 
 from .errors import NotExtremal, NotTrim, SizeLimitExceeded
-from .lattice import Chain, Lattice, _pair_keys, interval, is_extremal, maximal_length_chain
-from .poset import DEFAULT_MAX_ELEMENTS, Poset, _bits, poset_from_relations
+from .lattice import (Chain, Lattice, _key_union, _pair_keys, interval, is_extremal,
+                      maximal_length_chain)
+from .poset import DEFAULT_MAX_ELEMENTS, Poset, _bits
 
 
 @dataclass(frozen=True)
@@ -66,21 +67,59 @@ class IrreducibleIndexing:
         return self.m.index(element) + 1
 
 
-@dataclass(frozen=True)
-class GaloisGraph:
-    """Loop-free digraph on labels 1..n with every edge i -> k having
-    i > k."""
+class _MaskGraph:
+    """A graph on vertices 1..n held as masks per vertex (bit u-1 for
+    vertex u), and compared and hashed on them.  A subclass keeps its masks
+    by ``_set``, which ``_of_masks`` calls too, and lists each vertex's
+    edges as the bits of its ``_edge_masks()`` entry.  ``edges`` is built
+    from the masks when first read, in time linear in the edges, for
+    output."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    @classmethod
+    def _of_masks(cls, *masks):
+        g = cls.__new__(cls)
+        g._set(*masks)
+        return g
 
-    def __post_init__(self):
-        for i, k in self.edges:
-            if not (1 <= k < i <= self.n):
-                raise ValueError(f"edge {i}->{k} violates i > k >= 1")
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._masks == other._masks
+
+    def __hash__(self) -> int:
+        return hash(self._masks)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.n}, {list(self.sorted_edges())})"
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_edges())
 
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
+        """The pairs (u, v) for each bit v-1 of ``_edge_masks()[u-1]``; bin()
+        reads a mask in one pass, where _bits copies a dense mask per bit."""
+        return tuple((a + 1, b + 1) for a, m in enumerate(self._edge_masks())
+                     for b, bit in enumerate(bin(m)[:1:-1]) if bit == "1")
+
+
+class GaloisGraph(_MaskGraph):
+    """Loop-free digraph on labels 1..n with every edge i -> k having
+    i > k, held as one mask per label and side: out[i-1] of the targets of
+    i's edges, inn[k-1] of the sources of k's."""
+
+    def __init__(self, n: int, edges):
+        out, inn = [0] * n, [0] * n
+        for i, k in edges:
+            if not 1 <= k < i <= n:
+                raise ValueError(f"edge {i}->{k} must have n >= i > k >= 1")
+            out[i - 1] |= 1 << k - 1
+            inn[k - 1] |= 1 << i - 1
+        self._set(tuple(out), tuple(inn))
+
+    def _set(self, out: tuple[int, ...], inn: tuple[int, ...]) -> None:
+        self.n, self.out, self.inn, self._masks = len(out), out, inn, (out, inn)
+
+    def _edge_masks(self) -> tuple[int, ...]:
+        return self.out
 
 
 @dataclass(frozen=True)
@@ -181,56 +220,69 @@ def element_pair(l: Lattice, x: int,
 
 
 def galois_graph(l: Lattice, idx: IrreducibleIndexing | None = None) -> GaloisGraph:
-    """Digraph on 1..n with an edge i -> k when j_i is not below m_k, that
-    is when bit i-1 is not in xj[m_k]."""
+    """Digraph on 1..n with an edge i -> k when j_i is not below m_k: the
+    out-mask of label i is the complement of ym[j_i], the in-mask of label
+    k that of xj[m_k], each less the label itself."""
     if idx is None:
         idx = index_irreducibles(l)
     full = (1 << idx.n) - 1
-    edges = {(i + 1, k + 1) for k, t in enumerate(idx.m)
-             for i in _bits(full & ~idx.xj[t] & ~(1 << k))}
-    wrong = min((e for e in edges if e[0] < e[1]), default=None)
-    if wrong is not None:
-        raise NotExtremal(
-            f"indexing inconsistent: edge {wrong[0]}->{wrong[1]} with i < k")
-    return GaloisGraph(idx.n, frozenset(edges))
+    out = tuple([full & ~idx.ym[t] & ~(1 << i) for i, t in enumerate(idx.j)])
+    inn = tuple([full & ~idx.xj[t] & ~(1 << k) for k, t in enumerate(idx.m)])
+    wrong = [(i + 1, k + 1) for i, o in enumerate(out) for k in _bits(o >> i << i)]
+    wrong += [(i + 1, k + 1) for k, t in enumerate(inn) for i in _bits(t & (1 << k) - 1)]
+    if wrong:
+        raise NotExtremal("indexing inconsistent: edge {}->{} with i < k".format(*min(wrong)))
+    return GaloisGraph._of_masks(out, inn)
+
+
+def _linear_poset(up: list[int]) -> Poset:
+    """The poset on 0..n-1 with up masks ``up``, numbered along a linear
+    extension, so the lowest element of up(a) minus a is an upper cover of
+    a; dropping its up set and repeating finds the others, as an element
+    between a and one left would be left, and lower.  Down masks are pushed
+    up along the covers in index order."""
+    n = len(up)
+    covers = []
+    down = [1 << a for a in range(n)]
+    for a in range(n):
+        rest = up[a] ^ 1 << a
+        while rest:
+            b = (rest & -rest).bit_length() - 1
+            covers.append((a, b))
+            down[b] |= down[a]
+            rest &= ~up[b]
+    return Poset(n, covers, up, down)
 
 
 def galois_poset(g: GaloisGraph) -> Poset:
     """The transitive closure of the Galois graph as a poset on 0..n-1
-    (label i is element i-1; an edge i -> k puts k below i)."""
-    return poset_from_relations(
-        g.n, [(k - 1, i - 1) for i, k in g.edges])
-
-
-def _closure_tables(g: GaloisGraph) -> tuple[list[int], list[int]]:
-    """out[v] = mask of targets of v's out-edges; inn[v] dually (bit k-1
-    for label k)."""
-    out = [0] * (g.n + 1)
-    inn = [0] * (g.n + 1)
-    for i, k in g.edges:
-        out[i] |= 1 << (k - 1)
-        inn[k] |= 1 << (i - 1)
-    return out, inn
+    (label i is element i-1; an edge i -> k puts k below i).  Edges run
+    from higher to lower labels, so the labels are a linear extension: the
+    up set of k is k and the up sets of its in-edges' sources, taken from
+    the lowest source left, which drops those its up set holds."""
+    up = [0] * g.n
+    for k in reversed(range(g.n)):
+        acc, rest = 1 << k, g.inn[k]
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            acc |= up[i]
+            rest &= ~up[i]
+        up[k] = acc
+    return _linear_poset(up)
 
 
 def _pair_masks(g: GaloisGraph, max_elements: int) -> tuple[list[int], list[int]]:
     """The X and Y masks of all maximal orthogonal pairs, sorted by (|X|, X),
     the X masks via NextClosure on X |-> completion(completion(X)).  A
     completion of S is the largest label set disjoint from S and from its
-    neighbours under a table of :func:`_closure_tables`: under the out-table
-    the Y completing X = S (no X -> Y arrow), under the in-table dually."""
+    neighbours: under the out-masks the Y completing X = S (no X -> Y
+    arrow), under the in-masks dually."""
     if g.n + 1 > max_elements:  # a lattice of length g.n: past the cap before any closure
         raise SizeLimitExceeded(g.n + 1, max_elements, "maximal orthogonal pairs")
-    out, inn = _closure_tables(g)
-    full = (1 << g.n) - 1
+    out, inn, full = g.out, g.inn, (1 << g.n) - 1
 
     def complete(x: int, adj) -> int:
-        f = x
-        while x:
-            low = x & -x
-            f |= adj[low.bit_length()]  # label k is bit k - 1
-            x ^= low
-        return full & ~f
+        return full & ~(x | _key_union(adj, x))
 
     masks = []
     a = complete(complete(0, out), inn)
@@ -269,10 +321,7 @@ def lattice_from_graph(g: GaloisGraph,
     The order is built on masks.  With col[i] the mask of the pairs whose X
     holds label i+1, X_a lies in X_b exactly when b is in col[i] for every
     i in X_a, so up(a) is the AND of those columns.  The pairs are sorted
-    by |X|, a linear extension, so the lowest element of up(a) minus a is
-    an upper cover of a; dropping its up set and repeating finds the
-    others, as an element between a and one left would be left, and lower.
-    Down masks are pushed up along the covers in index order.
+    by |X|, a linear extension, so :func:`_linear_poset` finds the covers.
     """
     x_masks, y_masks = _pair_masks(g, max_elements)
     n = len(x_masks)
@@ -281,22 +330,13 @@ def lattice_from_graph(g: GaloisGraph,
     for a, xs in enumerate(labels):
         for i in xs:
             col[i] |= 1 << a
-    up = [reduce(and_, map(col.__getitem__, xs), (1 << n) - 1) for xs in labels]
-    covers = []
-    down = [1 << a for a in range(n)]
-    for a in range(n):
-        rest = up[a] ^ 1 << a
-        while rest:
-            b = (rest & -rest).bit_length() - 1
-            covers.append((a, b))
-            down[b] |= down[a]
-            rest &= ~up[b]
+    p = _linear_poset([reduce(and_, map(col.__getitem__, xs), (1 << n) - 1) for xs in labels])
     # the closure of the empty set is contained in every closed set, and the
     # full label set is closed, so after sorting they sit at the two ends
-    assert up[0] == down[-1] == (1 << n) - 1
+    assert p.up_mask(0) == p.down_mask(n - 1) == (1 << n) - 1
     pairs = tuple(MaxOrthPair(frozenset(i + 1 for i in xs), _label_set(ym))
                   for xs, ym in zip(labels, y_masks))
-    return Lattice(Poset(n, covers, up, down), 0, n - 1), pairs
+    return Lattice(p, 0, n - 1), pairs
 
 
 def decompose(l: Lattice) -> tuple[tuple[Lattice, tuple[int, ...]],

@@ -368,7 +368,7 @@ def family_order(spec: FamilySpec,
             from .galois import lattice_from_graph
             from .io import galois_from_json, load_json_path
 
-            return lattice_from_graph(galois_from_json(load_json_path(path)),
+            return lattice_from_graph(galois_from_json(load_json_path(path), max_elements),
                                       max_elements)[0]
         if fam == "fixture":
             (name,) = params

@@ -61,23 +61,26 @@ def lattice_to_json(l: Lattice) -> dict:
     return poset_to_json(l.poset)
 
 
-def galois_from_json(obj) -> GaloisGraph:
+def galois_from_json(obj, max_elements: int = DEFAULT_MAX_ELEMENTS) -> GaloisGraph:
     """Accepts {"n": int, "edges": [[i, k], ...]} with 1-based labels and
-    i > k enforced."""
+    n >= i > k >= 1, which :class:`trimlat.galois.GaloisGraph` checks.
+    Raises SizeLimitExceeded before building anything when the graph's
+    lattice, of at least n + 1 elements, exceeds max_elements."""
     from .galois import GaloisGraph
 
     _require(isinstance(obj, dict), "expected a JSON object")
     _require(type(obj.get("n")) is int and obj["n"] >= 0, "bad or missing 'n'")
+    if obj["n"] + 1 > max_elements:
+        raise SizeLimitExceeded(obj["n"] + 1, max_elements, "maximal orthogonal pairs")
     edges = obj.get("edges")
     _require(isinstance(edges, list), "bad or missing 'edges'")
-    out = set()
     for e in edges:
         _require(isinstance(e, list) and len(e) == 2
                  and all(type(v) is int for v in e), f"bad edge entry {e}")
-        i, k = e
-        _require(1 <= k < i <= obj["n"], f"edge {i}->{k} must have n >= i > k >= 1")
-        out.add((i, k))
-    return GaloisGraph(obj["n"], frozenset(out))
+    try:
+        return GaloisGraph(obj["n"], edges)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def galois_to_json(g: GaloisGraph) -> dict:
@@ -116,4 +119,4 @@ def dot_galois(g: GaloisGraph) -> str:
 
 
 def dot_simple(g: SimpleGraph, name: str = "graph0") -> str:
-    return _dot(f"graph {name} {{", "v", range(1, g.n + 1), sorted(g.edges), "--")
+    return _dot(f"graph {name} {{", "v", range(1, g.n + 1), g.sorted_edges(), "--")

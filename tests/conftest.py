@@ -1,5 +1,6 @@
 """Shared test collections, independent brute-force oracles, the
 closure and cover scan that building a poset from its relations replaced,
+the closure of the edge list that the label poset's cover walk replaced,
 the pairwise containment that building ideal and graph lattices on masks
 replaced,
 the pure-Python table builders that the vectorised table kernel replaced,
@@ -47,7 +48,7 @@ from trimlat import (
     tamari,
     weak_order_S,
 )
-from trimlat.complexes import SimplicialComplex, undirected
+from trimlat.complexes import SimplicialComplex
 from trimlat.errors import (
     CycleDetected,
     NotACongruence,
@@ -59,7 +60,7 @@ from trimlat.errors import (
     SizeLimitExceeded,
     ThreeWayMismatch,
 )
-from trimlat.galois import MaxOrthPair, _pair_masks, galois_graph
+from trimlat.galois import MaxOrthPair, _pair_masks
 from trimlat.generators import fixture_manifest
 from trimlat.labelling import _label_dict
 from trimlat.lattice import (
@@ -903,7 +904,7 @@ def oracle_first_non_overlapping_cover(l: Lattice):
     return None
 
 
-def oracle_galois_graph(l: Lattice, idx) -> GaloisGraph:
+def oracle_galois_edges(l: Lattice, idx) -> set[tuple[int, int]]:
     """Edges i -> k with j_i not below m_k, by one scalar order query per
     pair of labels."""
     edges = set()
@@ -914,7 +915,17 @@ def oracle_galois_graph(l: Lattice, idx) -> GaloisGraph:
                     raise NotExtremal(
                         f"indexing inconsistent: edge {i}->{k} with i < k")
                 edges.add((i, k))
-    return GaloisGraph(idx.n, frozenset(edges))
+    return edges
+
+
+def oracle_galois_graph(l: Lattice, idx) -> GaloisGraph:
+    return GaloisGraph(idx.n, frozenset(oracle_galois_edges(l, idx)))
+
+
+def oracle_galois_poset(g: GaloisGraph) -> Poset:
+    """The label poset as the closure of the edge list: an edge i -> k
+    puts element k-1 below element i-1."""
+    return poset_from_relations(g.n, [(k - 1, i - 1) for i, k in g.edges])
 
 
 # ---------------------------------------------------------------------------
@@ -1073,11 +1084,11 @@ def oracle_complement_check(l: Lattice) -> bool:
     """Whether the undirected Galois graph and the skeleton of the
     complex, as edge sets, partition the edges of the complete graph."""
     idx, labels = oracle_trim_labels(l, "complement check is defined for trim lattices")
-    gal = undirected(galois_graph(l, idx))
+    gal = {(k, i) for i, k in oracle_galois_edges(l, idx)}
     indep = oracle_label_complex(l, labels).skeleton_edges()
-    if gal.edges & indep:
+    if gal & indep:
         return False
-    return gal.edges | indep == frozenset(combinations(range(1, gal.n + 1), 2))
+    return gal | indep == set(combinations(range(1, idx.n + 1), 2))
 
 
 def oracle_independent_sets(g: SimpleGraph, max_count: int = DEFAULT_MAX_ELEMENTS):

@@ -11,6 +11,7 @@ from trimlat import (
     NotTrim,
     SimpleGraph,
     SimplicialComplex,
+    SizeLimitExceeded,
     boolean,
     canonical_join_graph,
     complement_check,
@@ -237,3 +238,10 @@ def test_independent_sets_size_cap():
     from trimlat import SizeLimitExceeded
 
     assert exc.type is SizeLimitExceeded
+
+
+def test_independent_sets_cap_on_a_deep_search():
+    """The search runs on an explicit stack: 2000 vertices with no edge put
+    2000 faces on one path before the cap, and the cap still trips."""
+    with pytest.raises(SizeLimitExceeded, match=r"independent sets: .* \(10001 > 10000\)"):
+        independent_sets(SimpleGraph(2000, frozenset()), max_count=10**4)

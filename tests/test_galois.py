@@ -31,7 +31,7 @@ from trimlat import (
 )
 from trimlat.lattice import Chain
 from trimlat.poset import ideal_masks
-from conftest import irreducible_pair_oracle
+from conftest import cambrian, irreducible_pair_oracle, oracle_galois_poset
 
 V_POSET = poset_from_relations(3, [(0, 2), (1, 2)])
 
@@ -95,6 +95,37 @@ def test_galois_poset():
     assert p.covers == ((0, 2), (1, 2))
     p6 = galois_poset(galois_graph(fixture("fig4")))
     assert p6.n == 6
+
+
+def test_galois_poset_matches_relation_closure(small_graphs, small_posets):
+    """The cover walk gives the covers, up masks and down masks of the
+    closure of the edge list on every Galois graph on <= 5 vertices, on the
+    graphs of the trim lattices J(q) of the poset sweep and of every type-A
+    Cambrian lattice with n <= 7, and on the complete graphs of chains with
+    up to 300 labels."""
+    graphs = list(small_graphs)
+    graphs += [galois_graph(order_ideals(q)) for q in small_posets]
+    graphs += [galois_graph(cambrian(n, tuple(v for v in range(1, n - 1) if bars >> v - 1 & 1)))
+               for n in range(1, 8) for bars in range(1 << max(n - 2, 0))]
+    graphs += [galois_graph(chain_lattice(n + 1)) for n in (*range(12), 100, 300)]
+    assert len(graphs) > 1500 and graphs[-1].n == 300
+    for g in graphs:
+        got, want = galois_poset(g), oracle_galois_poset(g)
+        assert got.covers == want.covers, g
+        assert [got.up_mask(x) for x in range(g.n)] == [want.up_mask(x) for x in range(g.n)], g
+        assert [got.down_mask(x) for x in range(g.n)] == [want.down_mask(x) for x in range(g.n)], g
+
+
+def test_graph_masks_and_edges_agree(small_graphs, graph_lattices):
+    """A graph built from its edge view is the same graph, with the same
+    hash; each label's out-mask and in-mask hold the same edges."""
+    for g in small_graphs + [galois_graph(l) for _, l in graph_lattices]:
+        assert GaloisGraph(g.n, g.edges) == g and hash(GaloisGraph(g.n, g.edges)) == hash(g)
+        assert g.sorted_edges() == tuple(sorted(g.edges))
+        assert {(i + 1, k + 1) for k, m in enumerate(g.inn) for i in range(g.n) if m >> i & 1} \
+            == g.edges
+    with pytest.raises(ValueError, match="edge 2->2 must have n >= i > k >= 1"):
+        GaloisGraph(3, [(2, 2)])
 
 
 def test_max_orth_pairs_edgeless_boolean():
@@ -357,7 +388,7 @@ def test_graph_past_the_cap_is_refused_before_any_closure(tmp_path, monkeypatch,
     def no_closure(*args):
         raise AssertionError("a closure ran")
 
-    monkeypatch.setattr(galois, "_closure_tables", no_closure)
+    monkeypatch.setattr(galois, "_key_union", no_closure)
     # an edgeless graph on 200000 vertices has 2**200000 pairs
     for call in (lambda: max_orth_pairs(GaloisGraph(200000, frozenset())),
                  lambda: lattice_from_graph(GaloisGraph(5, frozenset()), max_elements=5)):

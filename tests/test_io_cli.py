@@ -12,7 +12,7 @@ from types import ModuleType
 import pytest
 
 import trimlat
-from trimlat import InputError, fixture
+from trimlat import InputError, SizeLimitExceeded, fixture
 from trimlat.io import (
     dot_galois,
     dot_hasse,
@@ -62,6 +62,11 @@ def test_galois_json():
     for bad in ({"n": 2, "edges": [[2, True]]}, {"n": True, "edges": []}):
         with pytest.raises(InputError):
             galois_from_json(bad)
+    # a mask per label: a graph whose lattice would pass the cap is refused
+    # before any is allocated
+    with pytest.raises(SizeLimitExceeded, match=r"\(1000000000000001 > 100000\)"):
+        galois_from_json({"n": 10**15, "edges": []})
+    assert galois_from_json({"n": 5, "edges": []}, max_elements=6).n == 5
 
 
 FIG1_DOT = {
