@@ -133,16 +133,24 @@ def cmd_check(args) -> int:
 
 def cmd_galois(args) -> int:
     from .galois import galois_graph, index_irreducibles
-    from .io import galois_to_json
 
     l = _load_lattice(args)
     idx = index_irreducibles(l)
     g = galois_graph(l, idx)
+    # one label's edges at a time, as a chain has n^2/2 of them; the JSON is
+    # json.dumps(io.galois_to_json(g), sort_keys=True)
+    head, sep, tail = ("[{}, ", ", ", "]") if args.json else ("{}->", " ", "")
+    write, lead = sys.stdout.write, ""
+    write('{"edges": [' if args.json else f"vertices: {g.n}\nedges: ")
+    for i, ks in g.edge_rows():
+        if ks:
+            pre = head.format(i)
+            write(lead + sep.join([pre + k + tail for k in map(str, ks)]))
+            lead = sep
     if args.json:
-        print(json.dumps(galois_to_json(g), sort_keys=True))
+        print(f'], "n": {g.n}}}')
         return 0
-    print(f"vertices: {g.n}")
-    print("edges: " + " ".join(f"{i}->{k}" for i, k in g.sorted_edges()))
+    print()
     print("join-irreducibles: " + " ".join(
         f"j{i + 1}={idx.j[i]}" for i in range(idx.n)))
     print("meet-irreducibles: " + " ".join(

@@ -13,8 +13,8 @@ subsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import SizeLimitExceeded
 from .galois import GaloisGraph, _MaskGraph, _trim_index, galois_graph, index_irreducibles
@@ -23,8 +23,7 @@ from .lattice import Lattice
 from .poset import DEFAULT_MAX_ELEMENTS
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(NamedTuple):
     """Explicit face-set complex on integer vertices."""
 
     vertices: frozenset[int]

@@ -12,9 +12,9 @@ edges come from the masks, trimness and the trim labels from the overlaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_
+from typing import NamedTuple
 
 from .errors import NotExtremal, NotTrim, SizeLimitExceeded
 from .lattice import (Chain, Lattice, _key_union, _pair_keys, interval, is_extremal,
@@ -22,8 +22,7 @@ from .lattice import (Chain, Lattice, _key_union, _pair_keys, interval, is_extre
 from .poset import DEFAULT_MAX_ELEMENTS, Poset, _bits
 
 
-@dataclass(frozen=True)
-class IrreducibleIndexing:
+class IrreducibleIndexing(NamedTuple):
     """Join- and meet-irreducibles indexed along a maximal-length chain:
     chain[i] = j[0] v ... v j[i-1] = m[i] ^ ... ^ m[n-1] (labels are
     1-based, so j[i-1] is the irreducible with label i), and the maximal
@@ -49,11 +48,7 @@ class IrreducibleIndexing:
     xj: tuple[int, ...]
     ym: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def overlap(self) -> tuple[int, ...]:
-        ym, xj = self.ym, self.xj
-        return tuple([ym[y] & xj[z] for y, z in self.covers])  # a list builds faster
+    overlap: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -94,11 +89,16 @@ class _MaskGraph:
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.sorted_edges())
 
+    def edge_rows(self):
+        """Per vertex u in order, u and the list of each v (ascending) with
+        bit v-1 in ``_edge_masks()[u-1]``; bin() reads a mask in one pass,
+        where _bits copies a dense mask per bit."""
+        for a, m in enumerate(self._edge_masks()):
+            yield a + 1, [b + 1 for b, bit in enumerate(bin(m)[:1:-1]) if bit == "1"]
+
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        """The pairs (u, v) for each bit v-1 of ``_edge_masks()[u-1]``; bin()
-        reads a mask in one pass, where _bits copies a dense mask per bit."""
-        return tuple((a + 1, b + 1) for a, m in enumerate(self._edge_masks())
-                     for b, bit in enumerate(bin(m)[:1:-1]) if bit == "1")
+        """The pairs (u, v) of :meth:`edge_rows`."""
+        return tuple((u, v) for u, vs in self.edge_rows() for v in vs)
 
 
 class GaloisGraph(_MaskGraph):
@@ -122,8 +122,7 @@ class GaloisGraph(_MaskGraph):
         return self.out
 
 
-@dataclass(frozen=True)
-class MaxOrthPair:
+class MaxOrthPair(NamedTuple):
     """Disjoint label sets (X, Y) with no X -> Y arrow, each maximal given
     the other.  One lattice element."""
 
@@ -174,7 +173,8 @@ def index_irreducibles(l: Lattice, chain: Chain | None = None) -> IrreducibleInd
         assert p.down_mask(xs[i + 1]) & p.down_mask(m[i]) == p.down_mask(xs[i]), \
             "meet-suffix identity failed"
     xj, ym = _pair_keys(l, j, m)
-    idx = IrreducibleIndexing(Chain(xs), tuple(j), tuple(m), tuple(xj), tuple(ym), l.covers)
+    idx = IrreducibleIndexing(Chain(xs), tuple(j), tuple(m), tuple(xj), tuple(ym), l.covers,
+                              tuple([ym[y] & xj[z] for y, z in l.covers]))
     if chain is None:
         l._index = idx
     return idx

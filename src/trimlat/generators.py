@@ -307,7 +307,6 @@ FAMILIES = ("boolean", "chain-product", "root-ideals", "tamari", "rational-dyck"
 STRING_FAMILIES = ("order-ideals", "galois-file", "fixture")
 
 
-# named tuples: importing dataclasses would cost `gen` more than this module
 class FamilySpec(NamedTuple):
     """A generator invocation: family name plus integer or path parameters."""
 
@@ -358,9 +357,10 @@ def family_order(spec: FamilySpec,
             from .io import load_json_path, poset_from_json
 
             obj = load_json_path(path)
-            # J(P) has at least n + 1 ideals, so refuse before building P
+            # J(P) has at least n + 1 ideals, so refuse before building P; a JSON
+            # boolean loads as a bool, an int subclass, and is no count
             n = obj.get("n") if isinstance(obj, dict) else None
-            if isinstance(n, int) and n + 1 > max_elements:
+            if type(n) is int and n + 1 > max_elements:
                 raise SizeLimitExceeded(n + 1, max_elements, "order ideals")
             return _ideals(poset_from_json(obj), max_elements)
         if fam == "galois-file":

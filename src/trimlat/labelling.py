@@ -21,8 +21,8 @@ popcount (:func:`_label_masks`); frozensets are built only for output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .errors import (
     NotExtremal,
@@ -43,20 +43,15 @@ from .lattice import (
 from .poset import Poset, _bits
 
 
-@dataclass(frozen=True)
-class CoverLabelling:
+class CoverLabelling(NamedTuple):
     """An edge labelling together with the partial order on its labels
     (None means labels are unordered/discrete)."""
 
     labels: dict[tuple[int, int], int]
     label_poset: Poset | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", dict(self.labels))
 
-
-@dataclass(frozen=True)
-class LabelSets:
+class LabelSets(NamedTuple):
     """Per-element downward and upward label sets."""
 
     down: tuple[frozenset, ...]
@@ -246,8 +241,7 @@ def is_interpolating(l: Lattice, labelling) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SemidistributiveLabelling:
+class SemidistributiveLabelling(NamedTuple):
     """gamma_j: cover -> minimal z with x v z = y (a join-irreducible);
     gamma_m: cover -> maximal z with z ^ y = x (a meet-irreducible);
     kappa: the induced bijection from join- to meet-irreducibles."""
@@ -255,11 +249,6 @@ class SemidistributiveLabelling:
     gamma_j: dict[tuple[int, int], int]
     gamma_m: dict[tuple[int, int], int]
     kappa: dict[int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma_j", dict(self.gamma_j))
-        object.__setattr__(self, "gamma_m", dict(self.gamma_m))
-        object.__setattr__(self, "kappa", dict(self.kappa))
 
 
 def semidistributive_labelling(l: Lattice) -> SemidistributiveLabelling:

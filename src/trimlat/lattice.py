@@ -22,11 +22,10 @@ left-modular test, the irreducible indexing and gamma_j all read.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, repeat
 from operator import and_
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     NotACongruence,
@@ -40,9 +39,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A strictly increasing sequence of lattice elements."""
+class Chain(NamedTuple):
+    """A strictly increasing sequence of lattice elements; ``len`` counts
+    the elements, not the one field."""
 
     elements: tuple[int, ...]
 
@@ -53,6 +52,10 @@ class Chain:
     def length(self) -> int:
         """Number of steps (one less than the number of elements)."""
         return len(self.elements) - 1
+
+
+# the NamedTuple _make, which _replace calls, checks len() against the fields
+Chain._make = classmethod(tuple.__new__)
 
 
 class Lattice(Poset):
@@ -545,8 +548,7 @@ def spine(l: Lattice) -> tuple[int, ...]:
     return tuple(x for x in range(l.n) if h[x] + co[x] == h[l.top])
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(NamedTuple):
     """A validated lattice congruence, stored as its partition into classes
     (each class sorted, classes sorted by least element)."""
 

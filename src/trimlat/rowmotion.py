@@ -10,8 +10,8 @@ fast path for large family sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .errors import NotALinearExtension, NotDescriptive
 from .labelling import CoverLabelling, _label_dict, _labelling_masks
@@ -19,8 +19,7 @@ from .lattice import Lattice
 from .poset import Poset, _bits
 
 
-@dataclass(frozen=True)
-class LatticePermutation:
+class LatticePermutation(NamedTuple):
     """A bijection on lattice elements with its canonical cycle data."""
 
     forward: tuple[int, ...]

@@ -196,6 +196,30 @@ def test_cli_galois_and_complex_and_export():
     assert code == 0 and "v6 -> v4;" in out
 
 
+def test_cli_galois_streams_the_sorted_edges(tmp_path, capsys):
+    """The edges are written one label at a time, byte for byte as the
+    sorted edge list renders, with "edges: " kept when there are none."""
+    from trimlat import boolean, cli, galois_graph, tamari
+
+    chains = [(f"chain{n}", {"n": n, "covers": [[i, i + 1] for i in range(n - 1)]})
+              for n in (1, 2, 3, 4, 40)]
+    lattices = [(name, lattice_to_json(fixture(name))) for name in
+                ("fig1", "fig2", "fig3_left", "fig4", "fig7_left", "fig8")]
+    lattices += [("boolean3", lattice_to_json(boolean(3))),
+                 ("tamari4", lattice_to_json(tamari(4)))]
+    for name, obj in chains + lattices:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        g = galois_graph(lattice_from_json(obj))
+        assert cli.main(["galois", "--json", str(path)]) == 0, name
+        assert capsys.readouterr().out == json.dumps(galois_to_json(g), sort_keys=True) + "\n"
+        assert cli.main(["galois", str(path)]) == 0, name
+        edges = capsys.readouterr().out.splitlines()[1]
+        assert edges == "edges: " + " ".join(f"{i}->{k}" for i, k in g.sorted_edges()), name
+        if name in ("chain1", "chain2", "chain40"):  # length 0 and 1: no edges
+            assert (edges == "edges: ") == (name != "chain40"), name
+
+
 def test_cli_weak_order_3_is_not_trim():
     lattice_json = gen("weak-order", "3")
     code, out, _ = run_cli("check", "--all", "-", stdin=lattice_json)
@@ -277,6 +301,14 @@ def test_cli_gen_params_by_family(tmp_path):
         code, out, err = run_cli("gen", *argv, stdin="", cwd=tmp_path)
         assert code == 0, err
         assert json.loads(out)["n"] == 5
+
+
+def test_cli_order_ideals_refuses_a_boolean_count():
+    """A JSON boolean is no element count, so the cap check before the
+    poset is built skips it, and the poset loader names it."""
+    code, out, err = run_cli("--max-elements", "1", "gen", "order-ideals", "-",
+                             stdin='{"n": true, "covers": []}')
+    assert (code, out, err) == (2, "", "error: bad or missing 'n'\n")
 
 
 def _never(*args, **kwargs):
@@ -605,6 +637,40 @@ def test_graph_verbs_load_no_numpy(argv):
     else:
         want = lattice_to_json(oracle_lattice_from_graph(fixture(Path(argv[-1]).stem)))
         assert out == json.dumps(want, sort_keys=True) + "\n"
+
+
+# a run as `python -m trimlat.cli`; the last line of stderr names the
+# modules of SLOW_IMPORTS that the run loaded
+SLOW_IMPORTS = ("dataclasses", "inspect")
+IMPORT_CHILD = """
+import runpy, sys
+sys.argv = ["trimlat", *sys.argv[1:]]
+try:
+    runpy.run_module("trimlat.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(*(m for m in %r if m in sys.modules), file=sys.stderr)
+""" % (SLOW_IMPORTS,)
+
+EVERY_VERB = [pytest.param(*p.values, id=p.id) for p in TABLE_FREE_VERBS]
+EVERY_VERB += [pytest.param(argv, ("tamari", "4"), id=" ".join(argv)) for argv in (
+    ("galois",), ("export", "--dot", "galois"), ("export", "--dot", "indep"),
+    ("export", "--dot", "cjg"))]
+EVERY_VERB += [pytest.param(*p.values, None, id=p.id) for p in GRAPH_VERBS]
+EVERY_VERB += [pytest.param(("gen", family, *map(str, params)), None, id=f"gen {family}")
+               for family, params in INTEGER_FAMILIES]
+
+
+@pytest.mark.parametrize("argv, family", EVERY_VERB)
+def test_every_verb_loads_no_dataclasses_or_inspect(argv, family):
+    """The records are named tuples: no verb pays for importing
+    dataclasses, which loads inspect, ast, dis and tokenize."""
+    stdin = gen(*family) if family else ""
+    args = [*argv, "-"] if family else argv
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CHILD, *args], input=stdin,
+                          capture_output=True, text=True, env=CHILD_ENV)
+    *err, loaded = proc.stderr.splitlines()
+    assert proc.returncode == 0 and proc.stdout, proc.stderr
+    assert loaded == "", f"{' '.join(argv)} loads {loaded}"
 
 
 def test_json_paths_are_strings(tmp_path):

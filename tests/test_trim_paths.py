@@ -6,7 +6,6 @@ and the one-formula left-modular labelling against the three label formulas."""
 from __future__ import annotations
 
 import ast
-from dataclasses import replace
 from math import comb
 from pathlib import Path
 
@@ -102,7 +101,7 @@ def test_galois_graph_rejects_inconsistent_indexing():
     refused, naming the first such edge."""
     l = boolean(3)
     idx = index_irreducibles(l)
-    bad = replace(idx, xj=(0,) * l.n)
+    bad = idx._replace(xj=(0,) * l.n)
     with pytest.raises(NotExtremal, match="edge 1->2 with i < k"):
         galois_graph(l, bad)
 
@@ -121,7 +120,7 @@ def test_overlap_labels_equal_three_formulas(trim_collection):
 def test_chain_not_ending_at_top_is_refused():
     """On an extremal lattice the indexing validates a supplied chain."""
     l = boolean(2)
-    chain = replace(index_irreducibles(l).chain, elements=(0, 1))
+    chain = index_irreducibles(l).chain._replace(elements=(0, 1))
     with pytest.raises(ValueError, match="saturated from bottom to top"):
         left_modular_labelling(l, chain)
 
