@@ -184,7 +184,7 @@ def _run_trace(l, labelling, args) -> int:
     if args.element is None or args.ext is None:
         raise InputError("trace needs --element and --ext")
     try:
-        ext = tuple(int(t) for t in args.ext.split(","))
+        ext = tuple(int(t) for t in args.ext.split(",")) if args.ext else ()
     except ValueError as exc:
         raise InputError(f"bad --ext list: {args.ext}") from exc
     if not (0 <= args.element < l.n):

@@ -182,7 +182,7 @@ def index_irreducibles(l: Lattice, chain: Chain | None = None) -> IrreducibleInd
 
 def _label_set(mask: int) -> frozenset[int]:
     """The labels of a bitmask (bit i-1 is label i)."""
-    return frozenset(i + 1 for i in _bits(mask))
+    return frozenset(map((1).__add__, _bits(mask)))
 
 
 def _fmt_set(s) -> str:
@@ -242,16 +242,17 @@ def _linear_poset(up: list[int]) -> Poset:
     between a and one left would be left, and lower.  Down masks are pushed
     up along the covers in index order."""
     n = len(up)
-    covers = []
+    upper = [()] * n
     down = [1 << a for a in range(n)]
     for a in range(n):
-        rest = up[a] ^ 1 << a
+        rest, bs = up[a] ^ 1 << a, []
         while rest:
             b = (rest & -rest).bit_length() - 1
-            covers.append((a, b))
+            bs.append(b)
             down[b] |= down[a]
             rest &= ~up[b]
-    return Poset(n, covers, up, down)
+        upper[a] = tuple(bs)
+    return Poset._of_upper(tuple(upper), up, down)
 
 
 def galois_poset(g: GaloisGraph) -> Poset:
@@ -319,14 +320,14 @@ def lattice_from_graph(g: GaloisGraph,
     meets intersect the first components, joins intersect the second.
 
     The order is built on masks.  With col[i] the mask of the pairs whose X
-    holds label i+1, X_a lies in X_b exactly when b is in col[i] for every
+    holds label i, X_a lies in X_b exactly when b is in col[i] for every
     i in X_a, so up(a) is the AND of those columns.  The pairs are sorted
     by |X|, a linear extension, so :func:`_linear_poset` finds the covers.
     """
     x_masks, y_masks = _pair_masks(g, max_elements)
     n = len(x_masks)
-    labels = [tuple(_bits(xm)) for xm in x_masks]
-    col = [0] * g.n
+    labels = [_label_set(xm) for xm in x_masks]
+    col = [0] * (g.n + 1)
     for a, xs in enumerate(labels):
         for i in xs:
             col[i] |= 1 << a
@@ -334,8 +335,7 @@ def lattice_from_graph(g: GaloisGraph,
     # the closure of the empty set is contained in every closed set, and the
     # full label set is closed, so after sorting they sit at the two ends
     assert p.up_mask(0) == p.down_mask(n - 1) == (1 << n) - 1
-    pairs = tuple(MaxOrthPair(frozenset(i + 1 for i in xs), _label_set(ym))
-                  for xs, ym in zip(labels, y_masks))
+    pairs = tuple(map(MaxOrthPair, labels, map(_label_set, y_masks)))
     return Lattice(p, 0, n - 1), pairs
 
 

@@ -104,16 +104,14 @@ def root_ideals(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
     return order_ideals(_family_poset("root-ideals", (n,), max_elements), max_elements)
 
 
-def _trees(n: int):
+def _trees(n: int) -> list:
     """All binary trees with n internal nodes (None is a leaf), in a fixed
-    deterministic order."""
-    if n == 0:
-        yield None
-        return
-    for i in range(n):
-        for left in _trees(i):
-            for right in _trees(n - 1 - i):
-                yield (left, right)
+    deterministic order: by left subtree size, then left, then right.  The
+    trees of each smaller size are built once and shared as subtrees."""
+    by_size = [[None]]
+    for k in range(1, n + 1):
+        by_size.append([(l, r) for i in range(k) for l in by_size[i] for r in by_size[k - 1 - i]])
+    return by_size[n]
 
 
 def _rotations(t):
@@ -145,7 +143,7 @@ def _tamari(n: int, max_elements: int) -> FamilyOrder:
     catalan = comb(2 * n, n) // (n + 1)  # the number of trees, refused before they are built
     if catalan > max_elements:
         raise SizeLimitExceeded(catalan, max_elements, "Tamari lattice")
-    trees = list(_trees(n))
+    trees = _trees(n)
     index = {t: i for i, t in enumerate(trees)}
     rels = [(index[t], index[t2]) for t in trees for t2 in _rotations(t)]
     return FamilyOrder(poset_from_relations(len(trees), rels))

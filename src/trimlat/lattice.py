@@ -80,14 +80,10 @@ class Lattice(Poset):
             setattr(self, name, getattr(poset, name))
         self.bottom = bottom
         self.top = top
-        self.join_irr = tuple(
-            x for x in range(self.n)
-            if x != bottom and len(self._lower[x]) == 1
-        )
-        self.meet_irr = tuple(
-            x for x in range(self.n)
-            if x != top and len(self._upper[x]) == 1
-        )
+        self.join_irr = tuple([x for x, cs in enumerate(self._lower)
+                               if len(cs) == 1 and x != bottom])
+        self.meet_irr = tuple([x for x, cs in enumerate(self._upper)
+                               if len(cs) == 1 and x != top])
         self._meet = self._join = self._co = self._index = None
 
     poset = property(lambda self: self)
@@ -155,8 +151,8 @@ def lattice_from_poset(p: Poset) -> Lattice:
     n = p.n
     if n == 0:
         raise NotALattice(0, 0, "bottom")
-    mins = [x for x in range(n) if not p.lower_covers(x)]
-    maxs = [x for x in range(n) if not p.upper_covers(x)]
+    mins = [x for x, cs in enumerate(p._lower) if not cs]
+    maxs = [x for x, cs in enumerate(p._upper) if not cs]
     if len(mins) > 1:
         raise NotALattice(mins[0], mins[1], "meet")
     if len(maxs) > 1:

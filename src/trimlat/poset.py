@@ -27,17 +27,28 @@ class Poset:
     __slots__ = ("n", "covers", "_up", "_down", "_upper", "_lower")
 
     def __init__(self, n: int, covers, up, down):
-        self.n = n
-        self.covers = tuple(sorted(covers))
-        self._up = tuple(up)
-        self._down = tuple(down)
         upper = [[] for _ in range(n)]
-        lower = [[] for _ in range(n)]
-        # the covers are sorted, so every list fills in ascending order
-        for a, b in self.covers:
+        for a, b in covers:
             upper[a].append(b)
-            lower[b].append(a)
-        self._upper = tuple(map(tuple, upper))
+        self._set(tuple([tuple(sorted(bs)) for bs in upper]), up, down)
+
+    @classmethod
+    def _of_upper(cls, upper: tuple[tuple[int, ...], ...], up, down) -> Poset:
+        p = cls.__new__(cls)
+        p._set(upper, up, down)
+        return p
+
+    def _set(self, upper: tuple[tuple[int, ...], ...], up, down) -> None:
+        """Keep each element's ascending upper covers and the up and down
+        masks; the sorted cover pairs and the lower covers, each ascending,
+        are read off the upper covers in element order."""
+        n = len(upper)
+        lower = [[] for _ in range(n)]
+        for a, bs in enumerate(upper):
+            for b in bs:
+                lower[b].append(a)
+        self.n, self._upper, self._up, self._down = n, upper, tuple(up), tuple(down)
+        self.covers = tuple([(a, b) for a, bs in enumerate(upper) for b in bs])
         self._lower = tuple(map(tuple, lower))
 
     def leq(self, a: int, b: int) -> bool:
@@ -92,17 +103,19 @@ def poset_from_relations(n: int, relations) -> Poset:
     Two passes in Kahn's order.  Backward, the elements strictly above v are
     its direct successors w and those strictly above them; w is a cover
     unless it is above another w, as every longer path from v leaves through
-    one.  Forward, each down-set is pushed to the upper covers.  One big-int
-    OR per relation or cover: the cost grows with the relations, not the order.
+    one.  Forward, each down-set is pushed to the upper covers.  The
+    relations are grouped by source into ascending successor tuples, so the
+    cost is a few big-int ORs per distinct relation or cover, and grows with
+    the relations, not the order.
     """
-    succ = [0] * n
+    nexts = [[] for _ in range(n)]
     for a, b in relations:
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"relation ({a}, {b}) out of range for n={n}")
         if a == b:
             raise CycleDetected(a, b)
-        succ[a] |= 1 << b
-    nexts = [tuple(_bits(s)) for s in succ]
+        nexts[a].append(b)
+    nexts = [tuple(sorted(set(ws))) if len(ws) > 1 else tuple(ws) for ws in nexts]
     indeg = [0] * n
     for ws in nexts:
         for w in ws:
@@ -115,20 +128,20 @@ def poset_from_relations(n: int, relations) -> Poset:
                 order.append(w)
     if len(order) < n:
         raise _cycle(nexts, [int(d > 0) for d in indeg])
-    above, upper = [0] * n, [()] * n
-    for v in reversed(order):
-        strict = 0
+    above = [0] * n
+    for v in reversed(order):  # narrows nexts[v] to the upper covers of v
+        strict = succ = 0
         for w in nexts[v]:
             strict |= above[w]
-        above[v] = strict | succ[v]
-        cover = succ[v] & ~strict
-        upper[v] = nexts[v] if cover == succ[v] else tuple(_bits(cover))
+            succ |= 1 << w
+        above[v] = strict | succ
+        if strict & succ:
+            nexts[v] = tuple([w for w in nexts[v] if not strict >> w & 1])
     down = [1 << v for v in range(n)]
     for v in order:
-        for w in upper[v]:
+        for w in nexts[v]:
             down[w] |= down[v]
-    return Poset(n, [(v, w) for v in range(n) for w in upper[v]],
-                 [m | 1 << v for v, m in enumerate(above)], down)
+    return Poset._of_upper(tuple(nexts), [m | 1 << v for v, m in enumerate(above)], down)
 
 
 def _cycle(nexts, left: list[int]) -> CycleDetected:
@@ -242,7 +255,7 @@ def ideal_poset(q: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> tuple[tup
         frontier = nxt
     masks = tuple(m for level in levels for m in level)
     index = {m: i for i, m in enumerate(masks)}
-    upper = [[index[c] for c in ups[m]] for m in masks]
+    upper = tuple([tuple([index[c] for c in ups[m]]) for m in masks])
     n = len(masks)
     up = [1 << v for v in range(n)]
     for v in reversed(range(n)):
@@ -252,7 +265,7 @@ def ideal_poset(q: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> tuple[tup
     for v in range(n):
         for w in upper[v]:
             down[w] |= down[v]
-    return masks, Poset(n, [(v, w) for v in range(n) for w in upper[v]], up, down)
+    return masks, Poset._of_upper(upper, up, down)
 
 
 def order_ideals(q: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS):

@@ -569,6 +569,19 @@ def oracle_weak_order_S(n: int) -> Lattice:
     return oracle_lattice_from_poset(Poset(len(perms), covers, up, down))
 
 
+def oracle_trees(n: int):
+    """All binary trees with n internal nodes (None is a leaf), by left
+    subtree size, then left, then right: the recursive generator that
+    ``generators._trees`` replaced, which fixes the Tamari numbering."""
+    if n == 0:
+        yield None
+        return
+    for i in range(n):
+        for left in oracle_trees(i):
+            for right in oracle_trees(n - 1 - i):
+                yield (left, right)
+
+
 def _cambrian_avoids(perm, lower) -> bool:
     """Whether perm avoids 2-31 at each lower-barred value (those in
     ``lower``) and 31-2 at each upper-barred one: no value v between the

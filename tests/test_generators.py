@@ -35,7 +35,7 @@ from trimlat import (
 from trimlat import generators
 from trimlat.generators import fixture_manifest
 from trimlat.poset import DEFAULT_MAX_ELEMENTS, ideal_masks
-from conftest import oracle_rational_dyck_poset
+from conftest import oracle_rational_dyck_poset, oracle_trees
 
 
 def catalan(n: int) -> int:
@@ -81,6 +81,13 @@ def test_tamari():
     # Kreweras complement in rank 3 (twice the Coxeter number 4)
     row = rowmotion_global(t4, left_modular_labelling(t4))
     assert row.order == 8
+
+
+def test_trees_match_the_recursive_numbering():
+    # the Tamari lattice numbers its elements in this order
+    for n in range(10):
+        assert generators._trees(n) == list(oracle_trees(n)), n
+    assert len(generators._trees(9)) == catalan(9)
 
 
 def test_tamari_refused_before_its_trees(monkeypatch):

@@ -183,6 +183,20 @@ def test_cli_trace():
     assert out.splitlines()[-1] == "end: {1}" or "end:" in out.splitlines()[-1]
 
 
+def test_cli_trace_of_the_one_element_lattice():
+    # a lattice of length 0 has no labels, so its one extension is empty
+    one = '{"n": 1, "covers": []}'
+    code, out, err = run_cli("rowmotion", "--trace", "--element", "0", "--ext", "", "-",
+                             stdin=one)
+    assert (code, out, err) == (0, "start: 0\nend: 0\n", "")
+    code, out, _ = run_cli("--json", "rowmotion", "--trace", "--element", "0", "--ext", "", "-",
+                           stdin=one)
+    assert code == 0 and json.loads(out) == {"start": 0, "steps": []}
+    code, _, err = run_cli("rowmotion", "--trace", "--element", "0", "--ext", "", "-",
+                           stdin=gen("boolean", "1"))
+    assert code == 2 and "not a permutation of the labels" in err
+
+
 def test_cli_galois_and_complex_and_export():
     lattice_json = gen("fixture", "fig4")
     code, out, _ = run_cli("--json", "galois", "-", stdin=lattice_json)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from trimlat import (
     CycleDetected,
+    Poset,
     SizeLimitExceeded,
     antichains,
     ideal_masks,
@@ -84,10 +85,12 @@ def _assert_same_build(n, relations):
     if want[0] == "stuck":
         # then an edge b -> a with a path from a back to b
         _, a, b, _ = got
+        succ = {}
+        for u, w in relations:
+            succ.setdefault(u, set()).add(w)
         reach, todo = {a}, [a]
         while todo:
-            v = todo.pop()
-            for w in {w for u, w in relations if u == v} - reach:
+            for w in succ.get(todo.pop(), set()) - reach:
                 reach.add(w)
                 todo.append(w)
         assert (b, a) in relations and b in reach, (n, relations)
@@ -148,6 +151,36 @@ def test_from_relations_random_dags(n, seed):
     if rels:
         a, b = rng.choice(rels)
         assert _assert_same_build(n, rels + [(b, a)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_from_relations_wide_masks(seed):
+    """Seeded DAGs on 100-400 elements, so every mask spans several machine
+    words: each element gets 1-3 successors among the next few, many or all
+    positions of a random linear order.  The relations are shuffled,
+    repeated and padded with implied pairs, then one is reversed.  The
+    public constructor, given the builder's covers shuffled, keeps the same
+    cover pairs and cover tuples."""
+    rng = random.Random(seed)
+    n = rng.randrange(100, 401)
+    span = rng.choice((5, 40, n))
+    line = list(range(n))
+    rng.shuffle(line)
+    rels = [(line[i], line[j]) for i in range(n - 1)
+            for j in rng.sample(range(i + 1, min(n, i + 1 + span)),
+                                min(n - 1 - i, span, rng.randrange(1, 4)))]
+    p = poset_from_relations(n, rels)
+    implied = [(a, b) for a in range(n) for b in range(n) if p.lt(a, b)]
+    rels += rng.sample(implied, len(implied) // 10) + rng.choices(rels, k=len(rels) // 3)
+    rng.shuffle(rels)
+    assert not _assert_same_build(n, rels)
+    a, b = rng.choice(rels)
+    assert _assert_same_build(n, rels + [(b, a)])
+    covers = list(p.covers)
+    rng.shuffle(covers)
+    q = Poset(n, covers, [p.up_mask(x) for x in range(n)], [p.down_mask(x) for x in range(n)])
+    assert (q.covers, q._upper, q._lower, q._up, q._down) == (
+        p.covers, p._upper, p._lower, p._up, p._down)
 
 
 def test_order_ideals_antichain_is_boolean():
