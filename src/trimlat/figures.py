@@ -51,12 +51,8 @@ def _expect(failures: list, cond: bool, msg: str) -> None:
 def _slow_equals_global(l, limit_ext: int = 200) -> bool:
     gamma = left_modular_labelling(l)
     row = rowmotion_global(l, gamma)
-    exts = linear_extensions(gamma.label_poset, limit_ext)
-    for ext in exts:
-        seq = tuple(e + 1 for e in ext)
-        if rowmotion_slow(l, gamma, seq) != row:
-            return False
-    return True
+    return all(rowmotion_slow(l, gamma, tuple(e + 1 for e in ext)) == row
+               for ext in linear_extensions(gamma.label_poset, limit_ext))
 
 
 def check_fig1() -> list[str]:

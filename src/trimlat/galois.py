@@ -140,15 +140,17 @@ def index_irreducibles(l: Lattice, chain: Chain | None = None) -> IrreducibleInd
     lower covers' x_J, plus label i at j_i, and x_M dually.
 
     The default chain's indexing is built once per lattice and kept on it;
-    a supplied chain's is built afresh on every call."""
+    a supplied chain's is built afresh on every call.  The chain is checked
+    before extremality, so a chain that is not saturated is refused on any
+    lattice."""
     if chain is None and l._index is not None:
         return l._index
+    xs = (maximal_length_chain(l) if chain is None else chain).elements
+    if not xs or xs[0] != l.bottom or xs[-1] != l.top or any(
+            b not in l._upper[a] for a, b in zip(xs, xs[1:])):
+        raise ValueError("chain must be saturated from bottom to top")
     if not is_extremal(l):
         raise NotExtremal("irreducible indexing requires an extremal lattice")
-    xs = (maximal_length_chain(l) if chain is None else chain).elements
-    if xs[0] != l.bottom or xs[-1] != l.top or any(
-            xs[i + 1] not in l.upper_covers(xs[i]) for i in range(len(xs) - 1)):
-        raise ValueError("chain must be saturated from bottom to top")
     n = len(xs) - 1
     p = l.poset
     jirr = sum(1 << t for t in l.join_irr)

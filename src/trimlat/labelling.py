@@ -34,6 +34,7 @@ from .galois import galois_graph, galois_poset, index_irreducibles
 from .lattice import (
     Chain,
     Lattice,
+    _by_mask,
     _ends,
     _kappas,
     _pair_keys,
@@ -140,8 +141,7 @@ def _three_formula_labels(l: Lattice, xs) -> dict:
     ThreeWayMismatch where they disagree; y v j = z exactly when
     up(y) & up(j) = up(z), and dually for meets."""
     n = len(xs) - 1
-    up, down = l.poset._up, l.poset._down
-    by_down = {mask: v for v, mask in enumerate(down)}
+    up, down, by_down = l._up, l._down, _by_mask(l)[1]
     beta_j = {j: min(i for i in range(1, n + 1) if l.leq(j, xs[i]))
               for j in l.join_irr}
     beta_m = {m: max(i for i in range(1, n + 1) if l.leq(xs[i - 1], m))

@@ -1,20 +1,17 @@
-"""Validated finite lattices: meet/join tables, irreducibles, chains, and the
-structural predicates (distributive, extremal, left modular, semidistributive,
-trim), plus congruence validation and quotients.
+"""Validated finite lattices: meet/join lookups, irreducibles, chains, and
+the structural predicates (distributive, extremal, left modular,
+semidistributive, trim), plus congruence validation and quotients.
 
 A lattice is its order (a Poset subclass): posets from outside are proved
 lattices on their covers and J-keys (:func:`lattice_from_poset`), and every
 algorithm reads only covers and masks.  A lattice keeps what it derives,
 built on first use: the longest-path pass (:func:`_coheights`), the default
-irreducible indexing, and the read-only n-by-n int32 meet and join tables,
-built together on the first read of ``Lattice.meet`` or ``join`` by
-:func:`_tables`, each element's row from the rows of its covers and its mask.
+irreducible indexing, and the lookups {up(x): x} and {down(x): x}
+(:func:`_by_mask`), which every meet and join reads, as up(a) & up(b) =
+up(a v b).  Only the ``meet`` and ``join`` properties build the n-by-n int32
+tables (:func:`_tables`, the one import of numpy); no function reads them.
 
-The predicates are exact.  Distributivity (graded and trim),
-semidistributivity (every kappa exists) and left modularity are decided on
-masks and the irreducibles, and the first distributive and
-semidistributive witnesses, the lattice witness and congruences too: no
-function reads the tables, and only the table kernel imports numpy.  One
+The predicates are exact and decided on masks and the irreducibles.  One
 pass gives each element's J-key and M-key (:func:`_pair_keys`), which the
 left-modular test, the irreducible indexing and gamma_j all read.
 """
@@ -69,11 +66,11 @@ class Lattice(Poset):
         bottom, top: indices of the least and greatest elements.
         join_irr: elements (other than bottom) covering exactly one element.
         meet_irr: elements (other than top) covered by exactly one element.
-        _co, _index: None until first use, then kept: the longest-path pass
-            (:func:`_coheights`) and the default irreducible indexing.
+        _co, _index, _by: None until first use, then kept: the longest-path
+            pass, the default irreducible indexing and the mask lookups.
     """
 
-    __slots__ = ("bottom", "top", "join_irr", "meet_irr", "_meet", "_join", "_co", "_index")
+    __slots__ = ("bottom", "top", "join_irr", "meet_irr", "_meet", "_join", "_co", "_index", "_by")
 
     def __init__(self, poset: Poset, bottom: int, top: int):
         for name in Poset.__slots__:  # shared, not rebuilt
@@ -84,7 +81,7 @@ class Lattice(Poset):
                                if len(cs) == 1 and x != bottom])
         self.meet_irr = tuple([x for x, cs in enumerate(self._upper)
                                if len(cs) == 1 and x != top])
-        self._meet = self._join = self._co = self._index = None
+        self._meet = self._join = self._co = self._index = self._by = None
 
     poset = property(lambda self: self)
 
@@ -101,22 +98,18 @@ class Lattice(Poset):
         return self._join
 
     def meet_of(self, a: int, b: int) -> int:
-        return int(self.meet[a, b])
+        return _by_mask(self)[1][self._down[a] & self._down[b]]
 
     def join_of(self, a: int, b: int) -> int:
-        return int(self.join[a, b])
+        return _by_mask(self)[0][self._up[a] & self._up[b]]
 
     def join_all(self, elements) -> int:
-        out, join = self.bottom, self.join
-        for x in elements:
-            out = int(join[out, x])
-        return out
+        up = self._up
+        return _by_mask(self)[0][reduce(and_, map(up.__getitem__, elements), up[self.bottom])]
 
     def meet_all(self, elements) -> int:
-        out, meet = self.top, self.meet
-        for x in elements:
-            out = int(meet[out, x])
-        return out
+        down = self._down
+        return _by_mask(self)[1][reduce(and_, map(down.__getitem__, elements), down[self.top])]
 
     def __repr__(self) -> str:
         return f"Lattice(n={self.n}, length={length(self)})"
@@ -255,6 +248,13 @@ def _coheights(l: Lattice) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return l._co
 
 
+def _by_mask(l: Lattice) -> tuple[dict[int, int], dict[int, int]]:
+    """({up(x): x}, {down(x): x}), built once per lattice and kept; O(n)."""
+    if l._by is None:
+        l._by = tuple({mask: x for x, mask in enumerate(masks)} for masks in (l._up, l._down))
+    return l._by
+
+
 def _longest_paths(n: int, below, above) -> tuple[list[int], list[int]]:
     """Longest path from a minimal element to each element, following the
     cover tuples ``above`` (``below`` holds the opposite covers), and Kahn's
@@ -321,7 +321,7 @@ def _distributive_witness(l: Lattice) -> tuple[int, int, int]:
     """
     up, down, key = l.poset._up, l.poset._down, _pair_keys(l, l.join_irr, ())[0]
     ups = [up[j] for j in l.join_irr]
-    by_up, by_down = ({mask: v for v, mask in enumerate(masks)} for masks in (up, down))
+    by_up, by_down = _by_mask(l)
     x = next(x for x in range(l.n) if any(
         down[l.top] ^ _key_union(ups, key[x] & ~key[m]) not in by_down for m in l.meet_irr))
     f = [by_down[down[x] & d] for d in down]
@@ -502,23 +502,22 @@ def _semidistributive_witness(l: Lattice) -> tuple[str, int, int, int]:
     pair lies in a fibre with two minimal members; only those are scanned,
     for y < z (the law is symmetric and holds at y == z), by mask lookups.
     """
-    p, n = l.poset, l.n
-    # per side: the masks up and down its order and, for each cover u -> v
-    # going up it, v and up(u) minus up(v)
-    sides = (("join", p._up, p._down, [(v, p._up[u] & ~p._up[v]) for u, v in l.covers]),
-             ("meet", p._down, p._up, [(u, p._down[v] & ~p._down[u]) for u, v in l.covers]))
+    n, up, down, by = l.n, l._up, l._down, _by_mask(l)
+    # per side: the masks up and down its order, their lookups and, for each
+    # cover u -> v going up it, v and up(u) minus up(v)
+    sides = (("join", up, down, by, [(v, up[u] & ~up[v]) for u, v in l.covers]),
+             ("meet", down, up, by[::-1], [(u, down[v] & ~down[u]) for u, v in l.covers]))
     for x in range(n):
-        for side, up, down, gap in sides:
-            ux = up[x]
+        for side, ups, downs, (by_up, by_down), gap in sides:
+            ux = ups[x]
             flat = {v for v, d in gap if not ux & d}
             if len(flat) == n - ux.bit_count():
                 continue
-            by_up, by_down = ({mask: v for v, mask in enumerate(masks)} for masks in (up, down))
-            f = [by_up[ux & u] for u in up]
+            f = [by_up[ux & u] for u in ups]
             minimal = Counter(f[v] for v in range(n) if v not in flat)
             return next((side, x, y, z) for y in range(n) if minimal[f[y]] > 1
                         for z in range(y + 1, n)
-                        if f[z] == f[y] and f[by_down[down[y] & down[z]]] != f[y])
+                        if f[z] == f[y] and f[by_down[downs[y] & downs[z]]] != f[y])
     raise AssertionError("the kappa test rejected a semidistributive lattice")
 
 
@@ -563,16 +562,15 @@ def congruence(l: Lattice, classes) -> Congruence:
     if not all(cls) or sorted(seen) != list(range(l.n)):
         raise ValueError("classes do not partition the elements")
     cls.sort(key=lambda c: c[0])
-    # the class of x ^ y is looked up by down(x) & down(y), of x v y dually
-    up, down = l.poset._up, l.poset._down
-    of_up = {up[x]: i for i, c in enumerate(cls) for x in c}
-    of_down = {down[x]: i for i, c in enumerate(cls) for x in c}
+    # x ^ y is looked up by down(x) & down(y), x v y dually
+    up, down, (by_up, by_down) = l._up, l._down, _by_mask(l)
+    of = {x: i for i, c in enumerate(cls) for x in c}
     for c in cls:
         for x1, x2 in combinations(c, 2):
             for y in range(l.n):
-                if of_down[down[x1] & down[y]] != of_down[down[x2] & down[y]]:
+                if of[by_down[down[x1] & down[y]]] != of[by_down[down[x2] & down[y]]]:
                     raise NotACongruence(x1, x2, y, "meet")
-                if of_up[up[x1] & up[y]] != of_up[up[x2] & up[y]]:
+                if of[by_up[up[x1] & up[y]]] != of[by_up[up[x2] & up[y]]]:
                     raise NotACongruence(x1, x2, y, "join")
     return Congruence(tuple(cls))
 

@@ -72,11 +72,7 @@ class Poset:
         return self._lower[x]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poset)
-            and self.n == other.n
-            and self.covers == other.covers
-        )
+        return isinstance(other, Poset) and (self.n, self.covers) == (other.n, other.covers)
 
     def __hash__(self) -> int:
         return hash((self.n, self.covers))
@@ -166,29 +162,37 @@ def _cycle(nexts, left: list[int]) -> CycleDetected:
 
 
 def linear_extensions(q: Poset, limit: int) -> list[tuple[int, ...]]:
-    """Enumerate linear extensions in lexicographic order, up to ``limit``.
+    """Enumerate linear extensions in lexicographic order, up to ``limit``,
+    depth first on an explicit stack of frames, one per placed element.
 
     The first extension returned is always the canonical one (smallest-index
     minimal element first).
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    down = q._down
+
+    def free(rest: int):  # the minimal elements of rest, ascending, lazily
+        return (x for x in _bits(rest) if down[x] & rest == 1 << x)
+
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
-
-    def rec(remaining: int):  # called only while out is short of limit
-        if remaining == 0:
+    rest = (1 << q.n) - 1  # the elements not in prefix
+    frames = [free(rest)]  # per depth, the candidates not yet tried
+    while frames:
+        x = next(frames[-1], None)
+        if x is not None:
+            prefix.append(x)
+            rest ^= 1 << x
+            frames.append(free(rest))
+            continue
+        frames.pop()
+        if not rest:  # the frame had no element left to place
             out.append(tuple(prefix))
-            return
-        for x in _bits(remaining):
-            if q.down_mask(x) & remaining == 1 << x:
-                prefix.append(x)
-                rec(remaining ^ (1 << x))
-                prefix.pop()
-                if len(out) >= limit:
-                    return
-
-    rec((1 << q.n) - 1)
+            if len(out) >= limit:
+                break
+        if prefix:
+            rest |= 1 << prefix.pop()
     return out
 
 

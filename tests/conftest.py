@@ -184,14 +184,25 @@ def property_lattices(small_posets, graph_lattices):
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
+# The oracles read meets and joins from the tables (l.meet, l.join), not
+# from the mask lookups that the library's point queries use.
+
+def _table_lists(l: Lattice) -> tuple[list, list]:
+    return l.meet.tolist(), l.join.tolist()
+
+
+def _fold(table, start: int, elements) -> int:
+    """The meet (or join) of start and elements, by table lookups."""
+    return reduce(lambda a, b: table[a][b], elements, start)
+
 
 def brute_distributive(l: Lattice) -> bool:
     n = l.n
+    M, J = _table_lists(l)
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                if l.meet_of(x, l.join_of(y, z)) != \
-                        l.join_of(l.meet_of(x, y), l.meet_of(x, z)):
+                if M[x][J[y][z]] != J[M[x][y]][M[x][z]]:
                     return False
     return True
 
@@ -199,10 +210,11 @@ def brute_distributive(l: Lattice) -> bool:
 def brute_left_modular(l: Lattice, x: int) -> bool:
     """Left modularity straight from the definition, over all pairs y <= z
     (not just covers)."""
+    M, J = _table_lists(l)
     for y in range(l.n):
         for z in range(l.n):
             if l.leq(y, z):
-                if l.meet_of(l.join_of(y, x), z) != l.join_of(y, l.meet_of(x, z)):
+                if M[J[y][x]][z] != J[y][M[x][z]]:
                     return False
     return True
 
@@ -213,14 +225,15 @@ def brute_canonical_join_rep(l: Lattice, x: int):
     other join-irreducible representation of x.  None if there is none;
     asserts uniqueness when one exists."""
     irr = l.join_irr
+    J = l.join.tolist()
     representations = []
     irredundant = []
     for r in range(len(irr) + 1):
         for combo in combinations(irr, r):
-            if l.join_all(combo) != x:
+            if _fold(J, l.bottom, combo) != x:
                 continue
             representations.append(combo)
-            if not any(l.join_all(c for c in combo if c != skip) == x
+            if not any(_fold(J, l.bottom, (c for c in combo if c != skip)) == x
                        for skip in combo):
                 irredundant.append(frozenset(combo))
     # refinement-least: every member of the representation lies below some
@@ -809,12 +822,12 @@ def oracle_three_formula_labels(l: Lattice, xs) -> dict:
               for j in l.join_irr}
     beta_m = {m: max(i for i in range(1, n + 1) if l.leq(xs[i - 1], m))
               for m in l.meet_irr}
+    M, J = _table_lists(l)
     labels: dict[tuple[int, int], int] = {}
     for y, z in l.covers:
-        v1 = min(beta_j[j] for j in l.join_irr if l.join_of(y, j) == z)
-        v2 = min(i for i in range(1, n + 1)
-                 if l.join_of(y, l.meet_of(xs[i], z)) == z)
-        v3 = max(beta_m[m] for m in l.meet_irr if l.meet_of(z, m) == y)
+        v1 = min(beta_j[j] for j in l.join_irr if J[y][j] == z)
+        v2 = min(i for i in range(1, n + 1) if J[y][M[xs[i]][z]] == z)
+        v3 = max(beta_m[m] for m in l.meet_irr if M[z][m] == y)
         if not (v1 == v2 == v3):
             raise ThreeWayMismatch((y, z), (v1, v2, v3))
         labels[(y, z)] = v1
@@ -1004,8 +1017,9 @@ def oracle_left_modular_chain(l: Lattice):
     return None
 
 
-def _oracle_unique(l: Lattice, candidates, cover, side: str, dual: bool) -> int:
-    best = l.join_all(candidates) if dual else l.meet_all(candidates)
+def _oracle_unique(l: Lattice, tables, candidates, cover, side: str, dual: bool) -> int:
+    M, J = tables
+    best = _fold(J, l.bottom, candidates) if dual else _fold(M, l.top, candidates)
     if best not in candidates:
         ext = [c for c in candidates
                if not any(l.lt(c, d) if dual else l.lt(d, c) for d in candidates)]
@@ -1017,12 +1031,13 @@ def oracle_semidistributive_labelling(l: Lattice):
     """(gamma_j, gamma_m, kappa) by scanning every element per cover and
     per join-irreducible, raising NotSemidistributive as the labelling
     does."""
+    M, J = tables = _table_lists(l)
     gamma_j = {}
     gamma_m = {}
     for x, y in l.covers:
-        gj = _oracle_unique(l, [z for z in range(l.n) if l.join_of(x, z) == y],
+        gj = _oracle_unique(l, tables, [z for z in range(l.n) if J[x][z] == y],
                             (x, y), "minimal-join", dual=False)
-        gm = _oracle_unique(l, [z for z in range(l.n) if l.meet_of(z, y) == x],
+        gm = _oracle_unique(l, tables, [z for z in range(l.n) if M[z][y] == x],
                             (x, y), "maximal-meet", dual=True)
         if gj not in l.join_irr:
             raise NotSemidistributive((x, y), "join-irreducible", (gj,))
@@ -1034,7 +1049,7 @@ def oracle_semidistributive_labelling(l: Lattice):
     for j in l.join_irr:
         j_star = l.lower_covers(j)[0]
         cand = [z for z in range(l.n) if l.leq(j_star, z) and not l.leq(j, z)]
-        kappa[j] = _oracle_unique(l, cand, (j_star, j), "kappa", dual=True)
+        kappa[j] = _oracle_unique(l, tables, cand, (j_star, j), "kappa", dual=True)
     if sorted(kappa.values()) != sorted(l.meet_irr):
         raise NotSemidistributive((l.bottom, l.top), "kappa-bijection",
                                   tuple(kappa.values()))

@@ -9,6 +9,7 @@ from itertools import permutations
 import pytest
 
 from trimlat import (
+    Chain,
     NotSemidistributive,
     ThreeWayMismatch,
     boolean,
@@ -65,6 +66,13 @@ def test_left_modular_labelling_non_extremal():
     gamma = left_modular_labelling(m3)
     assert len(gamma.labels) == len(m3.covers)
     assert set(gamma.labels.values()) <= {1, 2}
+
+
+@pytest.mark.parametrize("elements", [(0, 4), (1, 4), (0, 2), (3, 1, 4)])
+def test_left_modular_labelling_refuses_unsaturated_chain(elements):
+    # M3 is not extremal, so the chain is not checked by the indexing
+    with pytest.raises(ValueError, match="chain must be saturated from bottom to top"):
+        left_modular_labelling(fixture("fig7_right"), Chain(elements))
 
 
 def test_down_up_labels():

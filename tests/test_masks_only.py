@@ -1,8 +1,8 @@
 """Library algorithms read only covers and masks: with the table kernel
-patched to raise, the figure replays, the graph lattices, congruences and
-quotients, the three-formula labels and the NotALattice witness all run,
-and each equals its oracle (the table reads and the pairwise containment
-they replaced, kept in conftest)."""
+patched to raise, the point lookups, the figure replays, the graph
+lattices, congruences and quotients, the three-formula labels and the
+NotALattice witness all run, and each equals its oracle (the table reads
+and the pairwise containment they replaced, kept in conftest)."""
 
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ from trimlat import (
     order_ideals,
     poset_from_relations,
     quotient,
+    tamari,
     verify_figures,
 )
 from trimlat import lattice
@@ -70,7 +71,39 @@ def _same_order(got: Lattice, want: Lattice) -> None:
 def test_tables_refused_inside():
     l = _fresh(fixture("fig2"))
     with no_tables(), pytest.raises(AssertionError, match="tables were built"):
-        l.meet_of(1, 2)
+        l.meet
+
+
+def test_point_lookups_match_tables(property_lattices):
+    # every pair, and folds over random subsets, on the n <= 5 sweeps, the
+    # figures and the families, against the table entries
+    rng = random.Random(29)
+    for label, shared in property_lattices:
+        l, n = _fresh(shared), shared.n
+        M, J = shared.meet.tolist(), shared.join.tolist()
+        with no_tables():
+            assert [[l.meet_of(a, b) for b in range(n)] for a in range(n)] == M, label
+            assert [[l.join_of(a, b) for b in range(n)] for a in range(n)] == J, label
+            for _ in range(20):
+                xs = rng.sample(range(n), rng.randint(1, n))
+                meet = join = xs[0]
+                for x in xs[1:]:
+                    meet, join = M[meet][x], J[join][x]
+                assert (l.meet_all(iter(xs)), l.join_all(iter(xs))) == (meet, join), label
+        assert l._meet is None and l._join is None, label
+
+
+def test_empty_folds_are_the_bounds(property_lattices):
+    for label, l in property_lattices:
+        assert (l.join_all(()), l.meet_all(())) == (l.bottom, l.top), label
+
+
+def test_point_lookups_on_tamari9_build_no_tables():
+    l = tamari(9)
+    with no_tables():
+        assert l.join_of(1, 2) == l.join_all([1, 2]) and l.meet_of(1, 2) == l.meet_all([1, 2])
+        assert l.join_all(range(l.n)) == l.top and l.meet_all(range(l.n)) == l.bottom
+    assert l._meet is None and l._join is None
 
 
 def test_verify_figures_builds_no_tables():

@@ -308,6 +308,41 @@ def test_linear_extensions_limit_and_canonical():
         linear_extensions(q, 0)
 
 
+def _recursive_extensions(q: Poset, limit: int) -> list[tuple[int, ...]]:
+    """The recursive enumeration that the explicit stack replaced."""
+    out: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def rec(remaining: int):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for x in range(q.n):
+            if remaining >> x & 1 and q.down_mask(x) & remaining == 1 << x:
+                prefix.append(x)
+                rec(remaining ^ (1 << x))
+                prefix.pop()
+                if len(out) >= limit:
+                    return
+
+    rec((1 << q.n) - 1)
+    return out
+
+
+def test_linear_extensions_match_recursion(small_posets):
+    for q in [poset_from_relations(0, []), *small_posets]:
+        for limit in (1, 2, 7, 200):
+            assert linear_extensions(q, limit) == _recursive_extensions(q, limit), q
+
+
+def test_linear_extensions_past_the_recursion_limit():
+    n = 1200
+    chain = poset_from_relations(n, [(i, i + 1) for i in range(n - 1)])
+    assert linear_extensions(chain, 1) == linear_extensions(chain, 2) == [tuple(range(n))]
+    assert linear_extensions(antichain_poset(n), 2) == [
+        tuple(range(n)), (*range(n - 2), n - 1, n - 2)]
+
+
 def test_extensions_refine_order(small_posets):
     for q in small_posets:
         for ext in linear_extensions(q, 30):
