@@ -35,6 +35,7 @@ from .lattice import (
     Chain,
     Lattice,
     _by_mask,
+    _coheights,
     _ends,
     _kappas,
     _pair_keys,
@@ -185,25 +186,19 @@ def _lex_min_chain(l: Lattice, labels, x: int, z: int) -> list:
 
 
 def _count_increasing(l: Lattice, labels, x: int, z: int) -> int:
-    """Number of saturated chains from x to z with weakly increasing words."""
-    memo: dict[tuple[int, int], int] = {}
-
-    def rec(y: int, lo) -> int:
-        if y == z:
-            return 1
-        key = (y, lo)
-        if key in memo:
-            return memo[key]
-        total = 0
+    """Number of saturated chains from x to z with weakly increasing words,
+    counted over [x, z] from z down, by longest path to the top (a reverse
+    linear extension): starts[y] holds, per cover (y, w) inside, its label
+    and the number of increasing chains from y to z that begin with it."""
+    inside, co = l._up[x] & l._down[z], _coheights(l)[0]
+    starts = {z: ()}
+    for y in sorted(_bits(inside & ~(1 << z)), key=co.__getitem__):
+        starts[y] = []
         for w in l.upper_covers(y):
-            if l.leq(w, z):
+            if inside >> w & 1:
                 lab = labels[(y, w)]
-                if lo is None or lab >= lo:
-                    total += rec(w, lab)
-        memo[key] = total
-        return total
-
-    return rec(x, None)
+                starts[y].append((lab, 1 if w == z else sum(k for b, k in starts[w] if b >= lab)))
+    return 1 if x == z else sum(k for _, k in starts.get(x, ()))
 
 
 def is_EL(l: Lattice, labelling) -> bool:

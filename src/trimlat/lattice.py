@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
-from itertools import combinations, repeat
+from itertools import combinations
 from operator import and_
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -123,26 +123,28 @@ def lattice_from_poset(p: Poset) -> Lattice:
     With K(x) the J-key of x (bit i when join_irr[i] <= x, :func:`_pair_keys`),
     a poset with one minimal element 0 and one maximal element 1 is a
     lattice exactly when (a) every x with two or more lower covers has up(x)
-    equal to the AND of its lower covers' up masks, and (c) for every x and
-    every meet-irreducible m, K(x) & K(m) is the key of some element.
+    equal to the AND of its lower covers' up masks, and (b) every two lower
+    covers c != c' of one element have K(c) & K(c') the key of some element.
 
     1. Under (a), K(w) <= K(z) implies w <= z, by induction upward on w: 0
        is trivial, a join-irreducible w is in its own key, and otherwise z
        lies in the AND of up(c) over w's lower covers c, up(w).
-    2. Every y != 1 has K(y) = AND of K(m) over the meet-irreducibles
-       m >= y, by induction downward: a non-meet-irreducible y has upper
-       covers u != v, neither 1; folding (c) over K(v) = AND of K(m),
-       m >= v, gives w with K(w) = K(u) & K(v), and by 1 y <= w <= u, v, so
-       w = y (w = u would force u <= v).
-    3. Folding (c) along 2 gives, for any x and y, a z with K(z) =
-       K(x) & K(y), by 1 their meet; with a top and all meets, p is a lattice.
+    2. By 1, K(c) & K(c') = K(w) makes w = c ^ c': each common lower bound
+       v has K(v) <= K(w).
+    3. Any y, z <= x have a meet, by induction upward on x: else y <= c < x,
+       z <= c' < x, c != c', and with w = c ^ c' (by 2), s = y ^ w,
+       t = z ^ w (at c, c'), every common lower bound of y and z lies below
+       w, so below s and t, so below s ^ t (at w), which is y ^ z.
+    4. So p is a finite meet-semilattice with a top, hence a lattice.
 
     Conversely, in a lattice an x with lower covers c != c' is c v c', and
-    K(x ^ m) = K(x) & K(m).  Cost: an n-bit AND per cover, one key pass and
-    n * |M| ANDs of |J|-bit keys.
+    K(c) & K(c') = K(c ^ c').  (b) alone accepts the bowtie, and (a) alone
+    the non-lattice 0<1, 0<2, 1<3, 2<4, 3<5, 2<5, 1<6, 4<6, 5<7, 6<7, where
+    K(5) & K(6) = {1, 2} is no key.
+    Cost: an n-bit AND per cover, one key pass and, for each x, one AND of
+    |J|-bit keys per pair of its lower covers.
     """
-    n = p.n
-    if n == 0:
+    if not p.n:
         raise NotALattice(0, 0, "bottom")
     mins = [x for x, cs in enumerate(p._lower) if not cs]
     maxs = [x for x, cs in enumerate(p._upper) if not cs]
@@ -155,8 +157,8 @@ def lattice_from_poset(p: Poset) -> Lattice:
     if all(up[x] == reduce(and_, map(up.__getitem__, cs))
            for x, cs in enumerate(p._lower) if len(cs) > 1):  # (a)
         key = _pair_keys(l, l.join_irr, ())[0]
-        keys = set(key)
-        if all(keys.issuperset(map(and_, key, repeat(key[m], n))) for m in l.meet_irr):  # (c)
+        if set(key).issuperset(key[a] & key[b] for cs in p._lower if len(cs) > 1
+                               for a, b in combinations(cs, 2)):  # (b)
             return l
     raise _lattice_witness(p)
 

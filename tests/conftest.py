@@ -834,6 +834,29 @@ def oracle_three_formula_labels(l: Lattice, xs) -> dict:
     return labels
 
 
+def oracle_count_increasing(l: Lattice, labels, x: int, z: int) -> int:
+    """``labelling._count_increasing`` as it was: a memoized recursion with
+    one level per cover step."""
+    memo: dict[tuple[int, int], int] = {}
+
+    def rec(y: int, lo) -> int:
+        if y == z:
+            return 1
+        key = (y, lo)
+        if key in memo:
+            return memo[key]
+        total = 0
+        for w in l.upper_covers(y):
+            if l.leq(w, z):
+                lab = labels[(y, w)]
+                if lo is None or lab >= lo:
+                    total += rec(w, lab)
+        memo[key] = total
+        return total
+
+    return rec(x, None)
+
+
 def oracle_transposed_masks(l: Lattice, idx) -> tuple[list[int], list[int]]:
     """The pair masks as ``index_irreducibles`` built them with numpy: the
     up-sets of the j_i and the down-sets of the m_k, unpacked to rank-by-n

@@ -33,8 +33,8 @@ from trimlat import (
     tamari,
     weak_order_S,
 )
-from trimlat.labelling import CoverLabelling
-from conftest import brute_canonical_join_rep, dual_poset, eager_lattice
+from trimlat.labelling import CoverLabelling, _count_increasing
+from conftest import brute_canonical_join_rep, dual_poset, eager_lattice, oracle_count_increasing
 
 V_POSET = poset_from_relations(3, [(0, 2), (1, 2)])
 
@@ -105,6 +105,29 @@ def test_is_EL_examples():
     # chain remains in the interval above element 1
     twisted = {(0, 1): 1, (1, 3): 3, (3, 4): 2, (0, 2): 2, (2, 4): 1}
     assert not is_EL(pent, twisted)
+
+
+def test_count_increasing_matches_recursion(small_posets, fixture_trim_lattices):
+    # every pair of elements of the figures and of J(Q) over the n <= 5
+    # sweep, under the left-modular labelling and under one with ties and
+    # descents, so that counts other than 1 occur
+    counts = set()
+    for l in [l for _, l in fixture_trim_lattices] + [order_ideals(q) for q in small_posets]:
+        for labels in (left_modular_labelling(l).labels,
+                       {(y, w): (3 * y + w) % 4 for y, w in l.covers}):
+            for x in range(l.n):
+                for z in range(l.n):
+                    got = _count_increasing(l, labels, x, z)
+                    assert got == oracle_count_increasing(l, labels, x, z), (l, x, z)
+                    counts.add(got)
+    assert counts >= {0, 1, 2, 3}
+
+
+def test_count_increasing_on_a_long_chain():
+    # 1099 cover steps: past the recursion limit of the recursive count
+    l = chain_lattice(1100)
+    assert _count_increasing(l, left_modular_labelling(l).labels, 0, 1099) == 1
+    assert _count_increasing(l, {(i, i + 1): -i for i in range(1099)}, 0, 1099) == 0
 
 
 def test_is_interpolating_examples():

@@ -41,7 +41,7 @@ from trimlat import (
 from trimlat import lattice
 from trimlat.generators import antichain_poset, fixture_manifest, product_of_chains_poset
 from trimlat.io import lattice_from_json
-from trimlat.poset import ideal_poset
+from trimlat.poset import _bits, ideal_poset
 from conftest import (
     assert_same_lattice,
     eager_lattice_from_graph,
@@ -127,7 +127,8 @@ def _near_lattice(rng: random.Random) -> Poset:
 
 def test_near_lattice_verdicts_match_table_check():
     # about 2700 draws: of their 1000 non-lattices, a certificate with (a)
-    # dropped accepts 59, and one with (c) cut to meet-irreducible x accepts 7
+    # dropped accepts 60, one that tests only consecutive pairs of lower
+    # covers accepts 101, and one that tests pairs of upper covers accepts 176
     rng = random.Random(25)
     counts = [0, 0]
     while counts[0] < 1000:
@@ -135,8 +136,9 @@ def test_near_lattice_verdicts_match_table_check():
     assert counts[1] >= 1000
 
 
-# a non-lattice on 16 elements that (c) for meet-irreducible x alone, with
-# each key the AND of its upper covers' keys, would accept
+# a non-lattice on 16 elements that an earlier key check, K(x) & K(m) a key
+# for meet-irreducible x and m only, would accept; so does a check of the
+# pairs of upper covers
 SIXTEEN = {"n": 16, "covers": [
     [0, 1], [0, 2], [1, 3], [1, 4], [1, 10], [2, 5], [2, 6], [2, 11], [3, 7], [3, 9],
     [4, 7], [4, 11], [5, 8], [5, 9], [6, 8], [6, 10], [7, 13], [8, 12], [9, 12], [9, 13],
@@ -147,6 +149,70 @@ def test_sixteen_element_non_lattice_is_refused():
     # the table check agrees: it is a JSON case below
     p = poset_from_relations(16, SIXTEEN["covers"])
     assert _outcome(lattice_from_poset, p) == (1, 2, "join")
+
+
+# (a) holds, but K(5) & K(6) = {1, 2} is no key: 5 and 6 have no meet, so
+# 1 and 2 have no join
+EIGHT = {"n": 8, "covers": [
+    [0, 1], [0, 2], [1, 3], [2, 4], [3, 5], [2, 5], [1, 6], [4, 6], [5, 7], [6, 7]]}
+
+
+def test_eight_element_non_lattice_is_refused():
+    p = poset_from_relations(8, EIGHT["covers"])
+    assert _outcome(lattice_from_poset, p) == (1, 2, "join")
+    _same_verdict(p)
+
+
+def _chain(n: int) -> Poset:
+    return poset_from_relations(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _tree(depth: int, downward: bool) -> Poset:
+    """The complete binary tree of the given depth, heap-numbered from 1,
+    with 0 added: the root on top and 0 under the leaves when downward,
+    else the root at the bottom and 0 over the leaves."""
+    n = 1 << depth
+    edges = [(v, v // 2) for v in range(2, n)] + [(0, v) for v in range(n // 2, n)]
+    return poset_from_relations(n, edges if downward else [(b, a) for a, b in edges])
+
+
+def _thin_families():
+    """Chains of 1 to 300 elements, M_k, 2 x k grids, chain_product(1, k)
+    and binary trees of both orientations."""
+    yield from map(_chain, range(1, 301))
+    for k in range(1, 41):
+        yield poset_from_relations(k + 2, [(0, a) for a in range(1, k + 1)]
+                                   + [(a, k + 1) for a in range(1, k + 1)])
+        yield poset_from_relations(2 * k, [(j, j + 1) for j in range(k - 1)]
+                                   + [(k + j, k + j + 1) for j in range(k - 1)]
+                                   + [(j, k + j) for j in range(k)])
+        yield chain_product(1, k).poset
+    for depth in range(1, 8):
+        yield _tree(depth, True)
+        yield _tree(depth, False)
+
+
+def _moved(p: Poset, rng: random.Random) -> Poset:
+    """p with one cover a < b replaced by a < c, for some c != b not below
+    a, so that no cycle appears."""
+    full = (1 << p.n) - 1
+    targets = [full & ~p.down_mask(a) & ~(1 << b) for a, b in p.covers]
+    i = rng.choice([i for i, mask in enumerate(targets) if mask])
+    covers = list(p.covers)
+    a, _ = covers.pop(i)
+    return poset_from_relations(p.n, covers + [(a, rng.choice(list(_bits(targets[i]))))])
+
+
+def test_thin_family_verdicts_match_table_check():
+    # each family as it is, a lattice, and three near-lattice variants of
+    # each one with three or more elements
+    rng = random.Random(30)
+    counts = [0, 0]
+    for p in _thin_families():
+        assert _same_verdict(p)
+        for _ in range(3 if p.n > 2 else 0):
+            counts[_same_verdict(_moved(p, rng))] += 1
+    assert min(counts) >= 100
 
 
 JSON_CASES = [
@@ -163,6 +229,7 @@ JSON_CASES = [
     {"n": 4, "covers": [[0, 2], [0, 3], [1, 2], [1, 3]]},
     [],
     SIXTEEN,
+    EIGHT,
 ]
 
 
