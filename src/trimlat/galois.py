@@ -168,12 +168,6 @@ def index_irreducibles(l: Lattice, chain: Chain | None = None) -> IrreducibleInd
             raise NotExtremal(
                 f"chain step {i} retires {new_m.bit_count()} meet-irreducibles")
         m.append(new_m.bit_length() - 1)
-    # in a lattice up(a) & up(b) = up(a v b), and dually for meets
-    for i in range(n):
-        assert p.up_mask(xs[i]) & p.up_mask(j[i]) == p.up_mask(xs[i + 1]), \
-            "join-prefix identity failed"
-        assert p.down_mask(xs[i + 1]) & p.down_mask(m[i]) == p.down_mask(xs[i]), \
-            "meet-suffix identity failed"
     xj, ym = _pair_keys(l, j, m)
     idx = IrreducibleIndexing(Chain(xs), tuple(j), tuple(m), tuple(xj), tuple(ym), l.covers,
                               tuple([ym[y] & xj[z] for y, z in l.covers]))

@@ -21,7 +21,6 @@ popcount (:func:`_label_masks`); frozensets are built only for output.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import NamedTuple
 
 from .errors import (
@@ -36,9 +35,9 @@ from .lattice import (
     Lattice,
     _by_mask,
     _coheights,
-    _ends,
+    _cover_failure,
+    _irr_keys,
     _kappas,
-    _pair_keys,
     is_extremal,
     is_left_modular_lattice,
 )
@@ -250,43 +249,19 @@ def semidistributive_labelling(l: Lattice) -> SemidistributiveLabelling:
     """Compute gamma_j, gamma_m and kappa.
 
     When every kappa(j) and kappa^d(m) exists (:func:`trimlat.lattice._kappas`),
-    the lattice is semidistributive, gamma_j(x covered-by y) is the unique
-    join-irreducible j with j <= y, j not <= x and j_* <= x, the least
-    element of down(y) minus down(x), and gamma_m = kappa o gamma_j.  It is
-    read from the J-keys of :func:`trimlat.lattice._pair_keys`: D =
-    key[y] ^ key[x] holds the join-irreducibles below y and not below x,
-    and j_* <= x exactly when key[j_*] misses D, as j_* <= j <= y; so the
-    label depends only on D and is found once per distinct D.  Otherwise
-    the per-cover scan names the failure (:func:`_labelling_error`).
+    the lattice is semidistributive, gamma_j(x covered-by y) is the least
+    element of down(y) minus down(x), and gamma_m = kappa o gamma_j.  The
+    lowest bit of J(y) minus J(x) (:func:`trimlat.lattice._irr_keys`) is a
+    minimal member, so it is gamma_j.  Otherwise NotSemidistributive names
+    the first cover whose set fails (:func:`trimlat.lattice._cover_failure`),
+    as the covers that kappa tests are among them.
     """
     kappa = _kappas(l)
     if kappa is None:
-        raise _labelling_error(l)
-    key = _pair_keys(l, l.join_irr, ())[0]
-    js, lower = l.join_irr, l.poset._lower
-    label = cache(lambda d: next(js[i] for i in _bits(d) if not key[lower[js[i]][0]] & d))
-    gamma_j = {(x, y): label(key[y] ^ key[x]) for x, y in l.covers}
-    kappa_of = dict(zip(l.join_irr, kappa))
-    return SemidistributiveLabelling(gamma_j, {c: kappa_of[j] for c, j in gamma_j.items()},
-                                     kappa_of)
-
-
-def _labelling_error(l: Lattice) -> NotSemidistributive:
-    """The first failure of the per-cover scan on a lattice that is not
-    semidistributive: per cover x covered-by y, {z : x v z = y} = down(y)
-    minus down(x) with no least element ("minimal-join", its minimal
-    members), then {z : z ^ y = x} = up(x) minus up(y) with no greatest
-    ("maximal-meet").  The first set of m covered-by m^* is kappa^d(m)'s and
-    the second of j_* covered-by j is kappa(j)'s, so one set fails exactly
-    when the lattice is not semidistributive."""
-    p = l.poset
-    jirr, mirr = (sum(1 << t for t in irr) for irr in (l.join_irr, l.meet_irr))
-    for x, y in l.covers:
-        for side, ends in (("minimal-join", _ends(p._down[y] & ~p._down[x], jirr, p._lower)),
-                           ("maximal-meet", _ends(p._up[x] & ~p._up[y], mirr, p._upper))):
-            if len(ends) > 1:
-                return NotSemidistributive((x, y), side, tuple(ends))
-    raise AssertionError("the kappa test rejected a semidistributive lattice")
+        raise NotSemidistributive(*_cover_failure(l, l.covers))
+    js, _, key, _ = _irr_keys(l)
+    gamma_j = {(x, y): js[next(_bits(key[y] ^ key[x]))] for x, y in l.covers}
+    return SemidistributiveLabelling(gamma_j, {c: kappa[j] for c, j in gamma_j.items()}, kappa)
 
 
 def canonical_join_rep(l: Lattice, x: int,

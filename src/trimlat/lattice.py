@@ -6,14 +6,16 @@ A lattice is its order (a Poset subclass): posets from outside are proved
 lattices on their covers and J-keys (:func:`lattice_from_poset`), and every
 algorithm reads only covers and masks.  A lattice keeps what it derives,
 built on first use: the longest-path pass (:func:`_coheights`), the default
-irreducible indexing, and the lookups {up(x): x} and {down(x): x}
+irreducible indexing, the lookups {up(x): x} and {down(x): x}
 (:func:`_by_mask`), which every meet and join reads, as up(a) & up(b) =
-up(a v b).  Only the ``meet`` and ``join`` properties build the n-by-n int32
-tables (:func:`_tables`, the one import of numpy); no function reads them.
+up(a v b), and the irreducibles' keys (:func:`_irr_keys`).  Only the
+``meet`` and ``join`` properties build the n-by-n int32 tables
+(:func:`_tables`, the one import of numpy); no function reads them.
 
 The predicates are exact and decided on masks and the irreducibles.  One
-pass gives each element's J-key and M-key (:func:`_pair_keys`), which the
-left-modular test, the irreducible indexing and gamma_j all read.
+pass gives each element's J-key and M-key (:func:`_pair_keys`); seeded
+along the kept pass, a key set's lowest bit is one of its minimal (J) or
+maximal (M) members, which kappa, gamma_j and their witnesses read.
 """
 
 from __future__ import annotations
@@ -64,24 +66,24 @@ class Lattice(Poset):
         meet, join: read-only n-by-n int32 tables, both built on the first
             read of either from the covers and the up and down masks.
         bottom, top: indices of the least and greatest elements.
-        join_irr: elements (other than bottom) covering exactly one element.
-        meet_irr: elements (other than top) covered by exactly one element.
-        _co, _index, _by: None until first use, then kept: the longest-path
-            pass, the default irreducible indexing and the mask lookups.
+        join_irr: elements covering exactly one element.
+        meet_irr: elements covered by exactly one element.
+        _co, _index, _by, _keys: None until first use, then kept: the
+            longest-path pass, the default irreducible indexing, the mask
+            lookups and the irreducibles' key order.
     """
 
-    __slots__ = ("bottom", "top", "join_irr", "meet_irr", "_meet", "_join", "_co", "_index", "_by")
+    __slots__ = ("bottom", "top", "join_irr", "meet_irr", "_meet", "_join", "_co", "_index", "_by",
+                 "_keys")
 
     def __init__(self, poset: Poset, bottom: int, top: int):
         for name in Poset.__slots__:  # shared, not rebuilt
             setattr(self, name, getattr(poset, name))
         self.bottom = bottom
         self.top = top
-        self.join_irr = tuple([x for x, cs in enumerate(self._lower)
-                               if len(cs) == 1 and x != bottom])
-        self.meet_irr = tuple([x for x, cs in enumerate(self._upper)
-                               if len(cs) == 1 and x != top])
-        self._meet = self._join = self._co = self._index = self._by = None
+        self.join_irr = tuple([x for x, cs in enumerate(self._lower) if len(cs) == 1])
+        self.meet_irr = tuple([x for x, cs in enumerate(self._upper) if len(cs) == 1])
+        self._meet = self._join = self._co = self._index = self._by = self._keys = None
 
     poset = property(lambda self: self)
 
@@ -317,14 +319,16 @@ def _distributive_witness(l: Lattice) -> tuple[int, int, int]:
     meet), so it is down(t) with y v z <= t, and f(y v z) <= w.  S is the
     complement of the union of up(j) over the join-irreducibles j <= x not
     below m, as x ^ v <= m unless such a j is below v; they are the bits of
-    key[x] minus key[m] (:func:`_pair_keys`).  Only the first failing x's
-    (y, z) plane is scanned, on mask lookups, for y < z: the law is
-    symmetric in y and z and holds when y == z.
+    key[x] minus key[m] (:func:`_irr_keys`).  The bottom and the top are
+    skipped: meet with either (constant, or the identity) preserves joins.
+    Only the first failing x's (y, z) plane is scanned, on mask lookups,
+    for y < z: the law is symmetric in y and z and holds when y == z.
     """
-    up, down, key = l.poset._up, l.poset._down, _pair_keys(l, l.join_irr, ())[0]
-    ups = [up[j] for j in l.join_irr]
+    up, down = l.poset._up, l.poset._down
+    js, _, key, _ = _irr_keys(l)
+    ups = [up[j] for j in js]
     by_up, by_down = _by_mask(l)
-    x = next(x for x in range(l.n) if any(
+    x = next(x for x in range(l.n) if x != l.bottom and x != l.top and any(
         down[l.top] ^ _key_union(ups, key[x] & ~key[m]) not in by_down for m in l.meet_irr))
     f = [by_down[down[x] & d] for d in down]
     return next((x, y, z) for y in range(l.n) for z in range(y + 1, l.n)
@@ -353,6 +357,21 @@ def _pair_keys(l: Lattice, js, ms) -> tuple[list[int], list[int]]:
                 acc |= keys[c]
             keys[x] = acc
     return xj, ym
+
+
+def _irr_keys(l: Lattice) -> tuple[tuple[int, ...], tuple[int, ...], list[int], list[int]]:
+    """(js, ms, J-keys, M-keys): the join-irreducibles bottom first and the
+    meet-irreducibles top first, both along the kept pass, and the keys
+    they seed (:func:`_pair_keys`); built once per lattice and kept.  The
+    pass lists each element after everything above it, so the lowest bit
+    of a set of J-key bits is one of its minimal members, and of M-key bits
+    one of its maximal members."""
+    if l._keys is None:
+        order, lower, upper = _coheights(l)[1], l._lower, l._upper  # top first
+        js = tuple([x for x in reversed(order) if len(lower[x]) == 1])
+        ms = tuple([x for x in order if len(upper[x]) == 1])
+        l._keys = (js, ms, *_pair_keys(l, js, ms))
+    return l._keys
 
 
 def _key_union(masks, key: int) -> int:
@@ -445,35 +464,40 @@ def is_trim_definitional(l: Lattice) -> bool:
     return is_extremal(l) and is_left_modular_lattice(l) is not None
 
 
-def _ends(s: int, irr: int, step) -> list[int]:
-    """The minimal members of s = down(b) minus down(a), ascending: the
-    join-irreducibles in s (mask ``irr``) whose lower cover (``step``) is
-    not in s, as two lower covers below a would put their join below a.
-    Dually, with the meet-irreducibles and upper covers, the maximal
-    members of s = up(a) minus up(b)."""
-    out = []
-    rest = s & irr
-    while rest:
-        low = rest & -rest
-        t = low.bit_length() - 1
-        if not s >> step[t][0] & 1:
-            out.append(t)
-        rest ^= low
-    return out
-
-
-def _kappas(l: Lattice) -> list[int] | None:
-    """kappa(j), the greatest element above j_* and not above j, for each j
-    in l.join_irr; None when some kappa(j), or dually some kappa^d(m), does
-    not exist: when its set has more than one maximal (minimal) member
-    (:func:`_ends`)."""
+def _cover_failure(l: Lattice, covers) -> tuple[tuple[int, int], str, tuple[int, ...]] | None:
+    """The first cover x covered-by y in covers at which {z : x v z = y} =
+    down(y) minus down(x) has no least element ("minimal-join"), or else
+    {z : z ^ y = x} = up(x) minus up(y) has no greatest ("maximal-meet"),
+    as (cover, side, the set's minimal or maximal members by index); None
+    when there is none.  A minimal member of the first set has one lower
+    cover, as two would lie below x and so would their join; so the lowest
+    bit of J(y) minus J(x) (:func:`_irr_keys`) is one, g, and the set has a
+    least element exactly when it lies in up(g).  The second is the dual.
+    """
     p = l.poset
-    jirr, mirr = (sum(1 << t for t in irr) for irr in (l.join_irr, l.meet_irr))
-    kappa = [_ends(p._up[p._lower[j][0]] & ~p._up[j], mirr, p._upper) for j in l.join_irr]
-    dual = [_ends(p._down[p._upper[m][0]] & ~p._down[m], jirr, p._lower) for m in l.meet_irr]
-    if any(len(e) != 1 for e in kappa + dual):
+    js, ms, jk, mk = _irr_keys(l)
+    for x, y in covers:
+        for side, s, d, irr, step, beyond in (
+                ("minimal-join", p._down[y] & ~p._down[x], jk[y] ^ jk[x], js, p._lower, p._up),
+                ("maximal-meet", p._up[x] & ~p._up[y], mk[x] ^ mk[y], ms, p._upper, p._down)):
+            if s & ~beyond[irr[next(_bits(d))]]:
+                ends = sorted(irr[i] for i in _bits(d) if not s >> step[irr[i]][0] & 1)
+                return (x, y), side, tuple(ends)
+    return None
+
+
+def _kappas(l: Lattice) -> dict[int, int] | None:
+    """{j: kappa(j)} over l.join_irr, kappa(j) the greatest element above
+    j_* and not above j; None when some kappa(j), or dually some
+    kappa^d(m), does not exist.  kappa(j)'s set is the second set of
+    :func:`_cover_failure` at j_* covered-by j (the first is {j}), and
+    kappa^d(m)'s the first at m covered-by m^* (the second is {m})."""
+    lower, upper = l._lower, l._upper
+    if _cover_failure(l, [(lower[j][0], j) for j in l.join_irr]
+                      + [(m, upper[m][0]) for m in l.meet_irr]):
         return None
-    return [e[0] for e in kappa]
+    _, ms, _, mk = _irr_keys(l)
+    return {j: ms[next(_bits(mk[lower[j][0]] & ~mk[j]))] for j in l.join_irr}
 
 
 def is_semidistributive(l: Lattice, witness: bool = False):

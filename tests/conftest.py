@@ -8,7 +8,8 @@ the table check that validation on up masks replaced, the eager table
 constructions that tables built on first read replaced and the J/M-key
 hash lookup that the recursion over covers replaced, the table reads
 that congruences and the three label formulas on masks replaced,
-the scans that the trim pipeline and the property predicates replaced, the
+the scans that the trim pipeline and the property predicates replaced
+(kappa by listing every extremal member of its set among them), the
 frozenset label-set code that the label bitmasks replaced, the pairwise
 rational Dyck relations, graph helpers for the canonical join graph tests,
 and the library functions that only tests call.
@@ -1012,6 +1013,36 @@ def oracle_is_semidistributive(l: Lattice):
             ys, zs = np.nonzero(bad)
             return False, ("meet", x, int(ys[0]), int(zs[0]))
     return True, None
+
+
+def _oracle_ends(s: int, irr: int, step) -> list[int]:
+    """The minimal members of s = down(b) minus down(a), ascending: the
+    join-irreducibles in s (mask ``irr``) whose lower cover (``step``) is
+    not in s, walked bit by bit.  Dually, with the meet-irreducibles and
+    upper covers, the maximal members of s = up(a) minus up(b)."""
+    out = []
+    rest = s & irr
+    while rest:
+        low = rest & -rest
+        t = low.bit_length() - 1
+        if not s >> step[t][0] & 1:
+            out.append(t)
+        rest ^= low
+    return out
+
+
+def oracle_kappas(l: Lattice):
+    """{j: kappa(j)} over l.join_irr, or None, by listing every maximal
+    member of each kappa(j)'s set and every minimal member of each
+    kappa^d(m)'s, and asking for exactly one in each."""
+    p = l.poset
+    jirr, mirr = (sum(1 << t for t in irr) for irr in (l.join_irr, l.meet_irr))
+    kappa = [_oracle_ends(p._up[p._lower[j][0]] & ~p._up[j], mirr, p._upper) for j in l.join_irr]
+    dual = [_oracle_ends(p._down[p._upper[m][0]] & ~p._down[m], jirr, p._lower)
+            for m in l.meet_irr]
+    if any(len(e) != 1 for e in kappa + dual):
+        return None
+    return {j: e[0] for j, e in zip(l.join_irr, kappa)}
 
 
 def oracle_left_modular_elements(l: Lattice) -> tuple[int, ...]:

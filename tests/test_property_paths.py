@@ -1,9 +1,9 @@
 """The property predicates' irreducible tests against the scans they
-replaced (the oracles in conftest): distributive and semidistributive
-verdicts and witnesses, left-modular element sets and chains, and
-semidistributive labellings with their dict order and error arguments;
-past the sweeps on larger families and cubes, and the left-modular
-test's one union per distinct cover key."""
+replaced (the oracles in conftest): kappa, distributive and
+semidistributive verdicts and witnesses, left-modular element sets and
+chains, and semidistributive labellings with their dict order and error
+arguments; past the sweeps on larger families, cubes and thin lattices,
+and the left-modular test's one union per distinct cover key."""
 
 from __future__ import annotations
 
@@ -31,15 +31,17 @@ from trimlat import (
     weak_order_S,
 )
 from trimlat import lattice
-from trimlat.lattice import _left_modular_test
+from trimlat.lattice import _kappas, _left_modular_test
 from conftest import (
     left_modular_elements,
+    oracle_kappas,
     oracle_is_distributive,
     oracle_is_semidistributive,
     oracle_left_modular_chain,
     oracle_left_modular_elements,
     oracle_semidistributive_labelling,
 )
+from test_lazy_tables import _thin_families
 
 
 def _labelling_outcome(fn, l):
@@ -147,6 +149,34 @@ def test_one_join_union_per_distinct_key(monkeypatch):
         ups = [l.poset.up_mask(j) for j in l.join_irr]
         assert sum(masks == ups for masks, _ in unions) == want, l
         assert len({(id(masks), key) for masks, key in unions}) == len(unions), l
+
+
+def _kappa_items(kappa):
+    return kappa if kappa is None else list(kappa.items())
+
+
+def test_kappas_match_oracle(property_lattices):
+    verdicts = []
+    for label, l in property_lattices:
+        kappa = _kappas(l)
+        assert _kappa_items(kappa) == _kappa_items(oracle_kappas(l)), label
+        verdicts.append(kappa is None)
+    # both verdicts on many inputs
+    assert sum(verdicts) > 350 and verdicts.count(False) > 1500
+
+
+def test_thin_families_match_oracles():
+    """Chains, M_k up to k = 40, 2 x k grids, chain_product(1, k) and
+    binary trees of both orientations up to 128 elements, where kappa's
+    sets and the semidistributive witnesses are long: M_k has k - 1
+    maximal members in up(0) minus up(a).  The cubic oracles run up to 128
+    elements; past that only chains are left, and only kappa is compared."""
+    for i, p in enumerate(_thin_families()):
+        l = lattice_from_poset(p)
+        label = f"thin family {i} on {l.n}"
+        assert _kappa_items(_kappas(l)) == _kappa_items(oracle_kappas(l)), label
+        if l.n <= 128:
+            _check_against_oracles(label, l)
 
 
 def test_property_paths_match_oracles(property_lattices):

@@ -48,6 +48,7 @@ from trimlat import (
     root_ideals,
     rowmotion_global,
     rowmotion_slow,
+    semidistributive_labelling,
     spine,
     tamari,
     weak_order_S,
@@ -165,7 +166,7 @@ def _outcome(fn, l):
         return type(exc), str(exc)
 
 
-# every predicate and witness that reads the kept pass or indexing
+# every predicate and witness that reads the kept pass, keys or indexing
 _READERS = (
     length,
     maximal_length_chain,
@@ -177,6 +178,7 @@ _READERS = (
     is_left_modular_lattice,
     lambda l: is_distributive(l, witness=True),
     lambda l: is_semidistributive(l, witness=True),
+    semidistributive_labelling,
     spine,
     left_modular_labelling,
 )
