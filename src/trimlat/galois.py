@@ -268,37 +268,37 @@ def galois_poset(g: GaloisGraph) -> Poset:
     return _linear_poset(up)
 
 
+def _closed_sets(g: GaloisGraph, max_elements: int) -> list[int]:
+    """The X masks of :func:`_pair_masks` in its order, refused at cap + 1."""
+    full = (1 << g.n) - 1
+    closed = {full}
+    for y, src in enumerate(g.inn):
+        a = full & ~(1 << y | src)
+        for c in list(closed):
+            if (c := c & a) not in closed:
+                closed.add(c)
+                if len(closed) > max_elements:
+                    raise SizeLimitExceeded(len(closed), max_elements, "maximal orthogonal pairs")
+    return sorted(sorted(closed), key=int.bit_count)
+
+
 def _pair_masks(g: GaloisGraph, max_elements: int) -> tuple[list[int], list[int]]:
-    """The X and Y masks of all maximal orthogonal pairs, sorted by (|X|, X),
-    the X masks via NextClosure on X |-> completion(completion(X)).  A
-    completion of S is the largest label set disjoint from S and from its
-    neighbours: under the out-masks the Y completing X = S (no X -> Y
-    arrow), under the in-masks dually."""
+    """The X and Y masks of all maximal orthogonal pairs, sorted by (|X|, X).
+    With R(x, y) = "x != y and no edge x -> y", the Y completing X holds the
+    y with R(x, y) for all x in X, and the X completing Y the x with R(x, y)
+    for all y in Y: a Galois connection, whose closed X are the X sides.
+    The X completing Y is the intersection over y in Y of A_y = {x : R(x, y)}
+    (the labels outside y and inn[y]), so each closed X is an intersection
+    of A_y; and the intersection X of the A_y over any S is closed, as the Y
+    completing X holds S, so the X completing that Y lies in X.  So
+    :func:`_closed_sets` takes the full set (the empty intersection) and,
+    per y, ANDs A_y into each set found so far.  The cap is exact: every
+    set found is closed, so a lattice within the cap is never refused, and
+    sets are added one at a time, so at most cap + 1 are held."""
     if g.n + 1 > max_elements:  # a lattice of length g.n: past the cap before any closure
         raise SizeLimitExceeded(g.n + 1, max_elements, "maximal orthogonal pairs")
-    out, inn, full = g.out, g.inn, (1 << g.n) - 1
-
-    def complete(x: int, adj) -> int:
-        return full & ~(x | _key_union(adj, x))
-
-    masks = []
-    a = complete(complete(0, out), inn)
-    masks.append(a)
-    while a != full:
-        for i in range(g.n - 1, -1, -1):
-            if not (a >> i) & 1:
-                b = complete(complete((a & ((1 << i) - 1)) | (1 << i), out), inn)
-                if b & ((1 << i) - 1) & ~a == 0:
-                    a = b
-                    break
-        else:
-            break
-        masks.append(a)
-        if len(masks) > max_elements:
-            raise SizeLimitExceeded(len(masks), max_elements,
-                                    "maximal orthogonal pairs")
-    masks.sort(key=lambda m: (m.bit_count(), m))
-    return masks, [complete(xm, out) for xm in masks]
+    masks, full = _closed_sets(g, max_elements), (1 << g.n) - 1
+    return masks, [full & ~(xm | _key_union(g.out, xm)) for xm in masks]
 
 
 def max_orth_pairs(g: GaloisGraph,

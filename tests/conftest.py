@@ -2,7 +2,8 @@
 closure and cover scan that building a poset from its relations replaced,
 the closure of the edge list that the label poset's cover walk replaced,
 the pairwise containment that building ideal and graph lattices on masks
-replaced,
+replaced, the NextClosure enumeration of maximal orthogonal pairs that
+intersecting the Galois columns replaced,
 the pure-Python table builders that the vectorised table kernel replaced,
 the table check that validation on up masks replaced, the eager table
 constructions that tables built on first read replaced and the J/M-key
@@ -61,7 +62,7 @@ from trimlat.errors import (
     SizeLimitExceeded,
     ThreeWayMismatch,
 )
-from trimlat.galois import MaxOrthPair, _pair_masks
+from trimlat.galois import MaxOrthPair
 from trimlat.generators import fixture_manifest
 from trimlat.labelling import _label_dict
 from trimlat.lattice import (
@@ -504,10 +505,44 @@ def oracle_lattice_from_ideal_masks(q: Poset, masks) -> Lattice:
     return eager_lattice(Poset(n, covers, up, down), meet, join, 0, n - 1)
 
 
+def oracle_next_closure_masks(g: GaloisGraph, cap: int) -> tuple[list[int], list[int]]:
+    """The X and Y masks of all maximal orthogonal pairs, sorted by (|X|, X),
+    the X masks by Ganter's NextClosure on X |-> completion(completion(X)),
+    as ``galois._pair_masks`` found them before it intersected the Galois
+    columns.  A completion of S is the largest label set disjoint from S and
+    from its neighbours: under the out-masks the Y completing X, under the
+    in-masks dually.  Refused as the library refuses, at n + 1 and then at
+    cap + 1 pairs."""
+    if g.n + 1 > cap:
+        raise SizeLimitExceeded(g.n + 1, cap, "maximal orthogonal pairs")
+    full = (1 << g.n) - 1
+
+    def complete(x: int, adj) -> int:
+        return full & ~reduce(lambda acc, i: acc | adj[i], _bits(x), x)
+
+    masks = []
+    a = complete(complete(0, g.out), g.inn)
+    masks.append(a)
+    while a != full:
+        for i in range(g.n - 1, -1, -1):
+            if not (a >> i) & 1:
+                b = complete(complete((a & ((1 << i) - 1)) | (1 << i), g.out), g.inn)
+                if b & ((1 << i) - 1) & ~a == 0:
+                    a = b
+                    break
+        else:
+            break
+        masks.append(a)
+        if len(masks) > cap:
+            raise SizeLimitExceeded(len(masks), cap, "maximal orthogonal pairs")
+    masks.sort(key=lambda m: (m.bit_count(), m))
+    return masks, [complete(xm, g.out) for xm in masks]
+
+
 def oracle_lattice_from_graph(g: GaloisGraph) -> Lattice:
     """Maximal orthogonal pairs; meets intersect the X sides and joins the
     Y sides, looked up in dicts one pair at a time."""
-    x_masks, y_masks = _pair_masks(g, 10 ** 6)
+    x_masks, y_masks = oracle_next_closure_masks(g, 10 ** 6)
     index = {xm: i for i, xm in enumerate(x_masks)}
     y_index = {ym: i for i, ym in enumerate(y_masks)}
     n = len(x_masks)
@@ -785,7 +820,7 @@ def eager_lattice_from_ideal_masks(order: Poset, masks, width: int) -> Lattice:
 def eager_lattice_from_graph(g: GaloisGraph) -> Lattice:
     """The lattice of maximal orthogonal pairs with its tables keyed by the
     X and Y masks, as ``lattice_from_graph`` built it."""
-    x_masks, y_masks = _pair_masks(g, DEFAULT_MAX_ELEMENTS)
+    x_masks, y_masks = oracle_next_closure_masks(g, DEFAULT_MAX_ELEMENTS)
     meet, join, hit = oracle_tables(_pack(x_masks, g.n), _pack(y_masks, g.n))
     assert hit
     return eager_lattice(_containment(_pack(x_masks, g.n)), meet, join, 0, len(x_masks) - 1)

@@ -3,6 +3,7 @@ reconstruction, overlapping covers, and the trim decomposition."""
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -31,7 +32,8 @@ from trimlat import (
 )
 from trimlat.lattice import Chain
 from trimlat.poset import ideal_masks
-from conftest import cambrian, irreducible_pair_oracle, oracle_galois_poset
+from conftest import (cambrian, irreducible_pair_oracle, oracle_galois_poset,
+                      oracle_next_closure_masks)
 
 V_POSET = poset_from_relations(3, [(0, 2), (1, 2)])
 
@@ -382,13 +384,38 @@ def test_max_orth_pairs_size_cap():
         max_orth_pairs(GaloisGraph(14, frozenset()), max_elements=200)
 
 
+def _seeded_graphs(count: int, seed: int = 7):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, p = rng.randint(6, 14), rng.uniform(0.15, 0.9)
+        yield GaloisGraph(n, [(i, k) for i in range(2, n + 1) for k in range(1, i)
+                              if rng.random() < p])
+
+
+def test_pair_masks_match_next_closure_and_cap_boundary(small_graphs):
+    """The intersections of Galois columns are NextClosure's closed sets in
+    the same order, and both refuse at exactly one pair past the cap."""
+    from trimlat import SizeLimitExceeded, galois
+
+    for g in [*small_graphs, *_seeded_graphs(300)]:
+        masks = galois._pair_masks(g, 10 ** 6)
+        assert masks == oracle_next_closure_masks(g, 10 ** 6), g
+        count = len(masks[0])
+        assert galois._pair_masks(g, count) == masks
+        with pytest.raises(SizeLimitExceeded) as ours:
+            galois._pair_masks(g, count - 1)
+        with pytest.raises(SizeLimitExceeded) as oracle:
+            oracle_next_closure_masks(g, count - 1)
+        assert str(ours.value) == str(oracle.value), g
+
+
 def test_graph_past_the_cap_is_refused_before_any_closure(tmp_path, monkeypatch, capsys):
     from trimlat import SizeLimitExceeded, cli, galois
 
     def no_closure(*args):
         raise AssertionError("a closure ran")
 
-    monkeypatch.setattr(galois, "_key_union", no_closure)
+    monkeypatch.setattr(galois, "_closed_sets", no_closure)
     # an edgeless graph on 200000 vertices has 2**200000 pairs
     for call in (lambda: max_orth_pairs(GaloisGraph(200000, frozenset())),
                  lambda: lattice_from_graph(GaloisGraph(5, frozenset()), max_elements=5)):
