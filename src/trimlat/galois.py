@@ -136,8 +136,8 @@ def index_irreducibles(l: Lattice, chain: Chain | None = None) -> IrreducibleInd
     exactly one new join-irreducible from below and retires exactly one
     meet-irreducible from above.  The pair masks are the keys of
     :func:`trimlat.lattice._pair_keys` seeded with the chain's j and m, the
-    pass that the left-modular test also runs: x_J is the union of the
-    lower covers' x_J, plus label i at j_i, and x_M dually.
+    pass :func:`trimlat.lattice._irr_keys` runs in the kept order: x_J is
+    the union of the lower covers' x_J, plus label i at j_i, and x_M dually.
 
     The default chain's indexing is built once per lattice and kept on it;
     a supplied chain's is built afresh on every call.  The chain is checked

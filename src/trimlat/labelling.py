@@ -260,7 +260,7 @@ def semidistributive_labelling(l: Lattice) -> SemidistributiveLabelling:
     if kappa is None:
         raise NotSemidistributive(*_cover_failure(l, l.covers))
     js, _, key, _ = _irr_keys(l)
-    gamma_j = {(x, y): js[next(_bits(key[y] ^ key[x]))] for x, y in l.covers}
+    gamma_j = {(x, y): js[((d := key[y] ^ key[x]) & -d).bit_length() - 1] for x, y in l.covers}
     return SemidistributiveLabelling(gamma_j, {c: kappa[j] for c, j in gamma_j.items()}, kappa)
 
 

@@ -384,10 +384,10 @@ def _key_union(masks, key: int) -> int:
     return out
 
 
-def _left_modular_test(l: Lattice):
-    """x |-> whether (y v x) ^ z == y v (x ^ z) for every cover y covered-by
-    z (which suffices for all y <= z), decided once per distinct pair of
-    cover keys.
+def _left_modular_test(l: Lattice) -> int:
+    """The mask of the elements x with (y v x) ^ z == y v (x ^ z) for every
+    cover y covered-by z (which suffices for all y <= z), decided once per
+    distinct pair of cover keys.
 
     Both sides lie in [y, z] = {y, z} and the right is below the left, so
     the law fails exactly when the left is z and the right is y.  The right
@@ -398,16 +398,17 @@ def _left_modular_test(l: Lattice):
     D and V(E) of down(m) over E (the same sets as the unions over the
     minimal members of D and maximal members of E alone, as every other
     member lies above or below one).  The left-modular set is the AND of
-    U(D) | V(E) over the distinct (D, E), read from the keys of
-    :func:`_pair_keys`, with each union built once per distinct key:
-    boolean(12) has 24576 covers and 12 pairs.  The bottom and the top are
-    left modular and the other candidates only shrink: V is skipped when U
-    keeps every candidate, and the walk stops when none is left.
+    U(D) | V(E) over the distinct (D, E), read from the kept keys of
+    :func:`_irr_keys` (any numbering of the irreducibles gives the same
+    sets), with each union built once per distinct key: boolean(12) has
+    24576 covers and 12 pairs.  The bottom and the top are left modular and
+    the other candidates only shrink: V is skipped when U keeps every
+    candidate, and the walk stops when none is left.
     """
-    p = l.poset
-    w = len(l.meet_irr)
-    keys = [a << w | b for a, b in zip(*_pair_keys(l, l.join_irr, l.meet_irr))]
-    ups, downs = [p._up[j] for j in l.join_irr], [p._down[m] for m in l.meet_irr]
+    js, ms, jk, mk = _irr_keys(l)
+    w = len(ms)
+    keys = [a << w | b for a, b in zip(jk, mk)]
+    ups, downs = [l._up[j] for j in js], [l._down[m] for m in ms]
     U, V = {}, {}
     bounds = 1 << l.bottom | 1 << l.top
     lm = (1 << l.n) - 1 & ~bounds
@@ -420,31 +421,32 @@ def _left_modular_test(l: Lattice):
         u = U.get(d) or U.setdefault(d, _key_union(ups, d))
         if lm & ~u:
             lm &= u | (V.get(e) or V.setdefault(e, _key_union(downs, e)))
-    lm |= bounds
-    return lambda x: lm >> x & 1 == 1
+    return lm | bounds
 
 
 def is_left_modular_element(l: Lattice, x: int) -> bool:
     """True iff (y v x) ^ z == y v (x ^ z) for all y <= z."""
-    return _left_modular_test(l)(x)
+    if not 0 <= x < l.n:
+        raise ValueError(f"element {x} out of range for n={l.n}")
+    return _left_modular_test(l) >> x & 1 == 1
 
 
 def is_left_modular_lattice(l: Lattice) -> Chain | None:
     """A saturated bottom-to-top chain of left-modular elements if one
-    exists, else None.  The search walks covers inside the set of
-    left-modular elements from the bottom (always one), smallest index
-    first."""
-    lm = _left_modular_test(l)
-    stack = [(l.bottom, (l.bottom,))]
-    seen = set()
+    exists, else None: a depth-first walk over covers inside that set from
+    the bottom (always in it), smallest index first, on one path list, as
+    every state popped since one at depth d was pushed lies deeper."""
+    lm, upper = _left_modular_test(l), l._upper
+    path, seen, stack = [], set(), [(l.bottom, 0)]
     while stack:
-        cur, path = stack.pop()
+        cur, d = stack.pop()
+        path[d:] = [cur]
         if cur == l.top:
-            return Chain(path)
-        for w in sorted(l.upper_covers(cur), reverse=True):
-            if (w, len(path)) not in seen and lm(w):
-                seen.add((w, len(path)))
-                stack.append((w, path + (w,)))
+            return Chain(tuple(path))
+        for w in reversed(upper[cur]):
+            if lm >> w & 1 and (w, d + 1) not in seen:
+                seen.add((w, d + 1))
+                stack.append((w, d + 1))
     return None
 
 
@@ -480,7 +482,7 @@ def _cover_failure(l: Lattice, covers) -> tuple[tuple[int, int], str, tuple[int,
         for side, s, d, irr, step, beyond in (
                 ("minimal-join", p._down[y] & ~p._down[x], jk[y] ^ jk[x], js, p._lower, p._up),
                 ("maximal-meet", p._up[x] & ~p._up[y], mk[x] ^ mk[y], ms, p._upper, p._down)):
-            if s & ~beyond[irr[next(_bits(d))]]:
+            if s & ~beyond[irr[(d & -d).bit_length() - 1]]:
                 ends = sorted(irr[i] for i in _bits(d) if not s >> step[irr[i]][0] & 1)
                 return (x, y), side, tuple(ends)
     return None
@@ -497,7 +499,7 @@ def _kappas(l: Lattice) -> dict[int, int] | None:
                       + [(m, upper[m][0]) for m in l.meet_irr]):
         return None
     _, ms, _, mk = _irr_keys(l)
-    return {j: ms[next(_bits(mk[lower[j][0]] & ~mk[j]))] for j in l.join_irr}
+    return {j: ms[((e := mk[lower[j][0]] & ~mk[j]) & -e).bit_length() - 1] for j in l.join_irr}
 
 
 def is_semidistributive(l: Lattice, witness: bool = False):
@@ -524,16 +526,18 @@ def _semidistributive_witness(l: Lattice) -> tuple[str, int, int, int]:
     law folds to the fibre's meet.  A cover u covered-by v stays in one
     fibre exactly when up(x) & up(u) lies in up(v), and there is a fibre
     per w >= x, so the law holds exactly when n - |up(x)| elements have a
-    lower cover in their own fibre.  The meet law is the dual.  A failing
-    pair lies in a fibre with two minimal members; only those are scanned,
-    for y < z (the law is symmetric and holds at y == z), by mask lookups.
+    lower cover in their own fibre.  The meet law is the dual.  The bottom
+    and the top are skipped: there x v y and x ^ y are y or constant, so
+    both laws hold.  A failing pair lies in a fibre with two minimal
+    members; only those are scanned, for y < z (the law is symmetric and
+    holds at y == z), by mask lookups.
     """
     n, up, down, by = l.n, l._up, l._down, _by_mask(l)
     # per side: the masks up and down its order, their lookups and, for each
     # cover u -> v going up it, v and up(u) minus up(v)
     sides = (("join", up, down, by, [(v, up[u] & ~up[v]) for u, v in l.covers]),
              ("meet", down, up, by[::-1], [(u, down[v] & ~down[u]) for u, v in l.covers]))
-    for x in range(n):
+    for x in (x for x in range(n) if x != l.bottom and x != l.top):
         for side, ups, downs, (by_up, by_down), gap in sides:
             ux = ups[x]
             flat = {v for v, d in gap if not ux & d}

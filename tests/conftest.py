@@ -1088,9 +1088,14 @@ def oracle_left_modular_elements(l: Lattice) -> tuple[int, ...]:
 
 
 def oracle_left_modular_chain(l: Lattice):
-    """Depth-first search over covers inside the precomputed set of
-    left-modular elements, smallest index first."""
-    lm = set(oracle_left_modular_elements(l))
+    """:func:`path_copy_chain` inside the table oracle's left-modular set."""
+    return path_copy_chain(l, oracle_left_modular_elements(l))
+
+
+def path_copy_chain(l: Lattice, members):
+    """Depth-first search over covers inside ``members``, smallest index
+    first, pushing a copy of the path so far with every state."""
+    lm = set(members)
     if l.bottom not in lm or l.top not in lm:
         return None
     stack = [(l.bottom, (l.bottom,))]
@@ -1301,7 +1306,8 @@ def is_graded(l: Lattice) -> bool:
 
 
 def left_modular_elements(l: Lattice) -> tuple[int, ...]:
-    return tuple(filter(_left_modular_test(l), range(l.n)))
+    lm = _left_modular_test(l)
+    return tuple(x for x in range(l.n) if lm >> x & 1)
 
 
 def dual_poset(p: Poset) -> Poset:

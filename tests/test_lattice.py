@@ -111,6 +111,13 @@ def test_is_left_modular_element():
         assert brute_left_modular(dist, x)
 
 
+def test_left_modular_element_out_of_range():
+    l = boolean(2)
+    for x in (-1, 4, 100):
+        with pytest.raises(ValueError, match=f"element {x} out of range for n=4"):
+            is_left_modular_element(l, x)
+
+
 def test_left_modular_element_matches_oracle():
     for name in ("fig2", "fig3_left", "fig3_right", "fig7_left", "fig7_right"):
         l = fixture(name)

@@ -23,6 +23,7 @@ from trimlat import (
     is_left_modular_lattice,
     is_semidistributive,
     is_trim,
+    is_trim_definitional,
     lattice_from_graph,
     lattice_from_poset,
     poset_from_relations,
@@ -40,6 +41,7 @@ from conftest import (
     oracle_left_modular_chain,
     oracle_left_modular_elements,
     oracle_semidistributive_labelling,
+    path_copy_chain,
 )
 from test_lazy_tables import _thin_families
 
@@ -146,9 +148,63 @@ def test_one_join_union_per_distinct_key(monkeypatch):
     for l, want in [(boolean(k), k) for k in range(2, 9)] + [(chain_product(5, 5), 25)]:
         unions.clear()
         _left_modular_test(l)
-        ups = [l.poset.up_mask(j) for j in l.join_irr]
+        ups = [l.up_mask(j) for j in lattice._irr_keys(l)[0]]
         assert sum(masks == ups for masks, _ in unions) == want, l
         assert len({(id(masks), key) for masks, key in unions}) == len(unions), l
+
+
+def test_chain_search_matches_path_copies(property_lattices, monkeypatch):
+    """The search keeps one path list: it gives the chain of the search
+    that copies its path into every state, inside the same left-modular
+    set, on every property lattice and every thin family (chains of up to
+    300 elements among them).  No search on these lattices backtracks on
+    its way to a chain, so seeded sets with the bottom and the top then
+    stand in for the left-modular set, on which it does."""
+    thin = [(f"thin family {i}", lattice_from_poset(p)) for i, p in enumerate(_thin_families())]
+    for label, l in property_lattices + thin:
+        assert is_left_modular_lattice(l) == path_copy_chain(l, left_modular_elements(l)), label
+    rng = random.Random(33)
+    mask = [0]
+    monkeypatch.setattr(lattice, "_left_modular_test", lambda l: mask[0])
+    for label, l in property_lattices + thin:
+        for _ in range(3):
+            mask[0] = 1 << l.bottom | 1 << l.top | rng.getrandbits(l.n)
+            members = [x for x in range(l.n) if mask[0] >> x & 1]
+            assert is_left_modular_lattice(l) == path_copy_chain(l, members), label
+
+
+def test_one_key_pass_for_the_property_matrix(monkeypatch):
+    """check --all runs one J- and M-key pass, the kept one
+    (lattice._irr_keys), which kappa, the witnesses and the left-modular
+    test all read; an extremal lattice adds only the irreducible
+    indexing's chain-ordered pass.  Neither the left-modular predicates
+    nor is_trim_definitional run another.  Lattices are built before the
+    count starts, as lattice_from_poset runs a J-key pass of its own."""
+    from trimlat import cli, galois
+
+    m3 = lattice_from_poset(poset_from_relations(
+        5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]))
+    n5 = lattice_from_poset(poset_from_relations(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]))
+    lattices = [("weak_order_S(4)", weak_order_S(4), 1), ("M3", m3, 1),
+                ("tamari(4)", tamari(4), 2), ("N5", n5, 2)]
+    calls = []
+    pair_keys = lattice._pair_keys
+
+    def counted(l, js, ms):
+        calls.append(l)
+        return pair_keys(l, js, ms)
+
+    monkeypatch.setattr(lattice, "_pair_keys", counted)
+    monkeypatch.setattr(galois, "_pair_keys", counted)
+    for label, l, want in lattices:
+        calls.clear()
+        cli._property_matrix(l)
+        assert len(calls) == want, label
+        is_left_modular_lattice(l)
+        is_left_modular_element(l, l.top)
+        is_trim_definitional(l)
+        assert len(calls) == want, label
+        assert all(c is l for c in calls), label
 
 
 def _kappa_items(kappa):
