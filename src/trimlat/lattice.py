@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import reduce
 from itertools import combinations
-from operator import and_
+from operator import and_, or_
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -312,27 +312,60 @@ def _distributive_witness(l: Lattice) -> tuple[int, int, int]:
     """The first (x, y, z), row-major, with x ^ (y v z) != (x ^ y) v (x ^ z),
     on a lattice that is not distributive.
 
-    f(v) = x ^ v preserves joins exactly when, for each meet-irreducible m,
-    S = {v : x ^ v <= m} is some down(t): if f preserves joins, S is a down
-    set closed under joins, down(max S); conversely, for w = f(y) v f(z),
-    {v : f(v) <= w} is the intersection of S over the m above w (w is their
-    meet), so it is down(t) with y v z <= t, and f(y v z) <= w.  S is the
-    complement of the union of up(j) over the join-irreducibles j <= x not
-    below m, as x ^ v <= m unless such a j is below v; they are the bits of
-    key[x] minus key[m] (:func:`_irr_keys`).  The bottom and the top are
-    skipped: meet with either (constant, or the identity) preserves joins.
-    Only the first failing x's (y, z) plane is scanned, on mask lookups,
-    for y < z: the law is symmetric in y and z and holds when y == z.
+    f(v) = x ^ v preserves meets, and f(y v z) >= f(y) v f(z).  With
+    S_m = {v : f(v) <= m}, a down set, the law fails at (y, z) exactly when
+    y and z lie in some S_m, m meet-irreducible, and y v z does not: a
+    failure has f(y v z) not below f(y) v f(z), so not below some
+    meet-irreducible m above it (it is their meet), and the converse is
+    the definition.  S_m closed under joins is down(max S_m), so:
+
+    1. x fails exactly when some S_m is no down(t).  S_m is the complement
+       of the union of up(j) over the join-irreducibles j <= x not below m,
+       as x ^ v <= m unless such a j is below v; they are the bits of
+       key[x] minus key[m] (:func:`_irr_keys`).  The bottom and the top are
+       skipped: meet with either (constant, or the identity) preserves
+       joins.
+    2. At the first failing x, f(v) <= m exactly when f(v) <= w = x ^ m,
+       so S_m is the union of the fibres {v : f(v) = u} over u <= w: down(w)
+       (u = f(u) there) and the fibres of two or more members over u <= w.
+       It is built once per distinct w; an S that is some down(t) is
+       dropped.
+    3. For y in S, y v z lies in S exactly when z lies below some t in S
+       above y, or a maximal one.  A maximal member t of S is w, or lies
+       in one of those fibres and is maximal in it (a lone u <= w is below
+       w).  Row y's failing z are the OR, over the kept S that hold y, of S
+       minus the down(t) of S's maximal t >= y.
+    4. The first row with a failing z gives (y, z), z its lowest: the law
+       is symmetric and holds at y == z and at y the bottom, so a z < y
+       would have failed in row z.
     """
-    up, down = l.poset._up, l.poset._down
+    up, down = l._up, l._down
     js, _, key, _ = _irr_keys(l)
     ups = [up[j] for j in js]
-    by_up, by_down = _by_mask(l)
+    by_down = _by_mask(l)[1]
     x = next(x for x in range(l.n) if x != l.bottom and x != l.top and any(
         down[l.top] ^ _key_union(ups, key[x] & ~key[m]) not in by_down for m in l.meet_irr))
     f = [by_down[down[x] & d] for d in down]
-    return next((x, y, z) for y in range(l.n) for z in range(y + 1, l.n)
-                if f[by_up[up[y] & up[z]]] != by_up[up[f[y]] & up[f[z]]])
+    fibre = dict.fromkeys(f, 0)
+    for v, u in enumerate(f):
+        fibre[u] |= 1 << v
+    # the fibres of two or more members, and their maximal members
+    wide = {u: [v for v in _bits(m) if m & up[v] == 1 << v] for u, m in fibre.items() if m & m - 1}
+    at = sum(1 << u for u in wide)
+    kept = []
+    for w in {f[m] for m in l.meet_irr}:
+        us = list(_bits(down[w] & at))
+        s = reduce(or_, map(fibre.__getitem__, us), down[w])
+        if s not in by_down:
+            kept.append((s, [t for t in {w}.union(*map(wide.__getitem__, us)) if s & up[t] == 1 << t]))
+    for y in (y for y in range(l.n) if y != l.bottom):
+        bad = 0
+        for s, ts in kept:
+            if s >> y & 1:
+                bad |= s & ~reduce(or_, [down[t] for t in ts if up[y] >> t & 1])
+        if bad:
+            return x, y, (bad & -bad).bit_length() - 1
+    raise AssertionError("the graded-and-trim test rejected a distributive lattice")
 
 
 def is_extremal(l: Lattice) -> bool:
@@ -425,10 +458,15 @@ def _left_modular_test(l: Lattice) -> int:
 
 
 def is_left_modular_element(l: Lattice, x: int) -> bool:
-    """True iff (y v x) ^ z == y v (x ^ z) for all y <= z."""
+    """True iff (y v x) ^ z == y v (x ^ z) for all y <= z: x alone, on the
+    kept keys, passes every cover y covered-by z exactly when its J-key
+    meets J(z) minus J(y) or its M-key meets M(y) minus M(z)
+    (:func:`_left_modular_test`)."""
     if not 0 <= x < l.n:
         raise ValueError(f"element {x} out of range for n={l.n}")
-    return _left_modular_test(l) >> x & 1 == 1
+    _, _, jk, mk = _irr_keys(l)
+    a, b = jk[x], mk[x]
+    return all(a & (jk[y] ^ jk[z]) or b & (mk[y] ^ mk[z]) for y, z in l.covers)
 
 
 def is_left_modular_lattice(l: Lattice) -> Chain | None:
@@ -521,30 +559,48 @@ def _semidistributive_witness(l: Lattice) -> tuple[str, int, int, int]:
     dually ("meet", ...), of a lattice that is not semidistributive: x in
     index order, the join law before the meet law, then (y, z) row-major.
 
-    The join law holds at x exactly when each fibre {v : x v v = w} has a
-    least element, that is one minimal member: fibres are convex, and the
-    law folds to the fibre's meet.  A cover u covered-by v stays in one
-    fibre exactly when up(x) & up(u) lies in up(v), and there is a fibre
-    per w >= x, so the law holds exactly when n - |up(x)| elements have a
-    lower cover in their own fibre.  The meet law is the dual.  The bottom
-    and the top are skipped: there x v y and x ^ y are y or constant, so
-    both laws hold.  A failing pair lies in a fibre with two minimal
-    members; only those are scanned, for y < z (the law is symmetric and
-    holds at y == z), by mask lookups.
+    1. The join law holds at x exactly when each fibre {v : x v v = w} has
+       a least element, that is one minimal member: fibres are convex, and
+       the law folds to the fibre's meet.  There is a fibre per w >= x, so
+       the law holds exactly when n - |up(x)| elements have a lower cover
+       in their own fibre.
+    2. A cover u covered-by v leaves x's fibre exactly when x v u is not
+       above v, that is when some meet-irreducible m >= x lies in
+       E = M(u) minus M(v) (:func:`_irr_keys`): x's M-key meets E.
+    3. So, with each distinct E holding the mask of the v at which it
+       occurs, the elements with a lower cover in their own fibre are the
+       OR of those masks over the E that x's M-key misses.
+    The meet law is the dual, on J-keys and upper covers.  The bottom and
+    the top are skipped: there x v y and x ^ y are y or constant, so both
+    laws hold.  A failing pair lies in a fibre with two minimal members;
+    only those are scanned, for y < z (the law is symmetric and holds at
+    y == z), by mask lookups.
     """
     n, up, down, by = l.n, l._up, l._down, _by_mask(l)
-    # per side: the masks up and down its order, their lookups and, for each
-    # cover u -> v going up it, v and up(u) minus up(v)
-    sides = (("join", up, down, by, [(v, up[u] & ~up[v]) for u, v in l.covers]),
-             ("meet", down, up, by[::-1], [(u, down[v] & ~down[u]) for u, v in l.covers]))
+    _, _, jk, mk = _irr_keys(l)
+    # per side: its key, the masks up and down its order, their lookups and
+    # the end of a cover that the cover can hold in its fibre (v going up, u
+    # going down); held, built on first use, maps each distinct cover key
+    # difference to the mask of those ends
+    sides = (("join", mk, up, down, by, 1), ("meet", jk, down, up, by[::-1], 0))
+    held = {}
     for x in (x for x in range(n) if x != l.bottom and x != l.top):
-        for side, ups, downs, (by_up, by_down), gap in sides:
-            ux = ups[x]
-            flat = {v for v, d in gap if not ux & d}
-            if len(flat) == n - ux.bit_count():
+        for side, key, ups, downs, (by_up, by_down), end in sides:
+            if side not in held:
+                diffs = {}
+                for cover in l.covers:
+                    e = key[cover[0]] ^ key[cover[1]]
+                    diffs[e] = diffs.get(e, 0) | 1 << cover[end]
+                held[side] = list(diffs.items())
+            kx, ux = key[x], ups[x]
+            flat = 0
+            for e, ends in held[side]:
+                if not kx & e:
+                    flat |= ends
+            if flat.bit_count() == n - ux.bit_count():
                 continue
             f = [by_up[ux & u] for u in ups]
-            minimal = Counter(f[v] for v in range(n) if v not in flat)
+            minimal = Counter(f[v] for v in _bits((1 << n) - 1 & ~flat))
             return next((side, x, y, z) for y in range(n) if minimal[f[y]] > 1
                         for z in range(y + 1, n)
                         if f[z] == f[y] and f[by_down[downs[y] & downs[z]]] != f[y])

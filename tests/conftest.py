@@ -10,7 +10,8 @@ constructions that tables built on first read replaced and the J/M-key
 hash lookup that the recursion over covers replaced, the table reads
 that congruences and the three label formulas on masks replaced,
 the scans that the trim pipeline and the property predicates replaced
-(kappa by listing every extremal member of its set among them), the
+(kappa by listing every extremal member of its set among them, and the
+witness searches that fibres and cover key differences replaced), the
 frozenset label-set code that the label bitmasks replaced, the pairwise
 rational Dyck relations, graph helpers for the canonical join graph tests,
 and the library functions that only tests call.
@@ -23,7 +24,7 @@ appears), and all Galois graphs on <= 5 vertices.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from functools import reduce
 from itertools import combinations, permutations
 from operator import and_
@@ -69,7 +70,10 @@ from trimlat.lattice import (
     Chain,
     Congruence,
     Lattice,
+    _by_mask,
     _heights,
+    _irr_keys,
+    _key_union,
     _lattice_witness,
     _left_modular_test,
     congruence,
@@ -1048,6 +1052,41 @@ def oracle_is_semidistributive(l: Lattice):
             ys, zs = np.nonzero(bad)
             return False, ("meet", x, int(ys[0]), int(zs[0]))
     return True, None
+
+
+def oracle_distributive_witness(l: Lattice) -> tuple[int, int, int]:
+    """The search for the first failing x on key unions, then the (y, z)
+    plane of that x scanned by mask lookups, for y < z."""
+    up, down = l._up, l._down
+    js, _, key, _ = _irr_keys(l)
+    ups = [up[j] for j in js]
+    by_up, by_down = _by_mask(l)
+    x = next(x for x in range(l.n) if x != l.bottom and x != l.top and any(
+        down[l.top] ^ _key_union(ups, key[x] & ~key[m]) not in by_down for m in l.meet_irr))
+    f = [by_down[down[x] & d] for d in down]
+    return next((x, y, z) for y in range(l.n) for z in range(y + 1, l.n)
+                if f[by_up[up[y] & up[z]]] != by_up[up[f[y]] & up[f[z]]])
+
+
+def oracle_semidistributive_witness(l: Lattice) -> tuple[str, int, int, int]:
+    """Per x, join law first, one n-bit AND per cover to count the
+    elements with a lower cover in their own fibre, then the fibres with
+    two minimal members scanned for the pair."""
+    n, up, down, by = l.n, l._up, l._down, _by_mask(l)
+    sides = (("join", up, down, by, [(v, up[u] & ~up[v]) for u, v in l.covers]),
+             ("meet", down, up, by[::-1], [(u, down[v] & ~down[u]) for u, v in l.covers]))
+    for x in (x for x in range(n) if x != l.bottom and x != l.top):
+        for side, ups, downs, (by_up, by_down), gap in sides:
+            ux = ups[x]
+            flat = {v for v, d in gap if not ux & d}
+            if len(flat) == n - ux.bit_count():
+                continue
+            f = [by_up[ux & u] for u in ups]
+            minimal = Counter(f[v] for v in range(n) if v not in flat)
+            return next((side, x, y, z) for y in range(n) if minimal[f[y]] > 1
+                        for z in range(y + 1, n)
+                        if f[z] == f[y] and f[by_down[downs[y] & downs[z]]] != f[y])
+    raise AssertionError("the kappa test rejected a semidistributive lattice")
 
 
 def _oracle_ends(s: int, irr: int, step) -> list[int]:

@@ -1,9 +1,11 @@
 """The property predicates' irreducible tests against the scans they
 replaced (the oracles in conftest): kappa, distributive and
-semidistributive verdicts and witnesses, left-modular element sets and
-chains, and semidistributive labellings with their dict order and error
-arguments; past the sweeps on larger families, cubes and thin lattices,
-and the left-modular test's one union per distinct cover key."""
+semidistributive verdicts and witnesses (also against the witness
+searches that fibres and cover key differences replaced), left-modular
+element sets, one element at a time too, and chains, and
+semidistributive labellings with their dict order and error arguments;
+past the sweeps on larger families, cubes and thin lattices, and the
+left-modular test's one union per distinct cover key."""
 
 from __future__ import annotations
 
@@ -35,12 +37,14 @@ from trimlat import lattice
 from trimlat.lattice import _kappas, _left_modular_test
 from conftest import (
     left_modular_elements,
+    oracle_distributive_witness,
     oracle_kappas,
     oracle_is_distributive,
     oracle_is_semidistributive,
     oracle_left_modular_chain,
     oracle_left_modular_elements,
     oracle_semidistributive_labelling,
+    oracle_semidistributive_witness,
     path_copy_chain,
 )
 from test_lazy_tables import _thin_families
@@ -57,6 +61,18 @@ def _labelling_outcome(fn, l):
     return tuple(list(d.items()) for d in got)
 
 
+def _check_witnesses(label, l) -> None:
+    """The fibre and cover-key-difference witnesses against the searches
+    they replaced, where the law fails, and each element's own
+    left-modular test against the whole mask."""
+    if not is_distributive(l):
+        assert lattice._distributive_witness(l) == oracle_distributive_witness(l), label
+    if not is_semidistributive(l):
+        assert lattice._semidistributive_witness(l) == oracle_semidistributive_witness(l), label
+    lm = left_modular_elements(l)
+    assert tuple(x for x in range(l.n) if is_left_modular_element(l, x)) == lm, label
+
+
 def _check_against_oracles(label, l) -> tuple[bool, bool]:
     dist = oracle_is_distributive(l)
     assert is_distributive(l, witness=True) == dist, label
@@ -64,9 +80,9 @@ def _check_against_oracles(label, l) -> tuple[bool, bool]:
     semi = oracle_is_semidistributive(l)
     assert is_semidistributive(l, witness=True) == semi, label
     assert is_semidistributive(l) == semi[0], label
+    _check_witnesses(label, l)
     lm = oracle_left_modular_elements(l)
     assert left_modular_elements(l) == lm, label
-    assert is_left_modular_element(l, l.top) == (l.top in lm), label
     assert is_left_modular_lattice(l) == oracle_left_modular_chain(l), label
     labelling = _labelling_outcome(semidistributive_labelling, l)
     assert labelling == _labelling_outcome(oracle_semidistributive_labelling, l), label
@@ -96,11 +112,21 @@ def _n5_on_cube(k: int):
 
 
 def test_late_semidistributive_witness():
-    for k in range(7):
+    for k in range(9):
         l = _m3_on_cube(k)
         x = 1 << k
         assert is_semidistributive(l, witness=True) == (False, ("join", x, x + 1, x + 2)), k
         _check_against_oracles(f"M3 on boolean({k})", l)
+
+
+def test_late_distributive_witness():
+    """N5 put on the cube: distributivity first fails at x = 2**k + 1,
+    the middle of N5's long side, after every element of the cube."""
+    for k in range(9):
+        l = _n5_on_cube(k)
+        x = 1 << k
+        assert is_distributive(l, witness=True) == (False, (x + 1, x, x + 2)), k
+        _check_against_oracles(f"N5 on boolean({k})", l)
 
 
 def test_meet_side_semidistributive_witness():
@@ -226,13 +252,16 @@ def test_thin_families_match_oracles():
     binary trees of both orientations up to 128 elements, where kappa's
     sets and the semidistributive witnesses are long: M_k has k - 1
     maximal members in up(0) minus up(a).  The cubic oracles run up to 128
-    elements; past that only chains are left, and only kappa is compared."""
+    elements; past that only chains are left, and only kappa and the
+    per-element left-modular test are compared."""
     for i, p in enumerate(_thin_families()):
         l = lattice_from_poset(p)
         label = f"thin family {i} on {l.n}"
         assert _kappa_items(_kappas(l)) == _kappa_items(oracle_kappas(l)), label
         if l.n <= 128:
             _check_against_oracles(label, l)
+        else:
+            _check_witnesses(label, l)
 
 
 def test_property_paths_match_oracles(property_lattices):
