@@ -77,7 +77,7 @@ class NotALinearExtension(TrimlatError):
 
 
 class ThreeWayMismatch(TrimlatError):
-    """The three equivalent label formulas disagreed: the chain is not left modular."""
+    """Label formulas 1 and 3 disagreed: the chain is not left modular."""
 
     def __init__(self, cover: tuple[int, int], values: tuple[int, int, int]):
         self.cover, self.values = cover, values

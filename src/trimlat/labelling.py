@@ -5,9 +5,9 @@ bijection, and canonical join and meet representations.
 The left-modular labelling has one formula on the fast path: on a trim
 lattice the label of a cover y covered-by z is the single label in
 y_M & z_J, the cover's overlap mask that the irreducible indexing holds.
-Every other lattice runs three equivalent formulas on every cover and
-asserts them equal.  Both labellings are read from the up and down masks,
-with no tables.
+Every other lattice reads formulas 1 and 3 from key bits on every cover
+and asserts them equal; formula 2 is formula 1 (:func:`_three_formula_labels`).
+Both labellings are read from masks and keys, with no tables.
 
 A labelling is a map from Hasse edges (y, z) to hashable labels, distinct
 around each element.  Left-modular labellings use integer labels 1..n carrying
@@ -33,11 +33,11 @@ from .galois import galois_graph, galois_poset, index_irreducibles
 from .lattice import (
     Chain,
     Lattice,
-    _by_mask,
     _coheights,
     _cover_failure,
     _irr_keys,
     _kappas,
+    _pair_keys,
     is_extremal,
     is_left_modular_lattice,
 )
@@ -109,8 +109,8 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None) -> CoverLabel
     extremal lattice the indexing also validates the chain, and the label
     poset is the Galois poset.
 
-    Full path (every other lattice): three formulas, asserted equal on
-    every cover,
+    Full path (every other lattice): formulas 1 and 3, read from key bits
+    and asserted equal on every cover (formula 2 equals formula 1),
 
     1. min over join-irreducibles j with y v j = z of beta_J(j),
     2. min i with y v (x_i ^ z) = z,
@@ -137,23 +137,29 @@ def left_modular_labelling(l: Lattice, chain: Chain | None = None) -> CoverLabel
 
 
 def _three_formula_labels(l: Lattice, xs) -> dict:
-    """The three label formulas on every cover along the chain xs, raising
-    ThreeWayMismatch where they disagree; y v j = z exactly when
-    up(y) & up(j) = up(z), and dually for meets."""
-    n = len(xs) - 1
-    up, down, by_down = l._up, l._down, _by_mask(l)[1]
-    beta_j = {j: min(i for i in range(1, n + 1) if l.leq(j, xs[i]))
-              for j in l.join_irr}
-    beta_m = {m: max(i for i in range(1, n + 1) if l.leq(xs[i - 1], m))
-              for m in l.meet_irr}
+    """Formulas 1 and 3 on every cover y covered-by z along the maximal
+    chain xs, raising ThreeWayMismatch(cover, (v1, v1, v3)) where first
+    they disagree.  y v j = z exactly when j is in J(z) minus J(y), and
+    z ^ m = y exactly when m is in M(y) minus M(z), so with the keys
+    (:func:`trimlat.lattice._pair_keys`) seeded in beta_J and beta_M order
+    formula 1 is the lowest bit of the J-key difference and formula 3 the
+    highest of the M-key difference.  Formula 2 is formula 1: y v (x_i ^ z)
+    = z exactly when x_i ^ z, the join of the join-irreducibles below it, is
+    not below y, that is when some j in J(z) minus J(y) lies below x_i.
+    """
+    down, up = l._down, l._up
+    jirr, mirr = (sum(1 << t for t in irr) for irr in (l.join_irr, l.meet_irr))
+    steps = list(enumerate(zip(xs, xs[1:]), 1))
+    # beta_J(j) is the i where j enters down(x_i), beta_M(m) where m leaves up(x_{i-1})
+    js = [(i, j) for i, (a, b) in steps for j in _bits(down[b] & ~down[a] & jirr)]
+    ms = [(i, m) for i, (a, b) in steps for m in _bits(up[a] & ~up[b] & mirr)]
+    jk, mk = _pair_keys(l, [j for _, j in js], [m for _, m in ms])
     labels: dict[tuple[int, int], int] = {}
     for y, z in l.covers:
-        v1 = min(beta_j[j] for j in l.join_irr if up[y] & up[j] == up[z])
-        v2 = min(i for i in range(1, n + 1)
-                 if up[y] & up[by_down[down[xs[i]] & down[z]]] == up[z])
-        v3 = max(beta_m[m] for m in l.meet_irr if down[z] & down[m] == down[y])
-        if not (v1 == v2 == v3):
-            raise ThreeWayMismatch((y, z), (v1, v2, v3))
+        d = jk[z] ^ jk[y]
+        v1, v3 = js[(d & -d).bit_length() - 1][0], ms[(mk[y] ^ mk[z]).bit_length() - 1][0]
+        if v1 != v3:
+            raise ThreeWayMismatch((y, z), (v1, v1, v3))
         labels[(y, z)] = v1
     return labels
 
@@ -184,38 +190,37 @@ def _lex_min_chain(l: Lattice, labels, x: int, z: int) -> list:
     return word
 
 
-def _count_increasing(l: Lattice, labels, x: int, z: int) -> int:
-    """Number of saturated chains from x to z with weakly increasing words,
-    counted over [x, z] from z down, by longest path to the top (a reverse
-    linear extension): starts[y] holds, per cover (y, w) inside, its label
-    and the number of increasing chains from y to z that begin with it."""
-    inside, co = l._up[x] & l._down[z], _coheights(l)[0]
-    starts = {z: ()}
-    for y in sorted(_bits(inside & ~(1 << z)), key=co.__getitem__):
-        starts[y] = []
-        for w in l.upper_covers(y):
-            if inside >> w & 1:
-                lab = labels[(y, w)]
-                starts[y].append((lab, 1 if w == z else sum(k for b, k in starts[w] if b >= lab)))
-    return 1 if x == z else sum(k for _, k in starts.get(x, ()))
-
-
 def is_EL(l: Lattice, labelling) -> bool:
     """EL property: in every interval, exactly one saturated chain has a
     weakly increasing label word, and that word strictly lexicographically
-    precedes the word of every other saturated chain."""
+    precedes the word of every other saturated chain.
+
+    One pass per x over up(x), bottom first along the kept pass
+    (:func:`trimlat.lattice._coheights`), carries the last label and first
+    step of each increasing chain from x.  It accepts [x, z] when one chain
+    reaches z and starts at the greedy step, min (label, w) over the covers
+    w of x below z.  This is the definitional test (one increasing chain,
+    and the greedy word increases): an increasing greedy word is the one
+    increasing chain; conversely, by induction on intervals, the greedy
+    chain of [x, z] is its greedy step w, where the increasing chain starts,
+    and then the greedy chain of [w, z], the increasing one.  No other chain
+    has that word, as it would increase too.
+    """
     labels = _label_dict(labelling)
+    up, co = l._up, _coheights(l)[0]
     for x in range(l.n):
-        for z in range(l.n):
-            if not l.lt(x, z):
-                continue
-            if _count_increasing(l, labels, x, z) != 1:
+        # before[w]: the z above a cover ahead of w in (label, w) order
+        before, seen = {}, 0
+        for _, w in sorted((labels[(x, w)], w) for w in l.upper_covers(x)):
+            before[w], seen = seen, seen | up[w]
+        ends = {w: [(labels[(x, w)], w)] for w in before}
+        for z in sorted(_bits(up[x] ^ 1 << x), key=co.__getitem__, reverse=True):
+            if len(chains := ends.pop(z, ())) != 1 or before[chains[0][1]] >> z & 1:
                 return False
-            word = _lex_min_chain(l, labels, x, z)
-            # the unique increasing chain must realize the lex-least word;
-            # then no second chain shares that word, as it would increase too
-            if sorted(word) != word:
-                return False
+            (last, first), = chains
+            for w in l.upper_covers(z):
+                if last <= (lab := labels[(z, w)]):
+                    ends.setdefault(w, []).append((lab, first))
     return True
 
 

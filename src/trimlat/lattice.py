@@ -641,18 +641,19 @@ def congruence(l: Lattice, classes) -> Congruence:
 
     Compatibility is checked one side at a time (x1 ~ x2 implies
     x1 ^ y ~ x2 ^ y and dually), which suffices by transitivity.  Raises
-    NotACongruence with the witness triple on failure.
+    NotACongruence with the witness triple on failure.  Each member of a
+    class is checked against its least member only: if all agree with it,
+    all agree by transitivity.  These pairs come first in each class in
+    lexicographic order, so the witness is that of a check of every pair.
     """
-    cls = [tuple(sorted(c)) for c in classes]
-    seen = [x for c in cls for x in c]
-    if not all(cls) or sorted(seen) != list(range(l.n)):
+    cls = sorted(tuple(sorted(c)) for c in classes)  # by least member, once a partition
+    if not all(cls) or sorted(x for c in cls for x in c) != list(range(l.n)):
         raise ValueError("classes do not partition the elements")
-    cls.sort(key=lambda c: c[0])
     # x ^ y is looked up by down(x) & down(y), x v y dually
     up, down, (by_up, by_down) = l._up, l._down, _by_mask(l)
     of = {x: i for i, c in enumerate(cls) for x in c}
-    for c in cls:
-        for x1, x2 in combinations(c, 2):
+    for x1, *rest in cls:
+        for x2 in rest:
             for y in range(l.n):
                 if of[by_down[down[x1] & down[y]]] != of[by_down[down[x2] & down[y]]]:
                     raise NotACongruence(x1, x2, y, "meet")

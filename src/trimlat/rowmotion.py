@@ -79,6 +79,8 @@ def rowmotion_global(l: Lattice, labelling) -> LatticePermutation:
 def flip(l: Lattice, labelling, x: int, i) -> int:
     """Walk across the unique edge at x labelled i, if present; otherwise
     stay at x."""
+    if not 0 <= x < l.n:
+        raise ValueError(f"element {x} out of range for n={l.n}")
     labels = _label_dict(labelling)
     for y in l.lower_covers(x):
         if labels[(y, x)] == i:
@@ -89,32 +91,21 @@ def flip(l: Lattice, labelling, x: int, i) -> int:
     return x
 
 
-def _flip_tables(l: Lattice, labels) -> dict:
-    tables: dict = {}
-    for (y, z), lab in labels.items():
-        t = tables.get(lab)
-        if t is None:
-            t = tables[lab] = list(range(l.n))
-        t[y] = z
-        t[z] = y
-    return tables
-
-
 def _validate_extension(labelling, ext) -> None:
     labels = _label_dict(labelling)
     wanted = set(labels.values())
     if len(ext) != len(wanted) or set(ext) != wanted:
         raise NotALinearExtension("sequence is not a permutation of the labels")
     if isinstance(labelling, CoverLabelling) and labelling.label_poset is not None:
-        p = labelling.label_poset
-        pos = {lab: i for i, lab in enumerate(ext)}
-        for a in range(p.n):
-            for b in _bits(p.up_mask(a) ^ (1 << a)):
-                # label a+1 sits below label b+1 in the label poset, so it
-                # must be flipped first
-                if pos[a + 1] > pos[b + 1]:
-                    raise NotALinearExtension(
-                        f"label {a + 1} must precede label {b + 1}")
+        # label a+1 must be flipped before every label above it in the label
+        # poset; the least such a, and its least label flipped too early
+        up, placed, late = labelling.label_poset._up, 0, []
+        for lab in ext:
+            if early := (up[lab - 1] ^ 1 << lab - 1) & placed:
+                late.append((lab, (early & -early).bit_length()))
+            placed |= 1 << lab - 1
+        if late:
+            raise NotALinearExtension("label {} must precede label {}".format(*min(late)))
 
 
 def rowmotion_slow(l: Lattice, labelling, ext) -> LatticePermutation:
@@ -122,7 +113,13 @@ def rowmotion_slow(l: Lattice, labelling, ext) -> LatticePermutation:
     extension of the label poset (for trim lattices: of the Galois poset,
     minimal labels first)."""
     _validate_extension(labelling, ext)
-    tables = _flip_tables(l, _label_dict(labelling))
+    tables: dict = {}  # per label, the flip of every element
+    for (y, z), lab in _label_dict(labelling).items():
+        t = tables.get(lab)
+        if t is None:
+            t = tables[lab] = list(range(l.n))
+        t[y] = z
+        t[z] = y
     forward = list(range(l.n))
     for lab in ext:
         t = tables[lab]
@@ -132,15 +129,11 @@ def rowmotion_slow(l: Lattice, labelling, ext) -> LatticePermutation:
 
 def slow_trace(l: Lattice, labelling, ext, x: int) -> list[tuple]:
     """The step-by-step walk of slow rowmotion from x, including no-op
-    steps, as (label, element-after-flip) pairs."""
+    steps, as (label, element-after-flip) pairs, one :func:`flip` a step."""
+    if not 0 <= x < l.n:
+        raise ValueError(f"element {x} out of range for n={l.n}")
     _validate_extension(labelling, ext)
-    tables = _flip_tables(l, _label_dict(labelling))
-    out = []
-    cur = x
-    for lab in ext:
-        cur = tables[lab][cur]
-        out.append((lab, cur))
-    return out
+    return [(lab, x := flip(l, labelling, x, lab)) for lab in ext]
 
 
 def ideal_rowmotion_map(q: Poset, masks) -> dict[int, int]:

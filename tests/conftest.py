@@ -8,7 +8,10 @@ the pure-Python table builders that the vectorised table kernel replaced,
 the table check that validation on up masks replaced, the eager table
 constructions that tables built on first read replaced and the J/M-key
 hash lookup that the recursion over covers replaced, the table reads
-that congruences and the three label formulas on masks replaced,
+that congruences and the three label formulas on masks replaced (each
+checking every pair of a class and evaluating all three formulas), the
+interval scans that the one-pass EL test replaced, the flip tables and
+pair scan that the slow trace and extension check replaced,
 the scans that the trim pipeline and the property predicates replaced
 (kappa by listing every extremal member of its set among them, and the
 witness searches that fibres and cover key differences replaced), the
@@ -65,12 +68,13 @@ from trimlat.errors import (
 )
 from trimlat.galois import MaxOrthPair
 from trimlat.generators import fixture_manifest
-from trimlat.labelling import _label_dict
+from trimlat.labelling import _label_dict, _lex_min_chain
 from trimlat.lattice import (
     Chain,
     Congruence,
     Lattice,
     _by_mask,
+    _coheights,
     _heights,
     _irr_keys,
     _key_union,
@@ -832,6 +836,8 @@ def eager_lattice_from_graph(g: GaloisGraph) -> Lattice:
 
 # ---------------------------------------------------------------------------
 # the table reads that congruences and the three label formulas on masks
+# replaced, the interval scans that the one-pass EL test replaced, and the
+# flip tables and label pairs that the slow trace and extension check
 # replaced, kept as oracles
 # ---------------------------------------------------------------------------
 
@@ -874,8 +880,71 @@ def oracle_three_formula_labels(l: Lattice, xs) -> dict:
     return labels
 
 
+def count_increasing(l: Lattice, labels, x: int, z: int) -> int:
+    """Number of saturated chains from x to z with weakly increasing words,
+    counted over [x, z] from z down, by longest path to the top (a reverse
+    linear extension): starts[y] holds, per cover (y, w) inside, its label
+    and the number of increasing chains from y to z that begin with it."""
+    inside, co = l._up[x] & l._down[z], _coheights(l)[0]
+    starts = {z: ()}
+    for y in sorted(_bits(inside & ~(1 << z)), key=co.__getitem__):
+        starts[y] = []
+        for w in l.upper_covers(y):
+            if inside >> w & 1:
+                lab = labels[(y, w)]
+                starts[y].append((lab, 1 if w == z else sum(k for b, k in starts[w] if b >= lab)))
+    return 1 if x == z else sum(k for _, k in starts.get(x, ()))
+
+
+def oracle_is_EL(l: Lattice, labelling) -> bool:
+    """``labelling.is_EL`` as it was: every interval x < z counted by
+    :func:`count_increasing` and its greedy word built and tested."""
+    labels = _label_dict(labelling)
+    for x in range(l.n):
+        for z in range(l.n):
+            if not l.lt(x, z):
+                continue
+            if count_increasing(l, labels, x, z) != 1:
+                return False
+            word = _lex_min_chain(l, labels, x, z)
+            # the unique increasing chain must realize the lex-least word;
+            # then no second chain shares that word, as it would increase too
+            if sorted(word) != word:
+                return False
+    return True
+
+
+def oracle_slow_trace(l: Lattice, labelling, ext, x: int) -> list[tuple]:
+    """``rowmotion.slow_trace`` as it was, on a valid extension: the walk
+    read from a flip table per label."""
+    tables: dict = {}
+    for (y, z), lab in _label_dict(labelling).items():
+        t = tables.setdefault(lab, list(range(l.n)))
+        t[y], t[z] = z, y
+    out = []
+    for lab in ext:
+        x = tables[lab][x]
+        out.append((lab, x))
+    return out
+
+
+def oracle_extension_error(labelling, ext) -> str | None:
+    """The message of ``rowmotion._validate_extension`` as it was, testing
+    every pair of comparable labels, or None when ext is accepted."""
+    wanted = set(_label_dict(labelling).values())
+    if len(ext) != len(wanted) or set(ext) != wanted:
+        return "sequence is not a permutation of the labels"
+    p = labelling.label_poset
+    pos = {lab: i for i, lab in enumerate(ext)}
+    for a in range(p.n):
+        for b in _bits(p.up_mask(a) ^ (1 << a)):
+            if pos[a + 1] > pos[b + 1]:
+                return f"label {a + 1} must precede label {b + 1}"
+    return None
+
+
 def oracle_count_increasing(l: Lattice, labels, x: int, z: int) -> int:
-    """``labelling._count_increasing`` as it was: a memoized recursion with
+    """:func:`count_increasing` as it was before: a memoized recursion with
     one level per cover step."""
     memo: dict[tuple[int, int], int] = {}
 

@@ -33,8 +33,14 @@ from trimlat import (
     tamari,
     weak_order_S,
 )
-from trimlat.labelling import CoverLabelling, _count_increasing
-from conftest import brute_canonical_join_rep, dual_poset, eager_lattice, oracle_count_increasing
+from trimlat.labelling import CoverLabelling
+from conftest import (
+    brute_canonical_join_rep,
+    count_increasing,
+    dual_poset,
+    eager_lattice,
+    oracle_count_increasing,
+)
 
 V_POSET = poset_from_relations(3, [(0, 2), (1, 2)])
 
@@ -117,17 +123,18 @@ def test_count_increasing_matches_recursion(small_posets, fixture_trim_lattices)
                        {(y, w): (3 * y + w) % 4 for y, w in l.covers}):
             for x in range(l.n):
                 for z in range(l.n):
-                    got = _count_increasing(l, labels, x, z)
+                    got = count_increasing(l, labels, x, z)
                     assert got == oracle_count_increasing(l, labels, x, z), (l, x, z)
                     counts.add(got)
     assert counts >= {0, 1, 2, 3}
 
 
-def test_count_increasing_on_a_long_chain():
-    # 1099 cover steps: past the recursion limit of the recursive count
+def test_is_EL_on_a_long_chain():
+    # 1099 cover steps: past the recursion limit of a recursive count, and
+    # about 6 * 10^5 intervals, each read once
     l = chain_lattice(1100)
-    assert _count_increasing(l, left_modular_labelling(l).labels, 0, 1099) == 1
-    assert _count_increasing(l, {(i, i + 1): -i for i in range(1099)}, 0, 1099) == 0
+    assert is_EL(l, left_modular_labelling(l))
+    assert not is_EL(l, {(i, i + 1): -i for i in range(1099)})
 
 
 def test_is_interpolating_examples():

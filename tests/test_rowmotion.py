@@ -7,7 +7,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_ideal_poset, random_extension
+from conftest import (
+    oracle_extension_error,
+    oracle_ideal_poset,
+    oracle_slow_trace,
+    random_extension,
+)
 from trimlat import (
     NotALinearExtension,
     boolean,
@@ -107,6 +112,27 @@ def test_rowmotion_slow_rejects_bad_extension():
         rowmotion_slow(l4, gamma, (4, 1, 2, 3, 5, 6))
 
 
+def test_extension_check_matches_pair_scan(trim_collection):
+    # seeded permutations of the labels, most of them no linear extension,
+    # and a linear extension of each label poset
+    rng = random.Random(35)
+    accepted = refused = 0
+    for name, l in trim_collection:
+        gamma = left_modular_labelling(l)
+        labels = list(range(1, gamma.label_poset.n + 1))
+        for ext in (random_extension(rng, gamma.label_poset), rng.sample(labels, len(labels))):
+            want = oracle_extension_error(gamma, ext)
+            try:
+                rowmotion_slow(l, gamma, ext)
+            except NotALinearExtension as exc:
+                assert str(exc) == want, (name, ext)
+                refused += 1
+            else:
+                assert want is None, (name, ext)
+                accepted += 1
+    assert (accepted, refused) == (1628, 1270)
+
+
 def test_orbits():
     l = order_ideals(V_POSET)
     row = rowmotion_global(l, left_modular_labelling(l))
@@ -127,6 +153,34 @@ def test_slow_trace_fig1():
     assert steps[-1][1] == rowmotion_global(chain, gch)(chain.top)
     one = boolean(0)
     assert slow_trace(one, left_modular_labelling(one), (), 0) == []
+
+
+@pytest.mark.parametrize("x", [-1, 5, 10])
+def test_flip_and_trace_refuse_out_of_range(x):
+    l = order_ideals(V_POSET)
+    gamma = left_modular_labelling(l)
+    with pytest.raises(ValueError, match=f"element {x} out of range for n=5"):
+        flip(l, gamma, x, 3)
+    with pytest.raises(ValueError, match=f"element {x} out of range for n=5"):
+        slow_trace(l, gamma, (1, 2, 3), x)
+
+
+def test_slow_trace_matches_flip_tables(trim_collection):
+    # from every element, along a seeded linear extension of each label
+    # poset, and up the 1000-element chain, whose 999 labels each touch
+    # two elements
+    rng = random.Random(35)
+    for name, l in trim_collection:
+        gamma = left_modular_labelling(l)
+        ext = random_extension(rng, gamma.label_poset)
+        for x in range(l.n):
+            assert slow_trace(l, gamma, ext, x) == oracle_slow_trace(l, gamma, ext, x), (name, x)
+    chain = chain_lattice(1000)
+    gamma = left_modular_labelling(chain)
+    ext = tuple(range(1, 1000))
+    steps = slow_trace(chain, gamma, ext, 0)
+    assert steps == oracle_slow_trace(chain, gamma, ext, 0)
+    assert steps[-1] == (999, 999)
 
 
 def test_labelling_independence_across_chains():
